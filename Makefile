@@ -39,11 +39,13 @@ golden:
 	$(GO) test . -run 'TestGoldenCorpus$$' -update
 
 # Short fuzz pass over the transport segmentation, loss recovery, cache
-# and scheduler invariants; CI runs this on every push.
+# invariants, the cache's equivalence to its stamp-based reference, and
+# scheduler invariants; CI runs this on every push.
 fuzz-smoke:
 	$(GO) test ./internal/tcp -run '^$$' -fuzz FuzzTCPSegmentation -fuzztime 15s
 	$(GO) test ./internal/tcp -run '^$$' -fuzz FuzzTCPLossRecovery -fuzztime 15s
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzCacheAccessRange -fuzztime 15s
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzCacheDifferential -fuzztime 15s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSchedulerOrdering -fuzztime 15s
 
 # Fault-plane smoke: the loss sweep under strict fail-fast checking, plus
@@ -93,7 +95,7 @@ bench-compare:
 # allocs/op must be 0 on every steady-state path.
 sim-bench:
 	$(GO) test -bench='BenchmarkSchedule|BenchmarkRunHotLoop|BenchmarkProcResume|BenchmarkTaskResume' -benchmem -run='^$$' ./internal/sim/
-	$(GO) test -bench='BenchmarkAccessRange|BenchmarkAccessLines|BenchmarkInvalidate' -benchmem -run='^$$' ./internal/mem/
+	$(GO) test -bench='BenchmarkAccessRange|BenchmarkAccessLines|BenchmarkInvalidate|BenchmarkInstall' -benchmem -run='^$$' ./internal/mem/
 	$(GO) test -bench='BenchmarkSteadyStatePacketPath' -benchmem -run='^$$' ./internal/tcp/
 
 # CPU + allocation profiles of the heaviest workload (the fig10 app-level

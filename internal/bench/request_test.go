@@ -48,6 +48,22 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
+// TestRequestRejectsWideCache pins that an associativity the cache
+// model cannot hold is refused when the request is validated (a 400
+// from ioatd), not by a panic in mem.NewCache on a worker.
+func TestRequestRejectsWideCache(t *testing.T) {
+	q, err := DecodeRequest(strings.NewReader(`{"costs":[{"field":"CacheWays","value":16}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Validate(0); !errors.Is(err, cost.ErrCacheWays) {
+		t.Fatalf("Validate = %v, want %v", err, cost.ErrCacheWays)
+	}
+	if _, _, err := q.Config(0); !errors.Is(err, cost.ErrCacheWays) {
+		t.Fatalf("Config = %v, want %v", err, cost.ErrCacheWays)
+	}
+}
+
 func TestRequestConfigDefaultsAndSelection(t *testing.T) {
 	cfg, runners, err := Request{}.Config(0)
 	if err != nil {

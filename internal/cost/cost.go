@@ -8,6 +8,7 @@
 package cost
 
 import (
+	"errors"
 	"fmt"
 	"time"
 )
@@ -18,6 +19,14 @@ const (
 	MB = 1 << 20
 	GB = 1 << 30
 )
+
+// MaxCacheWays is the highest associativity mem.Cache models: it keeps a
+// set's metadata one byte or one 8-bit row per way in 64-bit words.
+const MaxCacheWays = 8
+
+// ErrCacheWays is the error Validate wraps when CacheWays exceeds
+// MaxCacheWays.
+var ErrCacheWays = errors.New("cache associativity above the 8-way maximum")
 
 // Params is the complete tunable cost model. Experiments copy Default()
 // and adjust (socket buffer, MTU, TSO, coalescing) per scenario.
@@ -41,6 +50,7 @@ type Params struct {
 
 	// CacheSize/CacheLine/CacheWays describe the node's L2 (2 MB, 64 B,
 	// 8-way), the cache whose pollution the split-header feature avoids.
+	// CacheWays is at most MaxCacheWays.
 	CacheSize int
 	CacheLine int
 	CacheWays int
@@ -206,6 +216,9 @@ func (p *Params) Validate() error {
 	if p.CacheSize <= 0 || p.CacheLine <= 0 || p.CacheWays <= 0 {
 		return fail("cache geometry %d bytes / %d-byte lines / %d ways must be positive",
 			p.CacheSize, p.CacheLine, p.CacheWays)
+	}
+	if p.CacheWays > MaxCacheWays {
+		return fail("CacheWays = %d: %w", p.CacheWays, ErrCacheWays)
 	}
 	if p.CacheLine&(p.CacheLine-1) != 0 {
 		return fail("CacheLine = %d, must be a power of two", p.CacheLine)

@@ -157,6 +157,7 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 		{"zero cache line", func(p *Params) { p.CacheLine = 0 }},
 		{"non-power-of-two line", func(p *Params) { p.CacheLine = 96 }},
 		{"zero ways", func(p *Params) { p.CacheWays = 0 }},
+		{"more ways than the cache models", func(p *Params) { p.CacheWays = 16 }},
 		{"non-power-of-two sets", func(p *Params) { p.CacheSize = 3 * MB / 2 }},
 		{"cache smaller than one set", func(p *Params) { p.CacheSize = 16 }},
 		{"zero page size", func(p *Params) { p.PageSize = 0 }},

@@ -63,6 +63,23 @@ func BenchmarkAccessLines(b *testing.B) {
 	}
 }
 
+// BenchmarkInstall covers full-packet direct cache placement (DCA): each
+// 1500-byte frame lands in the next 2 KB buffer of a receive ring four
+// times the cache's size, so, as in a long transfer, every placement
+// misses and displaces valid lines.
+func BenchmarkInstall(b *testing.B) {
+	const frame, buf = 1500, 2048
+	c := benchCache()
+	ring := 4 * c.Size() / buf
+	c.AccessRange(Addr(ring*buf), c.Size()) // fill with lines outside the ring
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Install(Addr(i%ring*buf), frame)
+	}
+	b.SetBytes(frame)
+}
+
 // BenchmarkInvalidate covers the DMA-write coherence path: per-frame
 // payload invalidation (resident and absent lines) and a wrap-around
 // range.

@@ -3,46 +3,71 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+
+	"ioatsim/internal/cost"
 )
 
 // Cache is a set-associative LRU cache with write-allocate semantics,
 // indexed by synthetic physical address. It tracks only presence, not
 // data; the cost model turns hit/miss outcomes into time.
 //
-// Line state is stored structure-of-arrays per set: each set owns one
-// contiguous block of 2*ways words — its tag array followed by its LRU
-// stamp array — so a lookup touches two adjacent simulator cache lines
-// instead of two lines half the structure apart (the layout an AoS
-// []struct{tag, last} or two whole-cache arrays would force). Every bulk
-// operation walks consecutive cache lines, which map to consecutive
-// sets, so the walkers advance a set-base cursor (one add + wrap per
-// line) instead of re-deriving set*stride from the address, and
-// accumulate the LRU tick in a register, writing it back once per call.
-// Outcomes — hit/miss sequences, LRU stamps, eviction choices — are
-// bit-identical to the per-line AoS form.
+// Each set owns eight tag words (line address + 1; 0 = invalid; words
+// beyond the associativity stay 0), one host cache line in tags, and two
+// metadata words in meta:
+//
+//   - a fingerprint word, one byte per way: 0x80 | the 7 line bits above
+//     the set index, 0 on an invalid way. A lookup broadcasts the wanted
+//     fingerprint over the word, finds candidate ways with one SWAR
+//     zero-byte test, and confirms each against its tag word.
+//   - an 8x8 LRU bit matrix, row w in byte w. Touching way w sets row w
+//     (over the cache's ways) and clears column w, so bit j of row i is
+//     set iff way i was referenced after way j, and among valid ways the
+//     least recently used one is the one whose row is zero.
+//
+// A miss fills the lowest invalid way, else the way whose row is zero:
+// the line a per-way LRU stamp form evicts (the lowest-indexed way with
+// the smallest stamp, invalid ways holding stamp 0), so hit/miss
+// sequences and evictions are bit-identical to it. Both words are stored
+// XOR their empty-set value, which differs from zero only in the bytes
+// of ways beyond the associativity: a fingerprint that never matches nor
+// reads invalid, a row that never reads zero. So the zeroed memory make
+// returns already is an empty cache, NewCache writes nothing, and one
+// loop body serves every 1-8-way geometry.
 type Cache struct {
 	lineSize int
 	ways     int
 	nsets    int
-	stride   int  // 2*ways: words of state per set
 	shift    uint // log2(lineSize)
+	setBits  uint // log2(nsets)
 	mask     uint64
 
-	// state holds per-set blocks: state[set*stride : set*stride+ways] are
-	// the tags (line address + 1; 0 = invalid), the next ways words the
-	// parallel LRU stamps.
-	state []uint64
-	tick  uint64
+	rowMask  uint64 // a touched way's row: one bit per way of the cache
+	fpEmpty  uint64 // fingerprint word of an empty set
+	lruEmpty uint64 // LRU matrix of an empty set
+
+	tags [][8]uint64 // per set
+	meta [][2]uint64 // per set: fingerprints, then the LRU matrix
 
 	Hits   uint64
 	Misses uint64
 }
 
+// SWAR constants: the low and the high bit of every byte of a word.
+const (
+	lsbs = 0x0101010101010101
+	msbs = 0x8080808080808080
+)
+
+// zeroBytes flags the zero bytes of x in bit 7 of each byte. The lowest
+// flag is always exact; a 0x01 byte above a zero byte may be flagged
+// too, so callers take the lowest flag or confirm each one.
+func zeroBytes(x uint64) uint64 { return (x - lsbs) &^ x & msbs }
+
 // NewCache returns a cache of the given total size, line size and
-// associativity. Size must be a multiple of lineSize*ways and the derived
-// set count must be a power of two.
+// associativity (at most cost.MaxCacheWays). Size must be a multiple of
+// lineSize*ways and the derived set count must be a power of two.
 func NewCache(size, lineSize, ways int) *Cache {
-	if size <= 0 || lineSize <= 0 || ways <= 0 {
+	if size <= 0 || lineSize <= 0 || ways <= 0 || ways > cost.MaxCacheWays {
 		panic("mem: bad cache geometry")
 	}
 	nsets := size / (lineSize * ways)
@@ -52,19 +77,25 @@ func NewCache(size, lineSize, ways int) *Cache {
 	if lineSize&(lineSize-1) != 0 {
 		panic("mem: line size must be a power of two")
 	}
-	shift := uint(0)
-	for 1<<shift != lineSize {
-		shift++
-	}
-	return &Cache{
+	c := &Cache{
 		lineSize: lineSize,
 		ways:     ways,
 		nsets:    nsets,
-		stride:   2 * ways,
-		shift:    shift,
+		shift:    uint(bits.TrailingZeros(uint(lineSize))),
+		setBits:  uint(bits.TrailingZeros(uint(nsets))),
 		mask:     uint64(nsets - 1),
-		state:    make([]uint64, nsets*2*ways),
+		rowMask:  1<<ways - 1,
+		tags:     make([][8]uint64, nsets),
+		meta:     make([][2]uint64, nsets),
 	}
+	// A missing way's fingerprint byte lacks bit 7, so it never matches,
+	// and is nonzero; its row holds its diagonal bit, which no touch
+	// writes, so it is never zero.
+	for w := ways; w < 8; w++ {
+		c.fpEmpty |= 0x7f << (8 * w)
+		c.lruEmpty |= 1 << (9 * w)
+	}
+	return c
 }
 
 // LineSize returns the cache line size in bytes.
@@ -73,82 +104,29 @@ func (c *Cache) LineSize() int { return c.lineSize }
 // Size returns the total capacity in bytes.
 func (c *Cache) Size() int { return c.nsets * c.ways * c.lineSize }
 
-// touch references the line with the given tag in the set whose state
-// block starts at base, allocating it (with LRU eviction) on miss,
-// stamping it with tick, and reports whether it hit. The tag scan runs
-// before any victim tracking: a hit never pays for LRU bookkeeping, and
-// a miss scans all ways anyway, so the split is outcome-identical to a
-// merged scan (the victim is the lowest-indexed way with the minimal
-// stamp either way).
-func (c *Cache) touch(base int, tag, tick uint64) bool {
-	if c.ways == 8 {
-		// Constant-width fast path for the default 8-way geometry: one
-		// 16-word view of the set block lets the compiler drop per-way
-		// bounds checks, and tags+stamps share two adjacent lines. The
-		// match scan is branchless — the hit way lands at a random
-		// position, so an early-exit loop mispredicts nearly every
-		// lookup; building a match bitmask costs eight flag-sets but
-		// only one (well-predicted) hit/miss branch.
-		st := (*[16]uint64)(c.state[base:])
-		m := uint(0)
-		if st[0] == tag {
-			m |= 1 << 0
-		}
-		if st[1] == tag {
-			m |= 1 << 1
-		}
-		if st[2] == tag {
-			m |= 1 << 2
-		}
-		if st[3] == tag {
-			m |= 1 << 3
-		}
-		if st[4] == tag {
-			m |= 1 << 4
-		}
-		if st[5] == tag {
-			m |= 1 << 5
-		}
-		if st[6] == tag {
-			m |= 1 << 6
-		}
-		if st[7] == tag {
-			m |= 1 << 7
-		}
-		if m != 0 {
-			st[8+bits.TrailingZeros(m)] = tick
-			return true
-		}
-		victim, oldest := 0, st[8]
-		for w := 1; w < 8; w++ {
-			if st[8+w] < oldest {
-				oldest = st[8+w]
-				victim = w
-			}
-		}
-		st[victim] = tag
-		st[8+victim] = tick
-		return false
-	}
-	ways := c.ways
-	tags := c.state[base : base+ways]
-	last := c.state[base+ways : base+2*ways]
-	for w := range tags {
-		if tags[w] == tag {
-			last[w] = tick
-			return true
+// set returns the tag words and the metadata words of the set line
+// indexes.
+func (c *Cache) set(line uint64) (*[8]uint64, *[2]uint64) {
+	s := line & c.mask
+	return &c.tags[s], &c.meta[s]
+}
+
+// fingerprint returns line's fingerprint byte: 0x80 | the 7 line bits
+// above the set index.
+func (c *Cache) fingerprint(line uint64) uint64 { return 0x80 | line>>c.setBits&0x7f }
+
+// find returns the way holding line in its set, whose tag words and
+// fingerprint word are given. Way numbers are masked to 0-7 so the
+// compiler drops the tag array's bounds checks.
+func (c *Cache) find(tags *[8]uint64, fps, line uint64) (way uint, ok bool) {
+	x := fps ^ c.fingerprint(line)*lsbs
+	for m := zeroBytes(x); m != 0; m &= m - 1 {
+		w := uint(bits.TrailingZeros64(m)) >> 3 & 7
+		if tags[w] == line+1 {
+			return w, true
 		}
 	}
-	victim, oldest := 0, last[0]
-	for w := 1; w < len(last); w++ {
-		if last[w] < oldest {
-			oldest = last[w]
-			victim = w
-		}
-	}
-	tags[victim] = tag
-	last[victim] = tick
-	return false
+	return 0, false
 }
 
 // Access touches the line containing addr, allocating it on miss, and
@@ -156,87 +134,59 @@ func (c *Cache) touch(base int, tag, tick uint64) bool {
 //
 //ioat:hotpath
 func (c *Cache) Access(addr Addr) bool {
-	line := uint64(addr) >> c.shift
-	base := int(line&c.mask) * c.stride
-	c.tick++
-	tag := line + 1
-	if c.ways == 1 {
-		// Direct-mapped: the single way is both the lookup and the victim.
-		hit := c.state[base] == tag
-		c.state[base] = tag
-		c.state[base+1] = c.tick
-		if hit {
-			c.Hits++
-		} else {
-			c.Misses++
-		}
-		return hit
-	}
-	if c.touch(base, tag, c.tick) {
-		c.Hits++
-		return true
-	}
-	c.Misses++
-	return false
+	hits, _ := c.accessLines(uint64(addr)>>c.shift, 1)
+	return hits == 1
 }
 
 // Contains reports whether the line holding addr is resident, without
 // updating LRU state or statistics.
 func (c *Cache) Contains(addr Addr) bool {
 	line := uint64(addr) >> c.shift
-	base := int(line&c.mask) * c.stride
-	tag := line + 1
-	for _, t := range c.state[base : base+c.ways] {
-		if t == tag {
-			return true
-		}
-	}
-	return false
+	tags, md := c.set(line)
+	_, ok := c.find(tags, md[0], line)
+	return ok
 }
 
-// accessLines touches n consecutive cache lines starting at line number
-// first, allocating on miss, and returns the hit and miss counts. This is
-// the shared core of AccessRange and AccessLines: consecutive lines index
-// consecutive sets, so the walk advances base by one set stride per line
-// (wrapping at the end of the array) and keeps the tick in a register.
-func (c *Cache) accessLines(first uint64, n int) (hits, misses int) {
-	tick := c.tick
-	tag := first + 1
-	base := int(first&c.mask) * c.stride
-	limit := c.nsets * c.stride
-	if c.ways == 1 {
-		st := c.state
-		for i := 0; i < n; i++ {
-			tick++
-			if st[base] == tag {
-				hits++
+// walk touches n consecutive cache lines starting at line number first,
+// allocating on miss, and returns how many hit and how many misses
+// displaced a valid line. The referenced way becomes the most recently
+// used. It is the shared core of every referencing operation, and
+// leaves the statistics to its callers.
+func (c *Cache) walk(first uint64, n int) (hits, evicted int) {
+	line := first
+	for i := 0; i < n; i++ {
+		tags, md := c.set(line)
+		w, hit := c.find(tags, md[0], line)
+		if hit {
+			hits++
+		} else {
+			if inv := zeroBytes(md[0] ^ c.fpEmpty); inv != 0 {
+				w = uint(bits.TrailingZeros64(inv)) >> 3 & 7
 			} else {
-				st[base] = tag
-				misses++
+				w = uint(bits.TrailingZeros64(zeroBytes(md[1]^c.lruEmpty))) >> 3 & 7
+				evicted++
 			}
-			st[base+1] = tick
-			tag++
-			base += 2
-			if base == limit {
-				base = 0
-			}
+			tags[w] = line + 1
+			md[0] = md[0]&^(0xff<<(8*w)) | c.fingerprint(line)<<(8*w)
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			tick++
-			if c.touch(base, tag, tick) {
-				hits++
-			} else {
-				misses++
-			}
-			tag++
-			base += c.stride
-			if base == limit {
-				base = 0
-			}
-		}
+		md[1] = (md[1] | c.rowMask<<(8*w)) &^ (lsbs << w)
+		line++
 	}
-	c.tick = tick
+	return hits, evicted
+}
+
+// span returns the first line number and the line count of [addr,
+// addr+n) (n > 0).
+func (c *Cache) span(addr Addr, n int) (first uint64, lines int) {
+	first = uint64(addr) >> c.shift
+	last := (uint64(addr) + uint64(n) - 1) >> c.shift
+	return first, int(last - first + 1)
+}
+
+// accessLines touches n consecutive lines from first and counts them.
+func (c *Cache) accessLines(first uint64, n int) (hits, misses int) {
+	hits, _ = c.walk(first, n)
+	misses = n - hits
 	c.Hits += uint64(hits)
 	c.Misses += uint64(misses)
 	return hits, misses
@@ -251,9 +201,7 @@ func (c *Cache) AccessRange(addr Addr, n int) (hits, misses int) {
 	if n <= 0 {
 		return 0, 0
 	}
-	first := uint64(addr) >> c.shift
-	last := (uint64(addr) + uint64(n) - 1) >> c.shift
-	return c.accessLines(first, int(last-first+1))
+	return c.accessLines(c.span(addr, n))
 }
 
 // AccessLines touches nLines consecutive lines starting with the one
@@ -279,148 +227,42 @@ func (c *Cache) Install(addr Addr, n int) (evicted int) {
 	if n <= 0 {
 		return 0
 	}
-	first := uint64(addr) >> c.shift
-	lastLine := (uint64(addr) + uint64(n) - 1) >> c.shift
-	nLines := int(lastLine - first + 1)
-	tick := c.tick
-	tag := first + 1
-	base := int(first&c.mask) * c.stride
-	limit := c.nsets * c.stride
-	if c.ways == 1 {
-		st := c.state
-		for i := 0; i < nLines; i++ {
-			tick++
-			if st[base] != tag {
-				if st[base] != 0 {
-					evicted++
-				}
-				st[base] = tag
-			}
-			st[base+1] = tick
-			tag++
-			base += 2
-			if base == limit {
-				base = 0
-			}
-		}
-	} else {
-		ways := c.ways
-		for i := 0; i < nLines; i++ {
-			tick++
-			tags := c.state[base : base+ways]
-			last := c.state[base+ways : base+2*ways]
-			found := false
-			for w := range tags {
-				if tags[w] == tag {
-					last[w] = tick
-					found = true
-					break
-				}
-			}
-			if !found {
-				victim, oldest := 0, last[0]
-				for w := 1; w < len(last); w++ {
-					if last[w] < oldest {
-						oldest = last[w]
-						victim = w
-					}
-				}
-				if tags[victim] != 0 {
-					evicted++
-				}
-				tags[victim] = tag
-				last[victim] = tick
-			}
-			tag++
-			base += c.stride
-			if base == limit {
-				base = 0
-			}
-		}
-	}
-	c.tick = tick
+	_, evicted = c.walk(c.span(addr, n))
 	return evicted
 }
 
 // Invalidate drops every line of [addr, addr+n) — the coherence action a
-// DMA write forces on the CPU cache (paper §2.2.2). The whole run of
-// consecutive sets is walked with one cursor; LRU state and the tick are
-// untouched, as invalidation is not a reference.
+// DMA write forces on the CPU cache (paper §2.2.2). LRU state is
+// untouched, as invalidation is not a reference: an invalid way is
+// refilled before any valid one is evicted.
 //
 //ioat:hotpath
 func (c *Cache) Invalidate(addr Addr, n int) {
 	if n <= 0 {
 		return
 	}
-	first := uint64(addr) >> c.shift
-	lastLine := (uint64(addr) + uint64(n) - 1) >> c.shift
-	nLines := int(lastLine - first + 1)
-	tag := first + 1
-	base := int(first&c.mask) * c.stride
-	limit := c.nsets * c.stride
-	if c.ways == 1 {
-		st := c.state
-		for i := 0; i < nLines; i++ {
-			if st[base] == tag {
-				st[base] = 0
-				st[base+1] = 0
-			}
-			tag++
-			base += 2
-			if base == limit {
-				base = 0
-			}
+	line, lines := c.span(addr, n)
+	for i := 0; i < lines; i++ {
+		tags, md := c.set(line)
+		if w, ok := c.find(tags, md[0], line); ok {
+			tags[w] = 0
+			md[0] &^= 0xff << (8 * w)
 		}
-		return
-	}
-	if c.ways == 8 {
-		for i := 0; i < nLines; i++ {
-			st := (*[16]uint64)(c.state[base:])
-			for w := 0; w < 8; w++ {
-				if st[w] == tag {
-					st[w] = 0
-					st[8+w] = 0
-					break
-				}
-			}
-			tag++
-			base += 16
-			if base == limit {
-				base = 0
-			}
-		}
-		return
-	}
-	ways := c.ways
-	for i := 0; i < nLines; i++ {
-		tags := c.state[base : base+ways]
-		for w := range tags {
-			if tags[w] == tag {
-				tags[w] = 0
-				c.state[base+ways+w] = 0
-				break
-			}
-		}
-		tag++
-		base += c.stride
-		if base == limit {
-			base = 0
-		}
+		line++
 	}
 }
 
 // Flush empties the cache.
 func (c *Cache) Flush() {
-	for i := range c.state {
-		c.state[i] = 0
-	}
+	clear(c.tags)
+	clear(c.meta)
 }
 
 // OccupiedLines returns how many valid lines the cache currently holds.
 func (c *Cache) OccupiedLines() int {
 	count := 0
-	for base := 0; base < len(c.state); base += c.stride {
-		for _, t := range c.state[base : base+c.ways] {
+	for i := range c.tags {
+		for _, t := range c.tags[i] {
 			if t != 0 {
 				count++
 			}
@@ -434,36 +276,66 @@ func (c *Cache) Lines() int { return c.nsets * c.ways }
 
 // Audit walks the whole structure and verifies its invariants: total
 // occupancy within capacity, every valid tag indexed into the set that
-// holds it, no duplicate tags within a set, and no LRU stamp from the
-// future. It returns the first violation found, or nil. The walk is
-// O(lines), so the invariant checker runs it periodically and at the
-// end of a run, not per access.
+// holds it, no duplicate tags within a set, fingerprint bytes that agree
+// with the tags (0 exactly on invalid ways), and an LRU matrix that is a
+// strict total order over each set's valid ways with no bits outside its
+// ways or on its diagonal. It returns the first violation found, or nil.
+// The walk is O(lines), so the invariant checker runs it periodically
+// and at the end of a run, not per access.
 func (c *Cache) Audit() error {
 	if occ := c.OccupiedLines(); occ > c.Lines() {
 		return fmt.Errorf("mem: cache occupancy %d exceeds capacity %d lines", occ, c.Lines())
 	}
-	for set := 0; set < c.nsets; set++ {
-		base := set * c.stride
-		tags := c.state[base : base+c.ways]
-		last := c.state[base+c.ways : base+2*c.ways]
-		for i := range tags {
-			if last[i] > c.tick {
-				return fmt.Errorf("mem: set %d way %d LRU stamp %d is from the future (tick %d)",
-					set, i, last[i], c.tick)
+	const diagonal = 0x8040201008040201
+	// The bits a touch can set: rows and columns of the cache's ways.
+	matrix := c.rowMask * (lsbs &^ c.fpEmpty) &^ diagonal
+	for s := 0; s < c.nsets; s++ {
+		tags, md := c.set(uint64(s))
+		fps := md[0] ^ c.fpEmpty
+		valid := uint64(0) // bit w set when way w holds a line
+		for w := uint(0); w < 8; w++ {
+			want := c.fpEmpty >> (8 * w) & 0xff
+			if int(w) < c.ways && tags[w] != 0 {
+				line := tags[w] - 1
+				if got := int(line & c.mask); got != s {
+					return fmt.Errorf("mem: set %d way %d holds tag %#x which indexes set %d",
+						s, w, tags[w], got)
+				}
+				for j := int(w) + 1; j < c.ways; j++ {
+					if tags[j] == tags[w] {
+						return fmt.Errorf("mem: set %d holds duplicate tag %#x (ways %d and %d)",
+							s, tags[w], w, j)
+					}
+				}
+				want = c.fingerprint(line)
+				valid |= 1 << w
 			}
-			if tags[i] == 0 {
+			if got := fps >> (8 * w) & 0xff; got != want {
+				return fmt.Errorf("mem: set %d way %d fingerprint %#x, want %#x", s, w, got, want)
+			}
+		}
+		if stray := md[1] &^ matrix; stray != 0 {
+			return fmt.Errorf("mem: set %d LRU matrix %#x has bits %#x outside its ways or on its diagonal",
+				s, md[1], stray)
+		}
+		lru := md[1] ^ c.lruEmpty
+		ranks := uint64(0) // bit r set when some valid way is newer than exactly r others
+		for i := uint(0); i < 8; i++ {
+			if valid>>i&1 == 0 {
 				continue
 			}
-			if got := int((tags[i] - 1) & c.mask); got != set {
-				return fmt.Errorf("mem: set %d way %d holds tag %#x which indexes set %d",
-					set, i, tags[i], got)
-			}
-			for j := i + 1; j < len(tags); j++ {
-				if tags[j] == tags[i] {
-					return fmt.Errorf("mem: set %d holds duplicate tag %#x (ways %d and %d)",
-						set, tags[i], i, j)
+			row := lru >> (8 * i) & valid
+			for j := i + 1; j < 8; j++ {
+				if valid>>j&1 != 0 && row>>j&1 == lru>>(8*j+i)&1 {
+					return fmt.Errorf("mem: set %d LRU matrix orders ways %d and %d both or neither way",
+						s, i, j)
 				}
 			}
+			ranks |= 1 << bits.OnesCount64(row)
+		}
+		if ranks != 1<<bits.OnesCount64(valid)-1 {
+			return fmt.Errorf("mem: set %d LRU matrix %#x is not a total order over valid ways %08b",
+				s, md[1], valid)
 		}
 	}
 	return nil
@@ -475,9 +347,8 @@ func (c *Cache) Resident(addr Addr, n int) int {
 		return 0
 	}
 	count := 0
-	first := uint64(addr) >> c.shift
-	last := (uint64(addr) + uint64(n) - 1) >> c.shift
-	for l := first; l <= last; l++ {
+	first, lines := c.span(addr, n)
+	for l := first; l < first+uint64(lines); l++ {
 		if c.Contains(Addr(l << c.shift)) {
 			count++
 		}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -120,6 +121,85 @@ func TestCacheLRUWithinSet(t *testing.T) {
 	}
 	if c.Contains(256) {
 		t.Fatal("LRU line survived")
+	}
+}
+
+// TestCacheFreshStateIsZero pins the lazy-initialisation contract: a
+// fresh cache's tag and metadata arrays are all zero (NewCache writes
+// nothing, so untouched pages stay out of the resident set) and that
+// state already audits clean as an empty cache, for every associativity.
+func TestCacheFreshStateIsZero(t *testing.T) {
+	for ways := 1; ways <= cost.MaxCacheWays; ways++ {
+		c := NewCache(16*64*ways, 64, ways)
+		for s := range c.tags {
+			if c.tags[s] != [8]uint64{} || c.meta[s] != [2]uint64{} {
+				t.Fatalf("%d ways: fresh set %d holds tags %#x, metadata %#x", ways, s, c.tags[s], c.meta[s])
+			}
+		}
+		if err := c.Audit(); err != nil {
+			t.Fatalf("%d ways: fresh cache fails audit: %v", ways, err)
+		}
+		if occ := c.OccupiedLines(); occ != 0 {
+			t.Fatalf("%d ways: fresh cache holds %d lines", ways, occ)
+		}
+	}
+}
+
+// TestCacheAuditCatchesCorruption corrupts one piece of a set's state at
+// a time and requires Audit to name the broken invariant.
+func TestCacheAuditCatchesCorruption(t *testing.T) {
+	// Set 0 of a 4-set, 8-way cache with 64 B lines holds lines 0, 4 and 8
+	// (addresses 0, 256, 512) in ways 0, 1 and 2, touched in that order.
+	fill := func() *Cache {
+		c := NewCache(4*8*64, 64, 8)
+		for _, a := range []Addr{0, 256, 512} {
+			c.Access(a)
+		}
+		if err := c.Audit(); err != nil {
+			t.Fatalf("uncorrupted cache fails audit: %v", err)
+		}
+		return c
+	}
+	cases := []struct {
+		name, want string
+		corrupt    func(c *Cache)
+	}{
+		{"matrix bit", "both or neither", func(c *Cache) {
+			c.meta[0][1] ^= 1 << (8*2 + 0) // way 2 no longer newer than way 0
+		}},
+		{"diagonal", "diagonal", func(c *Cache) {
+			c.meta[0][1] |= 1 << (8*1 + 1)
+		}},
+		{"cycle", "not a total order", func(c *Cache) {
+			// 0 newer than 1, 1 newer than 2, 2 newer than 0.
+			c.meta[0][1] = 1<<(8*0+1) | 1<<(8*1+2) | 1<<(8*2+0)
+		}},
+		{"fingerprint", "fingerprint", func(c *Cache) {
+			c.meta[0][0] ^= 0x01 << 8
+		}},
+		{"fingerprint on invalid way", "fingerprint", func(c *Cache) {
+			c.meta[0][0] |= 0x80 << (8 * 5)
+		}},
+		{"duplicate tag", "duplicate", func(c *Cache) {
+			c.tags[0][3] = c.tags[0][2]
+			c.meta[0][0] |= c.meta[0][0] & (0xff << 16) << 8 // way 2's fingerprint
+		}},
+		{"wrong-set tag", "indexes set", func(c *Cache) {
+			c.tags[0][1]++ // line 5 belongs to set 1
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := fill()
+			tc.corrupt(c)
+			err := c.Audit()
+			if err == nil {
+				t.Fatal("corrupted cache audits clean")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("audit error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -300,6 +300,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"runers":["fig6"]}`,
 		`{"scale":-1}`,
 		`{"costs":[{"field":"NoSuchKnob","value":1}]}`,
+		`{"costs":[{"field":"CacheWays","value":16}]}`,
 		`not json`,
 	} {
 		resp, _ := postJob(t, ts, body)
