@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint allocbudget test race golden fuzz-smoke bench-smoke trace-smoke fault-smoke serve-smoke bench bench-compare sim-bench profile clean
+.PHONY: all build vet lint allocbudget test race golden fuzz-smoke bench-smoke trace-smoke fault-smoke serve-smoke sim-bench profile clean
 
 all: build vet lint test
 
@@ -77,19 +77,6 @@ trace-smoke: build
 	@rm -f trace-smoke.json trace-smoke.csv
 	@echo "trace-smoke OK"
 
-# Full benchmark run: sequential wall-clock + events/sec, writing
-# BENCH_PR<N>.json at the repo root (see scripts/bench.sh).
-bench:
-	./scripts/bench.sh
-
-# Gate NEW against OLD: non-zero exit if the sequential wall clock
-# regressed by more than 10% (override with MAX_REGRESS).
-OLD ?= BENCH_PR6.json
-NEW ?= BENCH_PR8.json
-MAX_REGRESS ?= 0.10
-bench-compare:
-	$(GO) run ./cmd/benchcompare -max-regress $(MAX_REGRESS) $(OLD) $(NEW)
-
 # Hot-path microbenchmarks: event core, context resume cost (goroutine
 # handoff vs continuation), cache model, end-to-end packet path.
 # allocs/op must be 0 on every steady-state path.
@@ -107,4 +94,4 @@ profile: build
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_PR*.json cpu.pprof mem.pprof trace-smoke.json trace-smoke.csv
+	rm -f cpu.pprof mem.pprof trace-smoke.json trace-smoke.csv

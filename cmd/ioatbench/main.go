@@ -26,6 +26,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +40,6 @@ import (
 	"time"
 
 	"ioatsim/internal/bench"
-	"ioatsim/internal/fault"
 	"ioatsim/internal/host"
 	"ioatsim/internal/metrics"
 	"ioatsim/internal/sim"
@@ -119,7 +119,7 @@ func main() {
 		run      = flag.String("run", "", "comma-separated experiment ids to run (default: all)")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		scale    = flag.Float64("scale", 1.0, "scale factor for run lengths and request counts")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
+		seed     = flag.Uint64("seed", 1, "simulation seed (0 = 1)")
 		parallel = flag.Int("parallel", 0, "concurrent simulation points (0 = one per core, 1 = sequential)")
 		checked  = flag.Bool("check", false, "run under the runtime invariant checker (slower; aborts on violations)")
 		strict   = flag.Bool("strict", false, "fail-fast invariant checking: panic at the first violation (implies -check)")
@@ -220,42 +220,30 @@ func main() {
 		cache = sweep.NewPointCache(mode)
 	}
 
-	var plan *fault.Plan
-	if *faultStr != "" {
-		p, err := fault.ParseSpec(*faultStr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ioatbench: -fault: %v\n", err)
-			os.Exit(1)
-		}
-		if p.Seed == 0 {
-			p.Seed = *seed
-		}
-		plan = &p
-	}
-
-	cfg := bench.Config{Seed: *seed, Scale: *scale, Parallel: *parallel,
-		Check: *checked, Strict: *strict, Fault: plan, Obs: obs, Cache: cache,
-		Ctx: ctx}
-	runners := bench.Experiments()
+	// The CLI and ioatd share one validation and defaulting path.
+	req := bench.Request{Seed: *seed, Scale: *scale, Parallel: *parallel,
+		Check: *checked, Strict: *strict, Fault: *faultStr}
 	if *run != "" {
-		runners = runners[:0:0]
 		for _, id := range strings.Split(*run, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
-				continue
+			if id = strings.TrimSpace(id); id != "" {
+				req.Runners = append(req.Runners, id)
 			}
-			r, ok := bench.Find(id)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "ioatbench: unknown experiment %q (try -list)\n", id)
-				os.Exit(1)
-			}
-			runners = append(runners, r)
 		}
-		if len(runners) == 0 {
+		if len(req.Runners) == 0 {
 			fmt.Fprintln(os.Stderr, "ioatbench: -run selected no experiments")
 			os.Exit(1)
 		}
 	}
+	cfg, runners, err := req.Config(0)
+	if err != nil {
+		hint := ""
+		if errors.Is(err, bench.ErrUnknownExperiment) {
+			hint = " (try -list)"
+		}
+		fmt.Fprintf(os.Stderr, "ioatbench: %v%s\n", err, hint)
+		os.Exit(1)
+	}
+	cfg.Obs, cfg.Cache, cfg.Ctx = obs, cache, ctx
 
 	// Whole figures run concurrently on the same pool discipline as the
 	// rows inside each figure; results print in registry order.
@@ -266,7 +254,7 @@ func main() {
 	start := time.Now()
 	ev0 := sim.GlobalExecuted()
 	ps0 := sim.GlobalProcSwitches()
-	all, runErr := sweep.RunCtx(ctx, *parallel, len(runners), func(i int) timed {
+	all, runErr := sweep.RunCtx(ctx, cfg.Parallel, len(runners), func(i int) timed {
 		t0 := time.Now()
 		res, err := runners[i].RunContext(cfg)
 		if err != nil {
@@ -330,10 +318,10 @@ func main() {
 
 	if *jsonOut {
 		report := jsonReport{
-			Scale:        *scale,
-			Seed:         *seed,
-			Parallel:     *parallel,
-			Workers:      sweep.Workers(*parallel),
+			Scale:        cfg.Scale,
+			Seed:         cfg.Seed,
+			Parallel:     cfg.Parallel,
+			Workers:      sweep.Workers(cfg.Parallel),
 			GoMaxProcs:   runtime.GOMAXPROCS(0),
 			NumCPU:       runtime.NumCPU(),
 			WallSeconds:  wall.Seconds(),
@@ -382,7 +370,7 @@ func main() {
 		fmt.Printf("(%s ran in %v)\n\n", r.res.ID, r.elapsed.Round(time.Millisecond))
 	}
 	fmt.Printf("total: %d experiments, %.1fs of experiment time in %.1fs wall (%.1fx, %d workers)\n",
-		len(results), cum.Seconds(), wall.Seconds(), speedup, sweep.Workers(*parallel))
+		len(results), cum.Seconds(), wall.Seconds(), speedup, sweep.Workers(cfg.Parallel))
 	fmt.Printf("events: %d dispatched, %.2fM events/s, %d goroutine handoffs\n",
 		events, eventsPerS/1e6, procSwitches)
 	if runErr != nil {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -40,6 +41,10 @@ type Request struct {
 	Costs []CostOverride `json:"costs,omitempty"`
 }
 
+// ErrUnknownExperiment is wrapped by the error Validate and Config
+// return for a runner id that names no experiment.
+var ErrUnknownExperiment = errors.New("unknown experiment")
+
 // DecodeRequest reads one JSON-encoded Request, rejecting unknown
 // fields so a typoed parameter fails loudly instead of silently running
 // the default configuration.
@@ -61,7 +66,7 @@ func DecodeRequest(r io.Reader) (Request, error) {
 func (q Request) Validate(maxScale float64) error {
 	for _, id := range q.Runners {
 		if _, ok := Find(id); !ok {
-			return fmt.Errorf("unknown experiment %q", id)
+			return fmt.Errorf("%w %q", ErrUnknownExperiment, id)
 		}
 	}
 	if q.Scale < 0 || math.IsNaN(q.Scale) || math.IsInf(q.Scale, 0) {
@@ -126,10 +131,7 @@ func (q Request) Config(maxScale float64) (Config, []Runner, error) {
 	if len(q.Runners) > 0 {
 		runners = runners[:0:0]
 		for _, id := range q.Runners {
-			r, ok := Find(id)
-			if !ok {
-				return Config{}, nil, fmt.Errorf("unknown experiment %q", id)
-			}
+			r, _ := Find(id) // Validate vouched for every id
 			runners = append(runners, r)
 		}
 	}

@@ -40,6 +40,9 @@ func TestRequestValidate(t *testing.T) {
 			t.Errorf("bad request %d validated: %+v", i, q)
 		}
 	}
+	if err := bad[0].Validate(0); !errors.Is(err, ErrUnknownExperiment) {
+		t.Errorf("unknown runner: Validate = %v, want %v", err, ErrUnknownExperiment)
+	}
 	if err := (Request{Runners: []string{"fig6"}, Scale: 0.05}).Validate(0); err != nil {
 		t.Errorf("good request rejected: %v", err)
 	}

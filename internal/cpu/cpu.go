@@ -140,17 +140,10 @@ func (c *CPU) SubmitOnSite(i int, site trace.Site, d time.Duration, fn func()) {
 	}
 }
 
-// SubmitOnArg is SubmitOn with a pre-bound completion callback: fn must
-// be long-lived (package-level) and receives arg when the work drains.
-// The softirq path uses it so per-chunk completion costs no closure
-// allocation.
-//
-//ioat:hotpath
-func (c *CPU) SubmitOnArg(i int, d time.Duration, fn func(any), arg any) {
-	c.SubmitOnArgSite(i, trace.SiteOther, d, fn, arg)
-}
-
-// SubmitOnArgSite is SubmitOnArg with an explicit attribution site.
+// SubmitOnArgSite is SubmitOnSite with a pre-bound completion callback:
+// fn must be long-lived (package-level) and receives arg when the work
+// drains. The softirq path uses it so per-chunk completion costs no
+// closure allocation.
 //
 //ioat:hotpath
 func (c *CPU) SubmitOnArgSite(i int, site trace.Site, d time.Duration, fn func(any), arg any) {
@@ -170,24 +163,8 @@ func (c *CPU) Backlog(i int) time.Duration {
 // Exec blocks the calling process while d of work executes on the
 // least-loaded core.
 func (c *CPU) Exec(p *sim.Proc, d time.Duration) {
-	c.ExecOnSite(p, c.pick(), trace.SiteApp, d)
-}
-
-// ExecSite is Exec with an explicit attribution site.
-func (c *CPU) ExecSite(p *sim.Proc, site trace.Site, d time.Duration) {
-	c.ExecOnSite(p, c.pick(), site, d)
-}
-
-// ExecOn blocks the calling process while d of work executes on core i.
-func (c *CPU) ExecOn(p *sim.Proc, i int, d time.Duration) {
-	c.ExecOnSite(p, i, trace.SiteApp, d)
-}
-
-// ExecOnSite is ExecOn with an explicit attribution site.
-func (c *CPU) ExecOnSite(p *sim.Proc, i int, site trace.Site, d time.Duration) {
-	end := c.enqueue(i, d, site)
-	wait := end.Sub(p.Now())
-	if wait > 0 {
+	end := c.enqueue(c.pick(), d, trace.SiteApp)
+	if wait := end.Sub(p.Now()); wait > 0 {
 		p.Sleep(wait)
 	}
 }

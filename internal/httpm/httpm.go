@@ -1,14 +1,8 @@
-// Package httpm is a minimal HTTP-like request/response protocol over
+// Package httpm is a minimal HTTP-like request/response vocabulary for
 // framed messages: enough structure for the paper's §5 data-center
 // (static GETs through a proxy tier) without parsing real header text.
+// The tiers carry these types as msg envelope metadata.
 package httpm
-
-import (
-	"ioatsim/internal/mem"
-	"ioatsim/internal/msg"
-	"ioatsim/internal/sim"
-	"ioatsim/internal/tcp"
-)
 
 // RequestBytes is the on-wire size of a GET request (method + path +
 // headers), beyond the framing header.
@@ -23,37 +17,4 @@ type Request struct {
 type Response struct {
 	Status int
 	Path   string
-}
-
-// WriteRequest sends a GET over the connection.
-func WriteRequest(p *sim.Proc, c *msg.Conn, r Request) {
-	c.Send(p, r, RequestBytes, mem.Buffer{}, tcp.SendOptions{})
-}
-
-// ReadRequest receives the next GET.
-func ReadRequest(p *sim.Proc, c *msg.Conn) Request {
-	env := c.Recv(p, mem.Buffer{})
-	r, ok := env.Meta.(Request)
-	if !ok {
-		panic("httpm: expected a request")
-	}
-	return r
-}
-
-// WriteResponse sends a response of size bytes whose payload is charged
-// against src (use zeroCopy for sendfile-style serving from the page
-// cache).
-func WriteResponse(p *sim.Proc, c *msg.Conn, r Response, size int, src mem.Buffer, zeroCopy bool) {
-	c.Send(p, r, size, src, tcp.SendOptions{ZeroCopy: zeroCopy})
-}
-
-// ReadResponse receives a response into dst and returns it with the body
-// size.
-func ReadResponse(p *sim.Proc, c *msg.Conn, dst mem.Buffer) (Response, int) {
-	env := c.Recv(p, dst)
-	r, ok := env.Meta.(Response)
-	if !ok {
-		panic("httpm: expected a response")
-	}
-	return r, env.Body
 }

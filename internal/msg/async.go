@@ -1,15 +1,12 @@
 package msg
 
-// Continuation-passing framed messaging: the same header+body protocol
-// as the blocking Send/Recv, driven by a sim.Task through the
-// transport's Sender/Receiver state machines. An Async is created once
-// per (endpoint, task) on the cold path and reused for every message;
-// continuations are bound at construction so the steady state allocates
-// nothing. Callers must likewise pass pre-bound done callbacks.
-//
-// The event pushes are exactly those of the blocking path — envelope
-// enqueue and ledger-in before the header bytes move, ledger-out after
-// the body lands — so converted loops schedule byte-identically.
+// Continuation-passing framed messaging: the header+body protocol of
+// Conn.Send/Recv, driven by a sim.Task through the transport's Sender/
+// Receiver state machines and sharing Conn's envelope and ledger code
+// (post, pop, delivered). An Async is created once per (endpoint, task)
+// on the cold path and reused for every message; continuations are
+// bound at construction so the steady state allocates nothing. Callers
+// must likewise pass pre-bound done callbacks.
 
 import (
 	"ioatsim/internal/mem"
@@ -53,36 +50,20 @@ func NewAsync(m *Conn, t *sim.Task) *Async {
 // Send is the continuation-passing form of Conn.Send: done fires when
 // the last payload byte has been handed to the NIC.
 func (a *Async) Send(meta any, body int, src mem.Buffer, opts tcp.SendOptions, done func()) {
-	m := a.M
-	if body < 0 {
-		panic("msg: negative body")
-	}
-	m.peer().inbox = append(m.peer().inbox, Envelope{Meta: meta, Body: body})
-	if m.chk != nil {
-		// Every envelope queued must eventually be consumed by a Recv,
-		// and framed bytes entering the stream must all come back out.
-		m.chk.Ledger("msg:env").In(1)
-		m.chk.Ledger("msg:bytes").In(int64(HeaderBytes + body))
-	}
+	a.M.post(meta, body)
 	a.sendBody, a.sendSrc, a.sendOpts, a.sendDone = body, src, opts, done
 	// Header always goes through the normal copy path.
-	a.tx.Send(m.hdr, HeaderBytes, a.stepSendBody)
+	a.tx.Send(a.M.hdr, HeaderBytes, a.stepSendBody)
 }
 
 // sendBodyStep runs once the header bytes have been handed off.
 func (a *Async) sendBodyStep() {
-	if a.sendBody > 0 {
-		src := a.sendSrc
-		if src.Size == 0 {
-			src = a.M.hdr
-		}
-		done := a.sendDone
-		a.sendDone = nil
-		a.tx.SendOpts(src, a.sendBody, a.sendOpts, done)
-		return
-	}
 	done := a.sendDone
 	a.sendDone = nil
+	if a.sendBody > 0 {
+		a.tx.SendOpts(a.M.orHdr(a.sendSrc), a.sendBody, a.sendOpts, done)
+		return
+	}
 	done()
 }
 
@@ -91,27 +72,16 @@ func (a *Async) sendBodyStep() {
 // dst (the header staging buffer when dst is empty).
 func (a *Async) Recv(dst mem.Buffer, done func(Envelope)) {
 	a.recvDst, a.recvDone = dst, done
-	// Wait for the header bytes first; envelope registration at send time
-	// always precedes their arrival.
 	a.rx.Recv(a.M.hdr, HeaderBytes, a.stepRecvBody)
 }
 
 // recvBodyStep runs once the header bytes have been consumed: pop the
 // envelope and receive the body.
 func (a *Async) recvBodyStep() {
-	m := a.M
-	if len(m.inbox) == 0 {
-		panic("msg: header bytes arrived without envelope")
-	}
-	env := m.inbox[0]
-	m.inbox = m.inbox[1:]
+	env := a.M.pop()
 	a.recvEnv = env
 	if env.Body > 0 {
-		dst := a.recvDst
-		if dst.Size == 0 {
-			dst = m.hdr
-		}
-		a.rx.Recv(dst, env.Body, a.stepRecvFin)
+		a.rx.Recv(a.M.orHdr(a.recvDst), env.Body, a.stepRecvFin)
 		return
 	}
 	a.recvFinish()
@@ -120,13 +90,8 @@ func (a *Async) recvBodyStep() {
 // recvFinish closes the message's ledger entries and delivers the
 // envelope.
 func (a *Async) recvFinish() {
-	m := a.M
 	env := a.recvEnv
-	if m.chk != nil {
-		m.chk.Assert(env.Body >= 0, "msg", "envelope with negative body %d", env.Body)
-		m.chk.Ledger("msg:env").Out(1)
-		m.chk.Ledger("msg:bytes").Out(int64(HeaderBytes + env.Body))
-	}
+	a.M.delivered(env)
 	done := a.recvDone
 	a.recvDone = nil
 	done(env)

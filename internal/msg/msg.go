@@ -50,23 +50,11 @@ func (m *Conn) peer() *Conn { return Wrap(m.T.Peer()) }
 // length, and src is the user buffer the payload is charged against
 // (the header staging buffer is used when src is empty).
 func (m *Conn) Send(p *sim.Proc, meta any, body int, src mem.Buffer, opts tcp.SendOptions) {
-	if body < 0 {
-		panic("msg: negative body")
-	}
-	m.peer().inbox = append(m.peer().inbox, Envelope{Meta: meta, Body: body})
-	if m.chk != nil {
-		// Every envelope queued must eventually be consumed by a Recv,
-		// and framed bytes entering the stream must all come back out.
-		m.chk.Ledger("msg:env").In(1)
-		m.chk.Ledger("msg:bytes").In(int64(HeaderBytes + body))
-	}
+	m.post(meta, body)
 	// Header always goes through the normal copy path.
 	m.T.Send(p, m.hdr, HeaderBytes)
 	if body > 0 {
-		if src.Size == 0 {
-			src = m.hdr
-		}
-		m.T.SendOpts(p, src, body, opts)
+		m.T.SendOpts(p, m.orHdr(src), body, opts)
 	}
 }
 
@@ -74,26 +62,58 @@ func (m *Conn) Send(p *sim.Proc, meta any, body int, src mem.Buffer, opts tcp.Se
 // and consumed into dst (the header staging buffer when dst is empty),
 // then returns its envelope.
 func (m *Conn) Recv(p *sim.Proc, dst mem.Buffer) Envelope {
-	// The envelope may not have been registered yet (metadata is
-	// enqueued at send time, which always precedes data arrival, but the
-	// receiver can call Recv first) — wait for the header bytes, which
-	// forces the ordering.
 	m.T.Recv(p, m.hdr, HeaderBytes)
+	env := m.pop()
+	if env.Body > 0 {
+		m.T.Recv(p, m.orHdr(dst), env.Body)
+	}
+	m.delivered(env)
+	return env
+}
+
+// post queues an outgoing message's envelope on the peer and opens its
+// ledger entries, before any of its bytes move.
+func (m *Conn) post(meta any, body int) {
+	if body < 0 {
+		panic("msg: negative body")
+	}
+	peer := m.peer()
+	peer.inbox = append(peer.inbox, Envelope{Meta: meta, Body: body})
+	if m.chk != nil {
+		// Every envelope queued must eventually be consumed by a Recv,
+		// and framed bytes entering the stream must all come back out.
+		m.chk.Ledger("msg:env").In(1)
+		m.chk.Ledger("msg:bytes").In(int64(HeaderBytes + body))
+	}
+}
+
+// pop takes the next envelope once its header bytes have been consumed.
+// The envelope was queued at send time, which always precedes the
+// arrival of those bytes, so the receiver may start waiting for a
+// message before it is sent.
+func (m *Conn) pop() Envelope {
 	if len(m.inbox) == 0 {
 		panic("msg: header bytes arrived without envelope")
 	}
 	env := m.inbox[0]
 	m.inbox = m.inbox[1:]
-	if env.Body > 0 {
-		if dst.Size == 0 {
-			dst = m.hdr
-		}
-		m.T.Recv(p, dst, env.Body)
-	}
+	return env
+}
+
+// delivered closes a received message's ledger entries once its body
+// has landed.
+func (m *Conn) delivered(env Envelope) {
 	if m.chk != nil {
 		m.chk.Assert(env.Body >= 0, "msg", "envelope with negative body %d", env.Body)
 		m.chk.Ledger("msg:env").Out(1)
 		m.chk.Ledger("msg:bytes").Out(int64(HeaderBytes + env.Body))
 	}
-	return env
+}
+
+// orHdr returns b, or the header staging buffer when b is empty.
+func (m *Conn) orHdr(b mem.Buffer) mem.Buffer {
+	if b.Size == 0 {
+		return m.hdr
+	}
+	return b
 }

@@ -12,9 +12,23 @@ type Proc struct {
 	sim    *Simulator
 	name   string
 	resume chan struct{}
-	done   bool
 	dead   bool // set when the process function returned
+
+	// await tracks the Done/Await pair; done is the bound callback Done
+	// hands out (nil until the process first calls Done).
+	await awaitState
+	done  func()
 }
+
+// awaitState is where a process stands in one Done/Await round.
+type awaitState uint8
+
+const (
+	awaitIdle   awaitState = iota
+	awaitArmed             // Done called; the callback has not fired
+	awaitFired             // the callback fired before Await
+	awaitParked            // parked in Await until the callback fires
+)
 
 // Name returns the label the process was spawned with.
 func (p *Proc) Name() string { return p.name }
@@ -81,11 +95,6 @@ func (p *Proc) park() {
 	<-p.resume
 }
 
-// Park suspends the calling process until another component wakes it with
-// Simulator.Wake. The caller must have registered itself somewhere a
-// future event can find it, or it sleeps forever.
-func (p *Proc) Park() { p.park() }
-
 // Wake schedules a parked process to resume at the current time.
 //
 //ioat:hotpath
@@ -105,9 +114,54 @@ func (p *Proc) Sleep(d Duration) {
 	p.park()
 }
 
-// Yield reschedules the process at the current time behind already-pending
-// same-time events.
-func (p *Proc) Yield() { p.Sleep(0) }
+// Done arms p for one Await and returns the callback that ends it: the
+// done callback of a continuation (tcp.Sender, tcp.Receiver) that the
+// process starts and then awaits. The callback is bound once per
+// process, so arming allocates nothing after the first call.
+func (p *Proc) Done() func() {
+	if p.done == nil {
+		p.done = p.fire
+	}
+	p.await = awaitArmed
+	return p.done
+}
+
+// Await parks p until the callback from Done fires, or returns at once
+// if it already has (the continuation finished without suspending).
+func (p *Proc) Await() {
+	switch p.await {
+	case awaitFired:
+		p.await = awaitIdle
+	case awaitArmed:
+		p.await = awaitParked
+		p.park()
+	default:
+		panic(fmt.Sprintf("sim: process %q awaits without Done", p.name))
+	}
+}
+
+// fire is the callback Done binds. Fired from an event while p is
+// parked in Await, it resumes p inside that same event and pushes
+// nothing, so the process continues exactly where the continuation
+// finished: a blocking call built on a continuation schedules every
+// event the continuation schedules, in the same order. Fired before
+// Await, it only lets Await return at once. Firing twice, or from a
+// process goroutine while p is parked, panics: the first is a protocol
+// bug, and the second would hand off to p from outside the event loop.
+func (p *Proc) fire() {
+	switch p.await {
+	case awaitArmed:
+		p.await = awaitFired
+	case awaitParked:
+		if p.sim.current != nil {
+			panic(fmt.Sprintf("sim: done callback of process %q fired from a process goroutine", p.name))
+		}
+		p.await = awaitIdle
+		p.sim.runProc(p)
+	default:
+		panic(fmt.Sprintf("sim: done callback of process %q fired twice", p.name))
+	}
+}
 
 // completion is a one-shot event a process can wait on. It is safe to
 // Complete before or after Wait begins; Wait returns immediately if the
@@ -140,7 +194,7 @@ func (c *Completion) Complete() {
 	c.c.done = true
 	if w := c.c.waiter; w != nil {
 		c.c.waiter = nil
-		c.c.sim.WakeAny(w)
+		c.c.sim.wakeAny(w)
 	}
 }
 

@@ -253,11 +253,6 @@ func New(opts ...Option) *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// InstalledProbe returns the single installed probe, or nil. With more
-// than one probe installed it returns the internal fan-out wrapper;
-// callers looking for a specific probe type should use Probes.
-func (s *Simulator) InstalledProbe() Probe { return s.probe }
-
 // Executed reports how many events have been dispatched so far.
 func (s *Simulator) Executed() uint64 { return s.executed }
 

@@ -354,23 +354,6 @@ func TestCompletionBeforeWait(t *testing.T) {
 	}
 }
 
-func TestGateBroadcast(t *testing.T) {
-	s := New()
-	g := NewGate(s)
-	var woke int
-	for i := 0; i < 5; i++ {
-		s.Spawn("w", func(p *Proc) {
-			g.Wait(p)
-			woke++
-		})
-	}
-	s.Schedule(100, func() { g.Open() })
-	s.Run()
-	if woke != 5 {
-		t.Fatalf("woke = %d, want 5", woke)
-	}
-}
-
 // Property: a single-capacity resource under random hold times never
 // admits two holders at once and serves all requesters.
 func TestResourceMutualExclusionProperty(t *testing.T) {

@@ -64,16 +64,6 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	return v, true
 }
 
-// TryRecv returns a queued value without blocking, if one exists.
-func (c *Chan[T]) TryRecv() (v T, ok bool) {
-	if len(c.queue) == 0 {
-		return v, false
-	}
-	v = c.queue[0]
-	c.queue = c.queue[1:]
-	return v, true
-}
-
 func (c *Chan[T]) wakeOne() {
 	if len(c.waiters) == 0 {
 		return
@@ -128,15 +118,6 @@ func (r *Resource) AcquireN(p *Proc, n int) {
 	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
 	p.park()
 	// The releaser already accounted the units to us before waking us.
-}
-
-// TryAcquire holds one unit if immediately available.
-func (r *Resource) TryAcquire() bool {
-	if len(r.waiters) == 0 && r.inUse < r.capacity {
-		r.inUse++
-		return true
-	}
-	return false
 }
 
 // Release returns one unit.
@@ -197,40 +178,4 @@ func (wg *WaitGroup) maybeWake() {
 		wg.waiter = nil
 		wg.sim.Schedule(0, func() { wg.sim.runProc(w) })
 	}
-}
-
-// Gate is a broadcast condition: processes wait until it opens, after
-// which all current and future waiters pass immediately.
-type Gate struct {
-	sim     *Simulator
-	open    bool
-	waiters []*Proc
-}
-
-// NewGate returns a closed gate.
-func NewGate(s *Simulator) *Gate { return &Gate{sim: s} }
-
-// Opened reports whether the gate has been opened.
-func (g *Gate) Opened() bool { return g.open }
-
-// Open releases all waiters; later Wait calls return immediately.
-func (g *Gate) Open() {
-	if g.open {
-		return
-	}
-	g.open = true
-	for _, w := range g.waiters {
-		w := w
-		g.sim.Schedule(0, func() { g.sim.runProc(w) })
-	}
-	g.waiters = nil
-}
-
-// Wait parks p until the gate opens.
-func (g *Gate) Wait(p *Proc) {
-	if g.open {
-		return
-	}
-	g.waiters = append(g.waiters, p)
-	p.park()
 }

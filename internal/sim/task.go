@@ -90,21 +90,19 @@ func resumeTask(a any) {
 	t.cont()
 }
 
-// Wake schedules a parked waiter — a *Proc blocked in Park or an idle
-// *Task — to resume at the current time. Components that keep waiter
-// lists usable by both kinds of context (the transport's window and
-// receive waiters) store them as `any` and wake them through here; both
-// arms push the same single pre-bound event.
+// wakeAny schedules a completion's waiter — a *Proc parked in Wait or
+// an idle *Task — to resume at the current time. Both arms push the same
+// single pre-bound event.
 //
 //ioat:hotpath
-func (s *Simulator) WakeAny(w any) {
+func (s *Simulator) wakeAny(w any) {
 	switch v := w.(type) {
 	case *Proc:
 		s.ScheduleArg(0, resumeProc, v)
 	case *Task:
 		s.ScheduleArg(0, resumeTask, v)
 	default:
-		panic("sim: WakeAny of something that is neither *Proc nor *Task")
+		panic("sim: wakeAny of something that is neither *Proc nor *Task")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 func parkingProc(s *Simulator, tag string, log *[]string) *Proc {
 	p := s.Spawn(tag, func(p *Proc) {
 		for {
-			p.Park()
+			p.park()
 			*log = append(*log, tag)
 		}
 	})
@@ -165,7 +165,7 @@ func TestCompletionSecondWaiterTaskPanics(t *testing.T) {
 	c.WaitTask(s.NewTask("second"), func() {})
 }
 
-// TestWakeAny checks the shared waiter-list entry point: it wakes both
+// TestWakeAny checks the completion waiter's wake-up: it wakes both
 // kinds of context and rejects anything else.
 func TestWakeAny(t *testing.T) {
 	s := New()
@@ -174,22 +174,22 @@ func TestWakeAny(t *testing.T) {
 	task := s.NewTask("task")
 	task.OnWake(func() { log = append(log, "task") })
 
-	s.WakeAny(task)
-	s.WakeAny(p)
+	s.wakeAny(task)
+	s.wakeAny(p)
 	s.Run()
 	want := []string{"task", "proc"}
 	for i := range want {
 		if i >= len(log) || log[i] != want[i] {
-			t.Fatalf("WakeAny order %v, want %v", log, want)
+			t.Fatalf("wakeAny order %v, want %v", log, want)
 		}
 	}
 
 	defer func() {
 		if recover() == nil {
-			t.Fatal("WakeAny of a non-waiter did not panic")
+			t.Fatal("wakeAny of a non-waiter did not panic")
 		}
 	}()
-	s.WakeAny(42)
+	s.wakeAny(42)
 }
 
 // TestProcSwitchCounting checks the observability contract: every proc
@@ -216,5 +216,85 @@ func TestProcSwitchCounting(t *testing.T) {
 	}
 	if got := GlobalProcSwitches() - globalBase; got != 2 {
 		t.Fatalf("GlobalProcSwitches grew by %d, want 2", got)
+	}
+}
+
+// TestAwaitResumesInline pins the Done/Await contract the blocking
+// transport rests on: the callback resumes the process inside the event
+// that fires it and pushes nothing, so the process sees that event's
+// time and no further event is dispatched before it runs.
+func TestAwaitResumesInline(t *testing.T) {
+	s := New()
+	task := s.NewTask("task")
+	var firedAt, resumedAt uint64
+	var now Time
+	s.Spawn("proc", func(p *Proc) {
+		done := p.Done()
+		task.OnWake(func() {
+			firedAt = s.Executed()
+			done()
+		})
+		task.WakeAfter(5)
+		p.Await()
+		resumedAt, now = s.Executed(), p.Now()
+	})
+	s.Run()
+	if now != 5 || resumedAt != firedAt {
+		t.Fatalf("resumed at %v after event %d, want 5 inside event %d", now, resumedAt, firedAt)
+	}
+	if got := s.ProcSwitches(); got != 2 {
+		t.Fatalf("ProcSwitches = %d, want 2 (spawn and the inline resume)", got)
+	}
+}
+
+// TestAwaitAfterFire checks the synchronous case: a continuation that
+// finishes before the process awaits lets Await return without parking.
+func TestAwaitAfterFire(t *testing.T) {
+	s := New()
+	s.Spawn("proc", func(p *Proc) {
+		p.Done()()
+		p.Await()
+		p.Sleep(1)
+	})
+	if end := s.Run(); end != 1 || s.ProcSwitches() != 2 {
+		t.Fatalf("end %v after %d switches, want 1 after 2 (spawn and the sleep)", end, s.ProcSwitches())
+	}
+}
+
+// TestDoneMisusePanics covers the three protocol errors: a second fire,
+// Await without Done, and a fire from another process's goroutine while
+// the process is parked.
+func TestDoneMisusePanics(t *testing.T) {
+	s := New()
+	recovered := func(fn func()) (r any) {
+		defer func() { r = recover() }()
+		fn()
+		return nil
+	}
+	var doneA func()
+	finished := false
+	s.Spawn("a", func(p *Proc) {
+		doneA = p.Done()
+		p.Await()
+		finished = true
+	})
+	s.Spawn("b", func(p *Proc) {
+		if recovered(doneA) == nil {
+			t.Error("done callback fired from a process goroutine did not panic")
+		}
+		s.Schedule(0, doneA) // fired from an event, it resumes a
+		done := p.Done()
+		done()
+		if recovered(done) == nil {
+			t.Error("second fire did not panic")
+		}
+		p.Await()
+		if recovered(p.Await) == nil {
+			t.Error("Await without Done did not panic")
+		}
+	})
+	s.Run()
+	if !finished {
+		t.Fatal("process a never resumed")
 	}
 }

@@ -1,19 +1,14 @@
 package tcp
 
-// Continuation-passing variants of Send/Recv (the SendAsync/RecvReady
-// path): the same transfer state machines as the blocking calls, but
-// driven by a sim.Task instead of a parked goroutine, so every
-// steady-state wake is one event dispatch on the event-loop goroutine
-// with zero channel handoffs.
-//
-// Byte-identity with the blocking path is by construction: each Sender/
-// Receiver step performs exactly the event pushes SendOpts/Recv perform
-// at exactly the same code points — a CPU charge that would make a Proc
-// sleep schedules the task's wake at the same completion time; a window
-// or receive-queue stall registers the task where the Proc would park
-// and is woken by the very same applyCredit/onReceive push (WakeAny).
-// Sequence numbers depend only on push order, so converted loops
-// schedule identically, which the golden corpus pins end-to-end.
+// The transfer state machines. A Sender or Receiver is the only
+// implementation of a transfer: the send side's syscall and copy per
+// socket write, segmentation per chunk and window credit, and the
+// receive side's CPU or I/OAT-engine copy out of the queued chunks. Each
+// is driven by a sim.Task, so every wake is one event dispatch on the
+// event-loop goroutine. The blocking Conn.Send/Recv are shims: they run
+// the endpoint's own Sender/Receiver with the calling process's done
+// callback (sim.Proc.Done) and park until it fires, which resumes the
+// process inside the completing event.
 //
 // A Sender/Receiver is created once per connection endpoint (cold path)
 // and reused for every transfer; all continuations are bound at
@@ -27,10 +22,9 @@ import (
 	"ioatsim/internal/trace"
 )
 
-// Sender drives non-blocking sends on one connection endpoint. At most
-// one send may be in flight per Sender; the done callback fires (possibly
-// synchronously) when the last byte has been handed to the NIC — the
-// moment the blocking Send would have returned.
+// Sender drives sends on one connection endpoint. At most one send may
+// be in flight on an endpoint; the done callback fires (possibly
+// synchronously) when the last byte has been handed to the NIC.
 type Sender struct {
 	c    *Conn
 	task *sim.Task
@@ -62,15 +56,19 @@ func NewSender(c *Conn, t *sim.Task) *Sender {
 // Task returns the driving task.
 func (s *Sender) Task() *sim.Task { return s.task }
 
-// Send is the continuation-passing form of Conn.Send: it transmits n
-// bytes from src and calls done when the last byte has been handed to
-// the NIC. It runs synchronously up to the first suspension point.
+// Send transmits n bytes from src (cycled if smaller than n) and calls
+// done when the last byte has been handed to the NIC. It runs
+// synchronously up to the first suspension point, and panics if a send
+// is already in flight.
 func (s *Sender) Send(src mem.Buffer, n int, done func()) {
 	s.SendOpts(src, n, SendOptions{}, done)
 }
 
 // SendOpts is Send with options.
 func (s *Sender) SendOpts(src mem.Buffer, n int, opts SendOptions, done func()) {
+	if s.done != nil {
+		panic("tcp: concurrent Send on one connection")
+	}
 	s.src, s.n, s.opts, s.sent, s.done = src, n, opts, 0, done
 	s.loop()
 }
@@ -90,8 +88,11 @@ func (s *Sender) loop() {
 			return
 		}
 		if c.inflight >= c.window {
-			// Window stall: same park point as the blocking send.
-			c.txWaiters = append(c.txWaiters, s.task)
+			// Window stall: park until applyCredit reopens the window.
+			if c.txWaiter != nil {
+				panic("tcp: concurrent Send on one connection")
+			}
+			c.txWaiter = s.task
 			s.task.OnWake(s.stepWake)
 			return
 		}
@@ -122,8 +123,8 @@ func (s *Sender) loop() {
 	}
 }
 
-// afterWake resumes a window-stalled sender: charge the wake-up cost the
-// blocking path charges after Park, then re-check the window.
+// afterWake resumes a window-stalled sender: charge the thread wake-up
+// cost, then re-check the window.
 //
 //ioat:hotpath
 func (s *Sender) afterWake() {
@@ -142,8 +143,7 @@ func (s *Sender) post() {
 	s.loop()
 }
 
-// postChunk hands the charged chunk to the NIC — the exact post-charge
-// block of the blocking SendOpts.
+// postChunk hands the charged chunk to the NIC.
 //
 //ioat:hotpath
 func (s *Sender) postChunk() {
@@ -180,10 +180,9 @@ func (s *Sender) postChunk() {
 	s.sent += chunk
 }
 
-// Receiver drives non-blocking receives on one connection endpoint. At
-// most one receive may be in flight per Receiver; done fires when the
-// requested bytes have arrived and been copied — the moment the blocking
-// Recv would have returned.
+// Receiver drives receives on one connection endpoint. At most one
+// receive may be in flight on an endpoint; done fires when the requested
+// bytes have arrived and been copied.
 type Receiver struct {
 	c    *Conn
 	task *sim.Task
@@ -220,14 +219,17 @@ func NewReceiver(c *Conn, t *sim.Task) *Receiver {
 // Task returns the driving task.
 func (r *Receiver) Task() *sim.Task { return r.task }
 
-// Recv is the continuation-passing form of Conn.Recv: it consumes
-// exactly n bytes of the stream into dst and calls done when they have
-// all been copied. It runs synchronously up to the first suspension
-// point.
+// Recv consumes exactly n bytes of the stream into dst (cycled if
+// smaller) and calls done when they have all been copied. It runs
+// synchronously up to the first suspension point, and panics if a
+// receive is already in flight.
 func (r *Receiver) Recv(dst mem.Buffer, n int, done func()) {
 	c := r.c
 	st := c.stack
 	pm := st.P
+	if r.done != nil {
+		panic("tcp: concurrent Recv on one connection")
+	}
 	if n <= 0 {
 		done()
 		return
@@ -235,8 +237,8 @@ func (r *Receiver) Recv(dst mem.Buffer, n int, done func()) {
 	r.dst, r.need, r.off, r.done = dst, n, 0, done
 	if st.Feat.DMACopy {
 		// Pin the posted buffer once per recv call. posted is only set
-		// once the pin charge completes, exactly like the blocking path:
-		// a chunk arriving mid-pin must not trigger the eager DMA submit.
+		// once the pin charge completes: a chunk arriving mid-pin must
+		// not trigger the eager DMA submit.
 		pin := time.Duration(pm.Pages(n)) * pm.PinPerPage
 		if st.CPU.ExecTaskSite(r.task, r.stepBegin, trace.SitePin, pin) {
 			return
@@ -289,7 +291,7 @@ func (r *Receiver) loop() {
 				if st.CPU.ExecTaskSite(r.task, r.stepDMASub, trace.SiteDMASubmit, submit) {
 					return
 				}
-				r.submitDMA()
+				pd.startDMA(st)
 			}
 			if st.CPU.ExecTaskSite(r.task, r.stepDMAWait, trace.SiteRecvCopy, pm.Syscall) {
 				return
@@ -326,7 +328,7 @@ func (r *Receiver) afterWake() {
 //ioat:hotpath
 func (r *Receiver) afterDMASubmitCharge() {
 	st := r.c.stack
-	r.submitDMA()
+	r.pd.startDMA(st)
 	if st.CPU.ExecTaskSite(r.task, r.stepDMAWait, trace.SiteRecvCopy, st.P.Syscall) {
 		return
 	}
@@ -344,16 +346,6 @@ func (r *Receiver) afterRecvCharge() {
 	r.post()
 }
 
-// submitDMA mirrors Stack.submitDMA's engine hand-off (the CPU charge
-// has already been applied by the caller).
-//
-//ioat:hotpath
-func (r *Receiver) submitDMA() {
-	st := r.c.stack
-	pd := r.pd
-	pd.dma = st.DMA.Submit(pd.rx.Bufs[0].Addr, 0, pd.rx.Chunk.Bytes)
-}
-
 // post re-enters the loop after a copy (CPU or engine) completes.
 //
 //ioat:hotpath
@@ -362,8 +354,8 @@ func (r *Receiver) post() {
 	r.loop()
 }
 
-// consume applies the consumed bytes to the connection — the exact
-// post-copy block of the blocking Recv.
+// consume applies the consumed bytes to the connection and returns their
+// window credit to the sender.
 //
 //ioat:hotpath
 func (r *Receiver) consume() {
@@ -395,8 +387,8 @@ func (r *Receiver) consume() {
 	c.credit(m)
 }
 
-// finish releases kernel buffers and fires the done callback — the
-// blocking Recv's return path.
+// finish releases the transfer's kernel buffers and fires the done
+// callback.
 //
 //ioat:hotpath
 func (r *Receiver) finish() {

@@ -10,6 +10,10 @@
 //     either by the CPU (through the cache) or by the I/OAT engine
 //     (startup cost only, overlapped).
 //
+// Both sides are implemented once, by the Sender and Receiver state
+// machines (async.go); the blocking Conn.Send/Recv are shims that run
+// them on behalf of a simulation process.
+//
 // Flow control is credit-based with a window of one socket buffer. The
 // fabric is lossless by default (the paper's testbed is a switched LAN
 // measured in steady state) and the transport then runs a no-retransmit
@@ -183,18 +187,25 @@ type Conn struct {
 	// Receive side. rxq is consumed from rxqHead (a head index instead of
 	// re-slicing keeps the backing array reusable); doneScratch is the
 	// per-recv retired-chunk list, reusable because Recv is never
-	// concurrent on one connection.
+	// concurrent on one connection. rxWaiter is the receiving task parked
+	// on an empty queue.
 	rxq         []*pending
 	rxqHead     int
 	rxAvail     int
-	rxWaiter    any  // *sim.Proc or *sim.Task, woken via WakeAny
+	rxWaiter    *sim.Task
 	posted      bool // a recv is posted (enables eager DMA submit)
 	doneScratch []*pending
 
-	// Transmit side (flow control). Waiters are *sim.Proc or *sim.Task.
-	window    int
-	inflight  int
-	txWaiters []any
+	// Transmit side (flow control): txWaiter is the sending task parked
+	// on a closed window.
+	window   int
+	inflight int
+	txWaiter *sim.Task
+
+	// The state machines behind the blocking Send/Recv, built on the
+	// endpoint's first blocking call.
+	tx *Sender
+	rx *Receiver
 
 	// Loss recovery (recovery.go); all idle when the stack has no fault
 	// plan. sndUna..sndNxt is the unacked stream range, tracked segment
@@ -299,67 +310,15 @@ func (c *Conn) Send(p *sim.Proc, src mem.Buffer, n int) {
 	c.SendOpts(p, src, n, SendOptions{})
 }
 
-// SendOpts is Send with options.
+// SendOpts is Send with options. It drives the endpoint's Sender (built
+// on the first blocking call) and parks p until the transfer's done
+// callback resumes it.
 func (c *Conn) SendOpts(p *sim.Proc, src mem.Buffer, n int, opts SendOptions) {
-	st := c.stack
-	pm := st.P
-	sent := 0
-	for sent < n {
-		// Window stall: wait for credit.
-		for c.inflight >= c.window {
-			c.txWaiters = append(c.txWaiters, p)
-			p.Park()
-			st.CPU.ExecSite(p, trace.SiteCtxSwitch, st.CPU.WakeCost())
-		}
-		chunk := n - sent
-		if chunk > pm.ChunkMax {
-			chunk = pm.ChunkMax
-		}
-		if free := c.window - c.inflight; chunk > free {
-			chunk = free
-		}
-
-		var work time.Duration = pm.Syscall
-		if !opts.ZeroCopy {
-			kb := st.txPool.Get()
-			srcOff := 0
-			if src.Size > chunk {
-				srcOff = sent % (src.Size - chunk + 1)
-			}
-			work += st.Mem.CopyCost(src.Addr+mem.Addr(srcOff), kb.Addr, chunk)
-			st.txPool.Put(kb)
-		}
-		work += st.NIC.TxCost(chunk)
-		st.CPU.ExecSite(p, trace.SiteTxSend, work)
-
-		c.inflight += chunk
-		if st.chk != nil {
-			st.chk.Assert(chunk > 0 && c.inflight <= c.window,
-				"tcp", "%s sent %d-byte chunk, inflight %d over window %d",
-				st.Name, chunk, c.inflight, c.window)
-			st.chk.Ledger("tcp:stream").In(int64(chunk))
-		}
-		st.BytesSent += int64(chunk)
-		lc := st.chunkPool.Get()
-		lc.Bytes = chunk
-		lc.Frames = pm.Frames(chunk)
-		lc.WireBytes = pm.WireBytes(chunk)
-		lc.Meta = c.peer
-		if st.fp != nil {
-			lc.Seq = c.sndNxt
-			st.trackSeg(c, c.sndNxt, chunk)
-			c.sndNxt += int64(chunk)
-		}
-		st.NIC.Port(c.localPort).Send(c.peer.stack.NIC.Port(c.peerPort), lc)
-		if st.obs != nil {
-			st.obs.Instant(trace.TidTCP, trace.SiteTCPSegment, int64(chunk))
-		}
-		if st.segHist != nil {
-			st.segHist.Observe(float64(chunk))
-		}
-		st.NIC.TxComplete(c.localPort, c, chunk)
-		sent += chunk
+	if c.tx == nil {
+		c.tx = NewSender(c, c.stack.S.NewTask(p.Name()))
 	}
+	c.tx.SendOpts(src, n, opts, p.Done())
+	p.Await()
 }
 
 // onReceive is the NIC handler: queue the chunk on its connection, start
@@ -381,7 +340,7 @@ func (st *Stack) onReceive(rx *nic.RxChunk) {
 		pd = &pending{rx: rx}
 	}
 	if st.Feat.DMACopy && c.posted {
-		st.submitDMA(c, pd, nil)
+		st.submitDMA(c, pd)
 	}
 	if c.rxqHead > 0 && len(c.rxq) == cap(c.rxq) {
 		// Compact the consumed prefix instead of growing the backing array.
@@ -407,23 +366,24 @@ func (st *Stack) onReceive(rx *nic.RxChunk) {
 	}
 	if w := c.rxWaiter; w != nil {
 		c.rxWaiter = nil
-		st.S.WakeAny(w)
+		w.Wake()
 	}
 }
 
-// submitDMA hands a whole chunk's payload to the copy engine. The per-
-// frame submit cost lands on the rx core when issued from softirq context
-// (proc == nil) or blocks the reader when issued from recv.
-func (st *Stack) submitDMA(c *Conn, pd *pending, p *sim.Proc) {
-	frames := pd.rx.Chunk.Frames
-	submit := time.Duration(frames) * st.P.DMAFrameSubmit
-	if p != nil {
-		st.CPU.ExecSite(p, trace.SiteDMASubmit, submit)
-	} else {
-		st.CPU.SubmitOnSite(st.NIC.RxCore(pd.rx.Port, c), trace.SiteDMASubmit, submit, nil)
-	}
-	// Destination: the posted user buffer region. Address identity only
-	// matters for cache bookkeeping (the engine invalidates it).
+// submitDMA hands a whole chunk's payload to the copy engine from
+// softirq context, charging the per-frame submit cost to the rx core.
+func (st *Stack) submitDMA(c *Conn, pd *pending) {
+	submit := time.Duration(pd.rx.Chunk.Frames) * st.P.DMAFrameSubmit
+	st.CPU.SubmitOnSite(st.NIC.RxCore(pd.rx.Port, c), trace.SiteDMASubmit, submit, nil)
+	pd.startDMA(st)
+}
+
+// startDMA starts the engine copy of the chunk's payload. Destination:
+// the posted user buffer region; address identity only matters for
+// cache bookkeeping (the engine invalidates it).
+//
+//ioat:hotpath
+func (pd *pending) startDMA(st *Stack) {
 	pd.dma = st.DMA.Submit(pd.rx.Bufs[0].Addr, 0, pd.rx.Chunk.Bytes)
 }
 
@@ -431,84 +391,15 @@ func (st *Stack) submitDMA(c *Conn, pd *pending, p *sim.Proc) {
 // (cycled if smaller), blocking until they have arrived and been copied —
 // by the CPU through the cache, or by the I/OAT engine. Kernel buffers
 // are retained until this call returns (the net_dma skb lifetime), so
-// large in-flight messages hold a large receive-path working set.
+// large in-flight messages hold a large receive-path working set. It
+// drives the endpoint's Receiver (built on the first blocking call) and
+// parks p until the transfer's done callback resumes it.
 func (c *Conn) Recv(p *sim.Proc, dst mem.Buffer, n int) {
-	st := c.stack
-	pm := st.P
-	if n <= 0 {
-		return
+	if c.rx == nil {
+		c.rx = NewReceiver(c, c.stack.S.NewTask(p.Name()))
 	}
-	if st.Feat.DMACopy {
-		// Pin the posted buffer once per recv call.
-		st.CPU.ExecSite(p, trace.SitePin, time.Duration(pm.Pages(n))*pm.PinPerPage)
-	}
-	c.posted = true
-	done := c.doneScratch[:0]
-	need := n
-	off := 0
-	for need > 0 {
-		for c.rxAvail == 0 {
-			if c.rxWaiter != nil {
-				panic("tcp: concurrent Recv on one connection")
-			}
-			c.rxWaiter = p
-			p.Park()
-			st.CPU.ExecSite(p, trace.SiteCtxSwitch, st.CPU.WakeCost())
-		}
-		pd := c.rxq[c.rxqHead]
-		m := pd.remaining()
-		if m > need {
-			m = need
-		}
-
-		work := pm.Syscall
-		if st.Feat.DMACopy {
-			if pd.dma == nil {
-				st.submitDMA(c, pd, p)
-			}
-			st.CPU.ExecSite(p, trace.SiteRecvCopy, work)
-			pd.dma.Wait(p)
-		} else {
-			work += c.copyCost(pd, m, dst, off)
-			st.CPU.ExecSite(p, trace.SiteRecvCopy, work)
-		}
-
-		pd.off += m
-		c.rxAvail -= m
-		need -= m
-		if st.bkGauge != nil {
-			st.noteBacklog(int64(-m))
-		}
-		if st.chk != nil {
-			st.chk.Assert(pd.off <= pd.rx.Chunk.Bytes,
-				"tcp", "%s consumed %d bytes of a %d-byte chunk", st.Name, pd.off, pd.rx.Chunk.Bytes)
-			st.chk.Assert(c.rxAvail >= 0,
-				"tcp", "%s receive backlog went negative (%d)", st.Name, c.rxAvail)
-		}
-		off = (off + m) % max(dst.Size, 1)
-		if pd.remaining() == 0 {
-			c.rxq[c.rxqHead] = nil
-			c.rxqHead++
-			if c.rxqHead == len(c.rxq) {
-				c.rxq = c.rxq[:0]
-				c.rxqHead = 0
-			}
-			done = append(done, pd)
-		}
-		c.credit(m)
-	}
-	c.posted = false
-	for _, pd := range done {
-		pd.rx.Free()
-		if pd.dma != nil {
-			// The completion has fired and its waiter resumed (this very
-			// call waited on it), so it is safe to rearm for reuse.
-			st.DMA.Recycle(pd.dma)
-		}
-		*pd = pending{}
-		st.pendFree = append(st.pendFree, pd)
-	}
-	c.doneScratch = done[:0]
+	c.rx.Recv(dst, n, p.Done())
+	p.Await()
 }
 
 // copyCost prices the CPU copy of m bytes from the chunk's kernel buffers
@@ -586,11 +477,9 @@ func applyCredit(a any) {
 	if peer.inflight < 0 {
 		panic("tcp: negative inflight")
 	}
-	for len(peer.txWaiters) > 0 && peer.inflight < peer.window {
-		w := peer.txWaiters[0]
-		k := copy(peer.txWaiters, peer.txWaiters[1:])
-		peer.txWaiters = peer.txWaiters[:k]
-		peer.stack.S.WakeAny(w)
+	if w := peer.txWaiter; w != nil && peer.inflight < peer.window {
+		peer.txWaiter = nil
+		w.Wake()
 	}
 	st := c.stack
 	ev.conn = nil

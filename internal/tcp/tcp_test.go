@@ -421,3 +421,55 @@ func TestCopyCostEveryConsumeOffset(t *testing.T) {
 		}
 	}
 }
+
+// recoverPanic runs fn and returns what it panicked with, or nil.
+func recoverPanic(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
+
+// TestConcurrentTransferPanics checks the one-transfer-per-direction
+// rule on an endpoint: a second send or receive while one is in flight
+// panics instead of overwriting the first one's state, in the
+// continuation form, across two Senders sharing a closed window, and
+// through the blocking shims.
+func TestConcurrentTransferPanics(t *testing.T) {
+	const sendMsg, recvMsg = "tcp: concurrent Send on one connection", "tcp: concurrent Recv on one connection"
+	p := cost.Default()
+	p.SockBuf = 32 * cost.KB
+	expect := func(what string, got any, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: panic %v, want %q", what, got, want)
+		}
+	}
+
+	s, a, b := twoNodes(ioat.None(), p)
+	ca, cb := Pair(a.st, b.st, 0, 0)
+	src, dst := a.buf(64*cost.KB), b.buf(64*cost.KB)
+	tx := NewSender(ca, s.NewTask("tx"))
+	rx := NewReceiver(cb, s.NewTask("rx"))
+	tx.Send(src, cost.MB, func() {})
+	expect("Sender", recoverPanic(func() { tx.Send(src, 1, func() {}) }), sendMsg)
+	rx.Recv(dst, cost.MB, func() {})
+	expect("Receiver", recoverPanic(func() { rx.Recv(dst, 1, func() {}) }), recvMsg)
+	// A second Sender on the same endpoint collides at the window stall.
+	NewSender(ca, s.NewTask("tx2")).Send(src, cost.MB, func() {})
+	expect("second Sender", recoverPanic(func() { s.Run() }), sendMsg)
+
+	s, a, b = twoNodes(ioat.None(), p)
+	ca, cb = Pair(a.st, b.st, 0, 0)
+	src, dst = a.buf(64*cost.KB), b.buf(64*cost.KB)
+	var sendPanic, recvPanic any
+	s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, cost.MB) })
+	s.Spawn("rx", func(pr *sim.Proc) { cb.Recv(pr, dst, cost.MB) })
+	s.Spawn("tx2", func(pr *sim.Proc) { sendPanic = recoverPanic(func() { ca.Send(pr, src, 1) }) })
+	s.Spawn("rx2", func(pr *sim.Proc) { recvPanic = recoverPanic(func() { cb.Recv(pr, dst, 1) }) })
+	s.Run()
+	expect("blocking Send", sendPanic, sendMsg)
+	expect("blocking Recv", recvPanic, recvMsg)
+	if cb.Available() != 0 || a.st.BytesSent != cost.MB {
+		t.Errorf("first transfer disturbed: sent %d, %d bytes left unconsumed", a.st.BytesSent, cb.Available())
+	}
+}
