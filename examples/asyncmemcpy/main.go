@@ -15,6 +15,7 @@ import (
 
 func main() {
 	cluster, node, _ := ioatsim.Testbed1(ioatsim.DefaultParams(), ioatsim.IOAT(), 1)
+	defer cluster.Close()
 
 	const size = 256 * ioatsim.KB
 	const compute = 80 * time.Microsecond // work to overlap with the copy

@@ -16,6 +16,7 @@ func main() {
 	// Part 1: direct use of the client library — create a striped file
 	// and read it back.
 	cluster := ioatsim.NewCluster(ioatsim.DefaultParams(), 1)
+	defer cluster.Close()
 	compute := cluster.Add("compute", ioatsim.IOAT(), 6)
 	server := cluster.Add("server", ioatsim.IOAT(), 6)
 	sys := ioatsim.NewPVFS(server, 6, 0)

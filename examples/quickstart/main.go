@@ -16,6 +16,7 @@ func transfer(feat ioatsim.Features) (mbps, cpu float64) {
 	// Two dual-core dual-Xeon nodes with six 1-GbE ports, wired
 	// port-to-port — the paper's Testbed 1.
 	cluster, sender, receiver := ioatsim.Testbed1(ioatsim.DefaultParams(), feat, 1)
+	defer cluster.Close()
 
 	conn, peer := ioatsim.Pair(sender.Stack, receiver.Stack, 0, 0)
 	src := sender.Buf(64 * ioatsim.KB)

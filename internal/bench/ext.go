@@ -56,6 +56,7 @@ func ExtIPC(cfg Config) *Result {
 		size := sizes[i]
 		run := func(mode ipc.Mode) (float64, float64) {
 			cl := host.NewCluster(cfg.params(), cfg.Seed, cfg.hostOpts()...)
+			defer cl.Close()
 			n := cl.Add("n", ioat.Linux(), 1)
 			ch := ipc.New(n, size, 16)
 			ch.Mode = mode

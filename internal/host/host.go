@@ -242,6 +242,19 @@ func (c *Cluster) MustVerify() {
 	}
 }
 
+// Close ends a finished simulation: it ends every process still parked
+// (sim.Simulator.Close) and hands each node's cache state back for the
+// next cluster to reuse (mem.Cache.Release). Every harness that builds
+// a cluster defers it right after building, so it runs after
+// MustVerify, whose final cache audit needs the live state. The
+// cluster can no longer run afterwards; closing twice does nothing.
+func (c *Cluster) Close() {
+	c.S.Close()
+	for _, n := range c.Nodes {
+		n.Mem.Cache.Release()
+	}
+}
+
 // Add builds and registers a node.
 func (c *Cluster) Add(name string, feat ioat.Features, nports int) *Node {
 	if _, dup := c.byName[name]; dup {

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -90,5 +91,41 @@ func TestResetMetersClearsUtilization(t *testing.T) {
 	c.S.Run()
 	if u := b.CPU.Utilization(); u != 0 {
 		t.Fatalf("utilization after reset and idle = %v, want 0", u)
+	}
+}
+
+// TestClusterClose: Close ends the processes still parked in a transfer
+// that can never finish, releases every node's cache, leaves the
+// simulator unable to run, and does nothing the second time.
+func TestClusterClose(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c, a, b := Testbed1(cost.Default(), ioat.Linux(), 1)
+	ca, cb := tcp.Pair(a.Stack, b.Stack, 0, 0)
+	src, dst := a.Buf(64*cost.KB), b.Buf(64*cost.KB)
+	c.S.Spawn("tx", func(p *sim.Proc) { ca.Send(p, src, 64*cost.KB) })
+	c.S.Spawn("rx", func(p *sim.Proc) { cb.Recv(p, dst, cost.MB) }) // waits for bytes never sent
+	c.S.RunUntil(sim.Time(time.Second))
+	c.Close()
+	c.Close()
+	for what, fn := range map[string]func(){
+		"RunUntil":             func() { c.S.RunUntil(sim.Time(2 * time.Second)) },
+		"node1's cache access": func() { a.Mem.Cache.Access(0) },
+		"node2's cache access": func() { b.Mem.Cache.Access(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Close did not panic", what)
+				}
+			}()
+			fn()
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Close, %d before the cluster", n, base)
 	}
 }

@@ -195,7 +195,9 @@ func (r *refCache) contains(addr Addr) bool {
 // requires identical behaviour after every operation: every return
 // value (Install's eviction count included), the Hits/Misses counters,
 // residency of every line of the address span, and a clean Audit. Any
-// divergence in victim choice shows up as a residency mismatch.
+// divergence in victim choice shows up as a residency mismatch. One
+// operation releases the cache and builds a new one, which reuses the
+// released state and must behave as a fresh reference cache.
 func FuzzCacheDifferential(f *testing.F) {
 	f.Add(uint8(0), uint8(7), uint8(2), []byte{0, 40, 0, 64, 40, 4, 8, 40, 0, 0, 0, 1})
 	f.Add(uint8(1), uint8(1), uint8(0), []byte{0, 255, 0, 0, 4, 4, 0, 255, 3, 1, 9, 2})
@@ -221,7 +223,7 @@ func FuzzCacheDifferential(f *testing.F) {
 		for i := 0; i+2 < len(ops); i += 3 {
 			addr := Addr(int(ops[i]) * span / 256)
 			n := int(ops[i+1]) * span / 256
-			kind := ops[i+2] % 6
+			kind := ops[i+2] % 7
 			switch kind {
 			case 0:
 				h, m := c.AccessRange(addr, n)
@@ -252,6 +254,10 @@ func FuzzCacheDifferential(f *testing.F) {
 			case 5:
 				c.Flush()
 				r.flush()
+			case 6:
+				c.Release()
+				c = NewCache(size, lineSize, ways)
+				r = newRefCache(size, lineSize, ways)
 			}
 			if int(c.Hits) != r.hits || int(c.Misses) != r.misses {
 				t.Fatalf("op %d (kind %d): counters %d/%d, reference %d/%d",

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -124,25 +125,135 @@ func TestCacheLRUWithinSet(t *testing.T) {
 	}
 }
 
-// TestCacheFreshStateIsZero pins the lazy-initialisation contract: a
-// fresh cache's tag and metadata arrays are all zero (NewCache writes
-// nothing, so untouched pages stay out of the resident set) and that
-// state already audits clean as an empty cache, for every associativity.
+// TestCacheFreshStateIsZero pins the initialisation contract: a new
+// cache's tag and metadata arrays are all zero, whether freshly made
+// (NewCache writes nothing, so untouched pages stay out of the resident
+// set) or recycled from a cache that was filled and then released, and
+// that state already audits clean as an empty cache, for every
+// associativity.
 func TestCacheFreshStateIsZero(t *testing.T) {
 	for ways := 1; ways <= cost.MaxCacheWays; ways++ {
-		c := NewCache(16*64*ways, 64, ways)
-		for s := range c.tags {
-			if c.tags[s] != [8]uint64{} || c.meta[s] != [2]uint64{} {
-				t.Fatalf("%d ways: fresh set %d holds tags %#x, metadata %#x", ways, s, c.tags[s], c.meta[s])
+		size := 16 * 64 * ways
+		c := NewCache(size, 64, ways)
+		for _, state := range []string{"fresh", "recycled"} {
+			for s := range c.tags {
+				if c.tags[s] != [8]uint64{} || c.meta[s] != [2]uint64{} {
+					t.Fatalf("%d ways: %s set %d holds tags %#x, metadata %#x", ways, state, s, c.tags[s], c.meta[s])
+				}
+			}
+			if err := c.Audit(); err != nil {
+				t.Fatalf("%d ways: %s cache fails audit: %v", ways, state, err)
+			}
+			if occ := c.OccupiedLines(); occ != 0 {
+				t.Fatalf("%d ways: %s cache holds %d lines", ways, state, occ)
+			}
+			c.AccessRange(0, 3*size)
+			c.Invalidate(Addr(size), size/2)
+			held := &c.tags[0]
+			c.Release()
+			if c = NewCache(size, 64, ways); &c.tags[0] != held {
+				t.Fatalf("%d ways: NewCache did not reuse the state just released", ways)
 			}
 		}
-		if err := c.Audit(); err != nil {
-			t.Fatalf("%d ways: fresh cache fails audit: %v", ways, err)
-		}
-		if occ := c.OccupiedLines(); occ != 0 {
-			t.Fatalf("%d ways: fresh cache holds %d lines", ways, occ)
+	}
+}
+
+// TestCacheReleaseThenAccessPanics: a released cache keeps no state, so
+// every access panics rather than touch a state a newer cache may own;
+// its counters stay readable, and a second Release does nothing.
+func TestCacheReleaseThenAccessPanics(t *testing.T) {
+	c := NewCache(16*64*8, 64, 8)
+	c.AccessRange(0, 4096)
+	c.Release()
+	c.Release()
+	next := NewCache(16*64*8, 64, 8) // owns the released state now
+	for _, op := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Access", func() { c.Access(0) }},
+		{"AccessRange", func() { c.AccessRange(0, 64) }},
+		{"Install", func() { c.Install(0, 64) }},
+		{"Invalidate", func() { c.Invalidate(0, 64) }},
+		{"Contains", func() { c.Contains(0) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released cache did not panic", op.name)
+				}
+			}()
+			op.fn()
+		}()
+	}
+	if c.Hits+c.Misses != 64 || next.OccupiedLines() != 0 {
+		t.Fatalf("released cache counts %d accesses, want 64; its successor holds %d lines, want 0",
+			c.Hits+c.Misses, next.OccupiedLines())
+	}
+}
+
+// TestCacheRecycleBounded pins the free list's bound: a NewCache that
+// finds no released state of its size drops the oldest one, so the list
+// never holds more states than caches were live at once, however many
+// geometries come and go.
+func TestCacheRecycleBounded(t *testing.T) {
+	released.states = nil
+	newCache := func(nsets int) *Cache { return NewCache(nsets*64*8, 64, 8) }
+	a, b := newCache(16), newCache(32)
+	a.Release()
+	b.Release()
+	for _, step := range []struct {
+		nsets, left int
+	}{
+		{64, 1}, // no 64-set state: drops a, the oldest
+		{16, 0}, // a is gone, so nothing fits: drops b
+		{32, 0},
+	} {
+		if c := newCache(step.nsets); c.OccupiedLines() != 0 || len(released.states) != step.left {
+			t.Fatalf("after NewCache of %d sets: %d lines, %d released states left; want 0 and %d",
+				step.nsets, c.OccupiedLines(), len(released.states), step.left)
 		}
 	}
+}
+
+// TestCacheRecycleConcurrent builds, uses and releases caches of two
+// geometries from several goroutines at once (run under -race), and
+// requires that no two live caches ever share a state and that every
+// new cache starts empty.
+func TestCacheRecycleConcurrent(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		live = map[*[8]uint64]bool{}
+		wg   sync.WaitGroup
+	)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				ways := 4 << (i % 2)
+				c := NewCache(64*64*ways, 64, ways)
+				key := &c.tags[0]
+				mu.Lock()
+				shared := live[key]
+				live[key] = true
+				mu.Unlock()
+				if shared {
+					t.Error("two live caches share one state")
+					return
+				}
+				if occ := c.OccupiedLines(); occ != 0 {
+					t.Errorf("new cache holds %d lines", occ)
+				}
+				c.AccessRange(Addr(g*i*4096), 16*4096)
+				mu.Lock()
+				delete(live, key)
+				mu.Unlock()
+				c.Release()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestCacheAuditCatchesCorruption corrupts one piece of a set's state at

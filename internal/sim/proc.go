@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+)
 
 // Proc is a simulation process: sequential code running in its own
 // goroutine, scheduled exclusively by the event loop. Blocking operations
@@ -12,7 +16,12 @@ type Proc struct {
 	sim    *Simulator
 	name   string
 	resume chan struct{}
-	dead   bool // set when the process function returned
+	dead   bool // set when the process function returned or was ended
+	live   int  // index in sim.procs while not dead
+
+	// failure is the panic message of a process body that panicked,
+	// handed to runProc to re-raise on the event-loop goroutine.
+	failure string
 
 	// await tracks the Done/Await pair; done is the bound callback Done
 	// hands out (nil until the process first calls Done).
@@ -47,18 +56,64 @@ func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAfter starts fn as a simulation process after delay d.
 func (s *Simulator) SpawnAfter(d Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
-	s.nprocs++
+	p := &Proc{sim: s, name: name, resume: make(chan struct{}), live: len(s.procs)}
+	s.procs = append(s.procs, p)
 	//ioatlint:allow simdeterminism — the engine's own process machinery: exactly one goroutine runs at a time, hand-off is via resume/parked, so scheduling stays deterministic
-	go func() {
-		<-p.resume // wait to be scheduled for the first time
-		fn(p)
-		p.dead = true
-		s.nprocs--
-		s.parked <- struct{}{} // return control to the event loop
-	}()
+	go p.run(fn)
 	s.ScheduleArg(d, resumeProc, p)
 	return p
+}
+
+// run is the body of p's goroutine: it waits to be scheduled for the
+// first time, runs fn, and hands control back to the event loop however
+// fn ends. A return is the normal case. A panic is recovered here,
+// where no caller could see it, and runProc re-raises it on the
+// event-loop goroutine, so the caller of Run can recover it. A
+// runtime.Goexit from wait means Close ended the process.
+func (p *Proc) run(fn func(*Proc)) {
+	defer func() {
+		// recover is nil after a return and after Goexit, and only
+		// then: since Go 1.21 a panic(nil) recovers as a
+		// *runtime.PanicNilError.
+		if r := recover(); r != nil {
+			p.failure = fmt.Sprintf("sim: process %q panicked: %v\n\n%s", p.name, r, debug.Stack())
+		}
+		p.exit()
+	}()
+	p.wait()
+	fn(p)
+}
+
+// exit marks p dead, drops it from the live set and returns control to
+// whoever waits on parked: runProc, or Close.
+func (p *Proc) exit() {
+	s := p.sim
+	p.dead = true
+	last := len(s.procs) - 1
+	s.procs[p.live] = s.procs[last]
+	s.procs[p.live].live = p.live
+	s.procs[last] = nil
+	s.procs = s.procs[:last]
+	s.parked <- struct{}{}
+}
+
+// Close ends the simulation. Every process that has not returned is
+// ended where it is parked: Close closes its resume channel, so its
+// goroutine leaves through runtime.Goexit (running the body's deferred
+// calls) or, if it never ran, before running fn, and Close waits for
+// each to acknowledge over parked before ending the next. Without it a
+// finished simulation's parked processes keep their goroutines, and
+// through them the simulator and all it reaches, alive until the
+// program exits. Call it from the goroutine that runs the simulation,
+// once Run or RunUntil has returned or panicked. Pending events stay
+// queued and never run: Run, RunUntil and Step panic on a closed
+// simulator. A second Close does nothing.
+func (s *Simulator) Close() {
+	s.closed = true
+	for n := len(s.procs); n > 0; n = len(s.procs) {
+		close(s.procs[n-1].resume)
+		<-s.parked
+	}
 }
 
 // resumeProc is the pre-bound callback behind every process wake-up
@@ -87,12 +142,23 @@ func (s *Simulator) runProc(p *Proc) {
 	p.resume <- struct{}{}
 	<-s.parked
 	s.current = prev
+	if p.failure != "" {
+		panic(p.failure)
+	}
 }
 
 // park suspends the calling process until the event loop resumes it.
 func (p *Proc) park() {
 	p.sim.parked <- struct{}{}
-	<-p.resume
+	p.wait()
+}
+
+// wait blocks until the event loop resumes p, and ends p's goroutine
+// instead when Close has closed its resume channel.
+func (p *Proc) wait() {
+	if _, ok := <-p.resume; !ok {
+		runtime.Goexit()
+	}
 }
 
 // Wake schedules a parked process to resume at the current time.

@@ -203,11 +203,13 @@ type Simulator struct {
 	stats SchedStats
 
 	// Process scheduling handshake. While a process goroutine runs, the
-	// event loop blocks on parked, so exactly one goroutine ever touches
-	// simulator state at a time.
+	// event loop (or Close) blocks on parked, so exactly one goroutine
+	// ever touches simulator state at a time. procs holds the processes
+	// that have not returned; closed is set by Close.
 	parked  chan struct{}
 	current *Proc
-	nprocs  int
+	procs   []*Proc
+	closed  bool
 
 	// executed counts events dispatched, for diagnostics and tests;
 	// flushed marks how much of it has been added to globalExecuted.
@@ -344,6 +346,7 @@ func (s *Simulator) Run() Time {
 // the clock to min(deadline, last event time) and returns it. Events
 // beyond the deadline remain pending.
 func (s *Simulator) RunUntil(deadline Time) Time {
+	s.mustBeOpen()
 	s.stopped = false
 	defer s.flushExecuted()
 	for s.pending > 0 && !s.stopped {
@@ -369,9 +372,18 @@ func (s *Simulator) RunUntil(deadline Time) Time {
 	return s.now
 }
 
+// mustBeOpen panics once Close has ended the simulation: its processes
+// are gone, so events that would resume them must not run.
+func (s *Simulator) mustBeOpen() {
+	if s.closed {
+		panic("sim: run of a closed simulator")
+	}
+}
+
 // Step dispatches exactly one event if any is pending and reports whether
 // it did so.
 func (s *Simulator) Step() bool {
+	s.mustBeOpen()
 	if s.pending == 0 {
 		return false
 	}

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"ioatsim/internal/sim"
 )
 
 func TestRunOrdersResultsByIndex(t *testing.T) {
@@ -75,6 +78,35 @@ func TestRunPropagatesPanics(t *testing.T) {
 			panic("boom")
 		}
 		return i
+	})
+}
+
+// TestRunPropagatesProcessPanics: a panic inside a point's simulation
+// process runs on the process's own goroutine, out of the worker's
+// reach; the simulator hands it back to the event loop, so it reaches
+// the caller like any other point panic, and each point's deferred Close
+// still ends its parked processes.
+func TestRunPropagatesProcessPanics(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("process panic not propagated")
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, `sim: process "faulty" panicked: boom`) {
+			t.Fatalf("unexpected panic payload %v", r)
+		}
+	}()
+	Run(2, 4, func(i int) int {
+		s := sim.New()
+		defer s.Close()
+		s.Spawn("bystander", func(p *sim.Proc) { p.Sleep(time.Hour) })
+		s.Spawn("faulty", func(p *sim.Proc) {
+			p.Sleep(time.Duration(i))
+			if i == 3 {
+				panic("boom")
+			}
+		})
+		return int(s.RunUntil(sim.Time(time.Minute)))
 	})
 }
 

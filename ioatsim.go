@@ -6,6 +6,7 @@
 // session:
 //
 //	cluster, sender, receiver := ioatsim.Testbed1(ioatsim.DefaultParams(), ioatsim.IOAT(), 1)
+//	defer cluster.Close()
 //	conn, peer := ioatsim.Pair(sender.Stack, receiver.Stack, 0, 0)
 //	src, dst := sender.Buf(64<<10), receiver.Buf(64<<10)
 //	cluster.S.Spawn("tx", func(p *ioatsim.Proc) { conn.Send(p, src, 16<<20) })
@@ -106,7 +107,9 @@ type Copier = ioat.Copier
 // Node is one simulated machine: cores, cache, engine, NIC, transport.
 type Node = host.Node
 
-// Cluster is a set of nodes sharing one simulator.
+// Cluster is a set of nodes sharing one simulator. Close it when the
+// run is over: that ends the processes still parked in it and lets the
+// next cluster reuse its nodes' cache state.
 type Cluster = host.Cluster
 
 // Buffer is a user allocation in a node's simulated memory.
