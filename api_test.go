@@ -13,11 +13,10 @@ func TestPublicAPISurface(t *testing.T) {
 	src, dst := sender.Buf(64*KB), receiver.Buf(64*KB)
 
 	var done Time
-	cluster.S.Spawn("tx", func(p *Proc) { conn.Send(p, src, 4*MB) })
-	cluster.S.Spawn("rx", func(p *Proc) {
-		peer.Recv(p, dst, 4*MB)
-		done = p.Now()
-	})
+	tx := NewSender(conn, cluster.S.NewTask("tx"))
+	rx := NewReceiver(peer, cluster.S.NewTask("rx"))
+	tx.Task().Start(func() { tx.Send(src, 4*MB, func() {}) })
+	rx.Task().Start(func() { rx.Recv(dst, 4*MB, func() { done = rx.Task().Now() }) })
 	cluster.S.Run()
 	if done <= 0 {
 		t.Fatal("transfer did not complete")
@@ -58,12 +57,13 @@ func TestPublicAPIPVFS(t *testing.T) {
 	server := cluster.Add("server", IOAT(), 6)
 	sys := NewPVFS(server, 3, 0)
 	var n int
-	cluster.S.Spawn("app", func(p *Proc) {
-		c := NewPVFSClient(p, compute, sys)
-		m := c.Create(p, "f", 2*MB)
-		buf := compute.Buf(2 * MB)
-		c.Read(p, m, 0, m.Size, buf)
-		n = m.Size
+	app := cluster.S.NewTask("app")
+	app.Start(func() {
+		NewPVFSClient(app, compute, sys, func(c *PVFSClient) {
+			c.Create("f", 2*MB, func(m PVFSFileMeta) {
+				c.Read(m, 0, m.Size, compute.Buf(2*MB), func() { n = m.Size })
+			})
+		})
 	})
 	cluster.S.Run()
 	if n != 2*MB {
@@ -88,8 +88,9 @@ func TestPublicAPIIPC(t *testing.T) {
 	ch := NewIPCChannel(n, 16*KB, 4)
 	var got int
 	src, dst := n.Buf(16*KB), n.Buf(16*KB)
-	cluster.S.Spawn("p", func(p *Proc) { ch.Send(p, src, 16*KB) })
-	cluster.S.Spawn("c", func(p *Proc) { got = ch.Recv(p, dst) })
+	producer, consumer := cluster.S.NewTask("p"), cluster.S.NewTask("c")
+	producer.Start(func() { ch.Send(producer, src, 16*KB, func() {}) })
+	consumer.Start(func() { ch.Recv(consumer, dst, func(n int) { got = n }) })
 	cluster.S.Run()
 	if got != 16*KB {
 		t.Fatalf("got %d", got)

@@ -80,12 +80,6 @@ type jsonReport struct {
 	Speedup     float64      `json:"speedup"`
 	Events      uint64       `json:"events"`
 	EventsPerS  float64      `json:"events_per_s"`
-	// ProcSwitches counts event-loop-to-goroutine handoffs: wakes that
-	// crossed a channel into a parked process goroutine rather than
-	// running as continuations on the event loop. Each handoff costs two
-	// host context switches, so this is exactly the scheduler overhead
-	// the continuation-passing hot loops remove.
-	ProcSwitches uint64 `json:"proc_switches"`
 	// PeakPending is the deepest scheduler pending-event set any
 	// simulation reached — the depth the timing wheel absorbed.
 	PeakPending uint64 `json:"peak_pending"`
@@ -253,7 +247,6 @@ func main() {
 	}
 	start := time.Now()
 	ev0 := sim.GlobalExecuted()
-	ps0 := sim.GlobalProcSwitches()
 	all, runErr := sweep.RunCtx(ctx, cfg.Parallel, len(runners), func(i int) timed {
 		t0 := time.Now()
 		res, err := runners[i].RunContext(cfg)
@@ -274,7 +267,6 @@ func main() {
 			len(results), len(runners))
 	}
 	events := sim.GlobalExecuted() - ev0
-	procSwitches := sim.GlobalProcSwitches() - ps0
 	eventsPerS := float64(events) / wall.Seconds()
 
 	var cum time.Duration
@@ -318,21 +310,20 @@ func main() {
 
 	if *jsonOut {
 		report := jsonReport{
-			Scale:        cfg.Scale,
-			Seed:         cfg.Seed,
-			Parallel:     cfg.Parallel,
-			Workers:      sweep.Workers(cfg.Parallel),
-			GoMaxProcs:   runtime.GOMAXPROCS(0),
-			NumCPU:       runtime.NumCPU(),
-			WallSeconds:  wall.Seconds(),
-			CPUSeconds:   cum.Seconds(),
-			Speedup:      speedup,
-			Events:       events,
-			EventsPerS:   eventsPerS,
-			ProcSwitches: procSwitches,
-			PeakPending:  sim.GlobalPeakPending(),
-			CacheHits:    cacheHits,
-			CacheMisses:  cacheMisses,
+			Scale:       cfg.Scale,
+			Seed:        cfg.Seed,
+			Parallel:    cfg.Parallel,
+			Workers:     sweep.Workers(cfg.Parallel),
+			GoMaxProcs:  runtime.GOMAXPROCS(0),
+			NumCPU:      runtime.NumCPU(),
+			WallSeconds: wall.Seconds(),
+			CPUSeconds:  cum.Seconds(),
+			Speedup:     speedup,
+			Events:      events,
+			EventsPerS:  eventsPerS,
+			PeakPending: sim.GlobalPeakPending(),
+			CacheHits:   cacheHits,
+			CacheMisses: cacheMisses,
 		}
 		for _, r := range results {
 			s := r.res.Series
@@ -371,8 +362,7 @@ func main() {
 	}
 	fmt.Printf("total: %d experiments, %.1fs of experiment time in %.1fs wall (%.1fx, %d workers)\n",
 		len(results), cum.Seconds(), wall.Seconds(), speedup, sweep.Workers(cfg.Parallel))
-	fmt.Printf("events: %d dispatched, %.2fM events/s, %d goroutine handoffs\n",
-		events, eventsPerS/1e6, procSwitches)
+	fmt.Printf("events: %d dispatched, %.2fM events/s\n", events, eventsPerS/1e6)
 	if runErr != nil {
 		os.Exit(130)
 	}

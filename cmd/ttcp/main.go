@@ -68,16 +68,14 @@ func main() {
 		dst := to.Buf(min(*msgSize, 256*cost.KB))
 		from.CPU.RegisterThread()
 		to.CPU.RegisterThread()
-		cl.S.Spawn("tx", func(pr *sim.Proc) {
-			for {
-				ca.Send(pr, src, *msgSize)
-			}
-		})
-		cl.S.Spawn("rx", func(pr *sim.Proc) {
-			for {
-				cb.Recv(pr, dst, *msgSize)
-			}
-		})
+		tx := tcp.NewSender(ca, cl.S.NewTask("tx"))
+		var txLoop func()
+		txLoop = func() { tx.Send(src, *msgSize, txLoop) }
+		tx.Task().Start(txLoop)
+		rx := tcp.NewReceiver(cb, cl.S.NewTask("rx"))
+		var rxLoop func()
+		rxLoop = func() { rx.Recv(dst, *msgSize, rxLoop) }
+		rx.Task().Start(rxLoop)
 	}
 
 	switch *mode {

@@ -20,26 +20,39 @@ func main() {
 	const size = 256 * ioatsim.KB
 	const compute = 80 * time.Microsecond // work to overlap with the copy
 
+	// The application is one task: each step takes the task and the
+	// step to run when it completes.
+	app := cluster.S.NewTask("app")
 	var syncTotal, asyncTotal ioatsim.Time
-	cluster.S.Spawn("app", func(p *ioatsim.Proc) {
+	var cpuCopy, engineCopy func()
+	cpuCopy = func() {
+		// CPU copy, then compute.
 		src := node.Buf(size)
 		dst := node.Buf(size)
-
-		// Blocking CPU copy, then compute.
-		start := p.Now()
-		node.Copier.CopySync(p, src.Addr, dst.Addr, size)
-		node.CPU.Exec(p, compute)
-		syncTotal = p.Now() - start
-
+		start := app.Now()
+		node.Copier.CopySync(app, src.Addr, dst.Addr, size, func() {
+			node.CPU.ExecThen(app, compute, func() {
+				syncTotal = app.Now() - start
+				engineCopy()
+			})
+		})
+	}
+	engineCopy = func() {
 		// Asynchronous engine copy overlapped with the same compute.
 		s2, d2 := node.Buf(size), node.Buf(size)
-		node.Copier.Start(p, s2.Addr, d2.Addr, size).Wait(p) // warm pin cache
-		start = p.Now()
-		done := node.Copier.Start(p, s2.Addr, d2.Addr, size)
-		node.CPU.Exec(p, compute) // CPU is free while the engine copies
-		done.Wait(p)
-		asyncTotal = p.Now() - start
-	})
+		node.Copier.Start(app, s2.Addr, d2.Addr, size, func(warm *ioatsim.Completion) {
+			warm.WaitThen(app, func() { // warm pin cache
+				start := app.Now()
+				node.Copier.Start(app, s2.Addr, d2.Addr, size, func(done *ioatsim.Completion) {
+					// CPU is free while the engine copies.
+					node.CPU.ExecThen(app, compute, func() {
+						done.WaitThen(app, func() { asyncTotal = app.Now() - start })
+					})
+				})
+			})
+		})
+	}
+	app.Start(cpuCopy)
 	cluster.S.Run()
 
 	fmt.Printf("copy 256 KB + %v of computation:\n", compute)

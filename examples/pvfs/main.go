@@ -21,19 +21,23 @@ func main() {
 	server := cluster.Add("server", ioatsim.IOAT(), 6)
 	sys := ioatsim.NewPVFS(server, 6, 0)
 
-	cluster.S.Spawn("app", func(p *ioatsim.Proc) {
-		c := ioatsim.NewPVFSClient(p, compute, sys)
-		meta := c.Create(p, "dataset.bin", 12*ioatsim.MB)
-		fmt.Printf("created %q: %d bytes striped %dK across %d I/O servers\n",
-			meta.Name, meta.Size, meta.Stripe/ioatsim.KB, meta.Servers)
+	app := cluster.S.NewTask("app")
+	app.Start(func() {
+		ioatsim.NewPVFSClient(app, compute, sys, func(c *ioatsim.PVFSClient) {
+			c.Create("dataset.bin", 12*ioatsim.MB, func(meta ioatsim.PVFSFileMeta) {
+				fmt.Printf("created %q: %d bytes striped %dK across %d I/O servers\n",
+					meta.Name, meta.Size, meta.Stripe/ioatsim.KB, meta.Servers)
 
-		buf := compute.Buf(12 * ioatsim.MB)
-		start := p.Now()
-		c.Read(p, meta, 0, meta.Size, buf)
-		elapsed := time.Duration(p.Now() - start)
-		fmt.Printf("read %d MB in %v (%.0f MB/s across six 1-GbE links)\n\n",
-			meta.Size/ioatsim.MB, elapsed.Round(time.Microsecond),
-			float64(meta.Size)/elapsed.Seconds()/1e6)
+				buf := compute.Buf(12 * ioatsim.MB)
+				start := app.Now()
+				c.Read(meta, 0, meta.Size, buf, func() {
+					elapsed := time.Duration(app.Now() - start)
+					fmt.Printf("read %d MB in %v (%.0f MB/s across six 1-GbE links)\n\n",
+						meta.Size/ioatsim.MB, elapsed.Round(time.Microsecond),
+						float64(meta.Size)/elapsed.Seconds()/1e6)
+				})
+			})
+		})
 	})
 	cluster.S.Run()
 

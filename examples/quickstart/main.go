@@ -22,15 +22,14 @@ func transfer(feat ioatsim.Features) (mbps, cpu float64) {
 	src := sender.Buf(64 * ioatsim.KB)
 	dst := receiver.Buf(64 * ioatsim.KB)
 
+	// One task per side; each runs its transfer and calls back when it
+	// is done.
 	const total = 16 * ioatsim.MB
 	var done ioatsim.Time
-	cluster.S.Spawn("sender", func(p *ioatsim.Proc) {
-		conn.Send(p, src, total)
-	})
-	cluster.S.Spawn("receiver", func(p *ioatsim.Proc) {
-		peer.Recv(p, dst, total)
-		done = p.Now()
-	})
+	tx := ioatsim.NewSender(conn, cluster.S.NewTask("sender"))
+	rx := ioatsim.NewReceiver(peer, cluster.S.NewTask("receiver"))
+	tx.Task().Start(func() { tx.Send(src, total, func() {}) })
+	rx.Task().Start(func() { rx.Recv(dst, total, func() { done = cluster.S.Now() }) })
 	cluster.S.Run()
 
 	elapsed := time.Duration(done)

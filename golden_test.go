@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ioatsim/internal/bench"
+	"ioatsim/internal/sim"
 )
 
 // The golden corpus pins the rendered table of every registered
@@ -38,6 +39,15 @@ func goldenPath(id string) string {
 }
 
 func TestGoldenCorpus(t *testing.T) {
+	// No simulation runs on a goroutine process: the whole corpus makes
+	// no goroutine handoff. Cleanup runs once every parallel subtest has
+	// finished.
+	switches := sim.GlobalProcSwitches()
+	t.Cleanup(func() {
+		if n := sim.GlobalProcSwitches() - switches; n != 0 {
+			t.Errorf("the corpus made %d goroutine handoffs; simulation code must run on sim.Task continuations", n)
+		}
+	})
 	for _, r := range bench.Experiments() {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"ioatsim/internal/datacenter"
 	"ioatsim/internal/host"
 	"ioatsim/internal/ioat"
+	"ioatsim/internal/mem"
 	"ioatsim/internal/pvfs"
 	"ioatsim/internal/sim"
 	"ioatsim/internal/tcp"
@@ -25,8 +26,7 @@ func TestByteConservation(t *testing.T) {
 		want += int64(n)
 		ca, cb := tcp.Pair(a.Stack, b.Stack, i%6, i%6)
 		src, dst := a.Buf(64*cost.KB), b.Buf(64*cost.KB)
-		cl.S.Spawn("tx", func(p *sim.Proc) { ca.Send(p, src, n) })
-		cl.S.Spawn("rx", func(p *sim.Proc) { cb.Recv(p, dst, n) })
+		transfer(cl.S, ca, cb, src, dst, n, func() {})
 	}
 	cl.S.Run()
 	if a.Stack.BytesSent != want || b.Stack.BytesReceived != want {
@@ -53,27 +53,30 @@ func TestCrossDomainSharedSimulator(t *testing.T) {
 	sys := pvfs.New(server, 3, 0)
 
 	var readDone, echoed bool
-	cl.S.Spawn("pvfs-user", func(p *sim.Proc) {
-		c := pvfs.NewClient(p, compute, sys)
-		m := c.Create(p, "x", 2*cost.MB)
-		buf := compute.Buf(2 * cost.MB)
-		c.Read(p, m, 0, 2*cost.MB, buf)
-		readDone = true
+	user := cl.S.NewTask("pvfs-user")
+	user.Start(func() {
+		pvfs.NewClient(user, compute, sys, func(c *pvfs.Client) {
+			c.Create("x", 2*cost.MB, func(m pvfs.FileMeta) {
+				c.Read(m, 0, 2*cost.MB, compute.Buf(2*cost.MB), func() { readDone = true })
+			})
+		})
 	})
 	// A raw TCP echo on the same two nodes, different port.
-	l := server.Stack.Listen("echo")
-	cl.S.Spawn("echo-server", func(p *sim.Proc) {
-		c := l.Accept(p)
+	server.Stack.Listen("echo").Serve("echo-server", func(_ int, c *tcp.Conn) {
 		dst := server.Buf(8 * cost.KB)
-		c.Recv(p, dst, 8*cost.KB)
-		c.Send(p, dst, 8*cost.KB)
+		echo := cl.S.NewTask("echo")
+		rx, tx := tcp.NewReceiver(c, echo), tcp.NewSender(c, echo)
+		rx.Recv(dst, 8*cost.KB, func() { tx.Send(dst, 8*cost.KB, func() {}) })
 	})
-	cl.S.Spawn("echo-client", func(p *sim.Proc) {
-		c := compute.Stack.Dial(p, server.Stack, "echo", 5, 5)
-		buf := compute.Buf(8 * cost.KB)
-		c.Send(p, buf, 8*cost.KB)
-		c.Recv(p, buf, 8*cost.KB)
-		echoed = true
+	client := cl.S.NewTask("echo-client")
+	client.Start(func() {
+		compute.Stack.Dial(client, server.Stack, "echo", 5, 5, func(c *tcp.Conn) {
+			buf := compute.Buf(8 * cost.KB)
+			tx, rx := tcp.NewSender(c, client), tcp.NewReceiver(c, client)
+			tx.Send(buf, 8*cost.KB, func() {
+				rx.Recv(buf, 8*cost.KB, func() { echoed = true })
+			})
+		})
 	})
 	cl.S.Run()
 	if !readDone || !echoed {
@@ -130,11 +133,7 @@ func TestFeatureMatrix(t *testing.T) {
 		ca, cb := tcp.Pair(a.Stack, b.Stack, 0, 0)
 		src, dst := a.Buf(64*cost.KB), b.Buf(64*cost.KB)
 		okc := false
-		cl.S.Spawn("tx", func(p *sim.Proc) { ca.Send(p, src, 4*cost.MB) })
-		cl.S.Spawn("rx", func(p *sim.Proc) {
-			cb.Recv(p, dst, 4*cost.MB)
-			okc = true
-		})
+		transfer(cl.S, ca, cb, src, dst, 4*cost.MB, func() { okc = true })
 		cl.S.Run()
 		if !okc {
 			t.Fatalf("feature set %+v failed to deliver", f)
@@ -145,4 +144,13 @@ func TestFeatureMatrix(t *testing.T) {
 		t.Fatalf("full I/OAT (%v) not below non-I/OAT (%v)",
 			busies[len(busies)-1], busies[0])
 	}
+}
+
+// transfer starts one n-byte transfer from ca to cb, each side on a task
+// of its own; done runs when the receiver has it all.
+func transfer(s *sim.Simulator, ca, cb *tcp.Conn, src, dst mem.Buffer, n int, done func()) {
+	tx := tcp.NewSender(ca, s.NewTask("tx"))
+	rx := tcp.NewReceiver(cb, s.NewTask("rx"))
+	tx.Task().Start(func() { tx.Send(src, n, func() {}) })
+	rx.Task().Start(func() { rx.Recv(dst, n, done) })
 }

@@ -75,18 +75,21 @@ func AblPin(cfg Config) *Result {
 		cl, node, _ := host.Testbed1(p, ioat.Linux(), cfg.Seed, cfg.hostOpts()...)
 		defer cl.Close()
 		var r pinRow
-		cl.S.Spawn("ablpin", func(pr *sim.Proc) {
+		t := cl.S.NewTask("ablpin")
+		t.Start(func() {
 			size := 64 * cost.KB
 			src := node.Buf(size)
 			dst := node.Buf(size)
-			r.CPUCopy = node.Copier.CopySync(pr, src.Addr, dst.Addr, size)
-			// Fresh buffers every time: pins never amortize.
-			s2 := node.Buf(size)
-			d2 := node.Buf(size)
-			busy0 := node.CPU.BusyTime()
-			done := node.Copier.Start(pr, s2.Addr, d2.Addr, size)
-			r.DMACPU = node.CPU.BusyTime() - busy0
-			done.Wait(pr)
+			r.CPUCopy = node.Copier.CopySync(t, src.Addr, dst.Addr, size, func() {
+				// Fresh buffers every time: pins never amortize.
+				s2 := node.Buf(size)
+				d2 := node.Buf(size)
+				busy0 := node.CPU.BusyTime()
+				node.Copier.Start(t, s2.Addr, d2.Addr, size, func(done *sim.Completion) {
+					r.DMACPU = node.CPU.BusyTime() - busy0
+					done.WaitThen(t, func() {})
+				})
+			})
 		})
 		cl.S.Run()
 		cl.MustVerify()

@@ -62,16 +62,14 @@ func ExtIPC(cfg Config) *Result {
 			ch.Mode = mode
 			src := n.Buf(size)
 			dst := n.Buf(size)
-			cl.S.Spawn("producer", func(p *sim.Proc) {
-				for {
-					ch.Send(p, src, size)
-				}
-			})
-			cl.S.Spawn("consumer", func(p *sim.Proc) {
-				for {
-					ch.Recv(p, dst)
-				}
-			})
+			producer := cl.S.NewTask("producer")
+			var send func()
+			send = func() { ch.Send(producer, src, size, send) }
+			producer.Start(send)
+			consumer := cl.S.NewTask("consumer")
+			var recv func(int)
+			recv = func(int) { ch.Recv(consumer, dst, recv) }
+			consumer.Start(func() { recv(0) })
 			meas := cfg.duration(20 * time.Millisecond)
 			cl.S.RunUntil(sim.Time(meas / 4))
 			cl.ResetMeters()

@@ -24,33 +24,43 @@ func fig6Point(cfg Config, size int) fig6Row {
 	cl, node, _ := host.Testbed1(cfg.params(), ioat.Linux(), cfg.Seed, cfg.hostOpts()...)
 	defer cl.Close()
 	row := fig6Row{Size: size}
-	cl.S.Spawn("fig6", func(p *sim.Proc) {
+	t := cl.S.NewTask("fig6")
+	cpu, copier := node.CPU, node.Copier
+	var copyCache, copyNoCache, dmaCopy func()
+	copyCache = func() {
 		// copy-cache: warm both buffers first.
 		src := node.Buf(size)
 		dst := node.Buf(size)
-		node.CPU.Exec(p, node.Mem.TouchCost(src.Addr, size))
-		node.CPU.Exec(p, node.Mem.TouchCost(dst.Addr, size))
-		row.Cached = node.Copier.CopySync(p, src.Addr, dst.Addr, size)
-
+		cpu.ExecThen(t, node.Mem.TouchCost(src.Addr, size), func() {
+			cpu.ExecThen(t, node.Mem.TouchCost(dst.Addr, size), func() {
+				row.Cached = copier.CopySync(t, src.Addr, dst.Addr, size, copyNoCache)
+			})
+		})
+	}
+	copyNoCache = func() {
 		// copy-nocache: fresh, never-touched buffers.
 		csrc := node.Buf(size)
 		cdst := node.Buf(size)
-		row.Uncached = node.Copier.CopySync(p, csrc.Addr, cdst.Addr, size)
-
+		row.Uncached = copier.CopySync(t, csrc.Addr, cdst.Addr, size, dmaCopy)
+	}
+	dmaCopy = func() {
 		// DMA copy: CPU-visible setup, engine transfer. A warm-up
 		// round registers (pins) the buffers, as a steady-state
 		// application would; the measured round pays descriptor
 		// setup only.
 		dsrc := node.Buf(size)
 		ddst := node.Buf(size)
-		node.Copier.Start(p, dsrc.Addr, ddst.Addr, size).Wait(p)
-		start := p.Now()
-		busy0 := node.CPU.BusyTime()
-		done := node.Copier.Start(p, dsrc.Addr, ddst.Addr, size)
-		row.DMACPU = node.CPU.BusyTime() - busy0
-		done.Wait(p)
-		row.DMATotal = p.Now().Sub(start)
-	})
+		copier.Start(t, dsrc.Addr, ddst.Addr, size, func(warm *sim.Completion) {
+			warm.WaitThen(t, func() {
+				start, busy0 := t.Now(), cpu.BusyTime()
+				copier.Start(t, dsrc.Addr, ddst.Addr, size, func(done *sim.Completion) {
+					row.DMACPU = cpu.BusyTime() - busy0
+					done.WaitThen(t, func() { row.DMATotal = t.Now().Sub(start) })
+				})
+			})
+		})
+	}
+	t.Start(copyCache)
 	cl.S.Run()
 	cl.MustVerify()
 	return row

@@ -20,11 +20,11 @@ func waitGoroutines(want int) int {
 }
 
 // TestRepeatedRunsLeaveNothing runs figures whose simulations end with
-// processes still parked (data-center accept loops, PVFS clients, IPC
+// tasks still waiting (data-center accept loops, PVFS clients, IPC
 // producers) several times in one process, as a sweep or the daemon
-// does. Every cluster is closed, so each run must leave no goroutine
-// behind and the live heap must stay near its size after the first run.
-// Without Close, eight fig8a runs left 514 MB and 160 goroutines.
+// does. A simulation starts no goroutines and every cluster is closed,
+// so each run must leave no goroutine behind and the live heap must
+// stay near its size after the first run.
 func TestRepeatedRunsLeaveNothing(t *testing.T) {
 	const slack = 4 << 20 // bytes of heap growth tolerated after the first run
 	runs := 4

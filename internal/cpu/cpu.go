@@ -5,8 +5,8 @@
 //
 // Work can be submitted asynchronously (Submit/SubmitOn — used by the
 // interrupt/softirq receive path, which the paper pins to one core) or
-// synchronously from a simulation process (Exec — used by application
-// threads).
+// charged to a simulation task that waits for it (ExecTask — used by
+// application threads).
 package cpu
 
 import (
@@ -160,26 +160,23 @@ func (c *CPU) Backlog(i int) time.Duration {
 	return c.cores[i].nextFree.Sub(now)
 }
 
-// Exec blocks the calling process while d of work executes on the
-// least-loaded core.
-func (c *CPU) Exec(p *sim.Proc, d time.Duration) {
-	end := c.enqueue(c.pick(), d, trace.SiteApp)
-	if wait := end.Sub(p.Now()); wait > 0 {
-		p.Sleep(wait)
-	}
-}
-
-// ExecTask is the continuation-passing form of Exec: it enqueues d of
-// work on the least-loaded core for task t and returns false if the work
-// completes at the current instant (the caller continues inline, exactly
-// as Exec returns without sleeping). Otherwise it installs cont as t's
-// continuation, schedules t's wake at the completion time — the same
-// single event a blocked Proc's Sleep would push — and returns true: the
-// caller must suspend.
+// ExecTask enqueues d of work on the least-loaded core for task t and
+// returns false if the work completes at the current instant: the caller
+// continues inline. Otherwise it installs cont as t's continuation,
+// schedules t's wake at the completion time (one event) and returns
+// true: the caller must suspend.
 //
 //ioat:hotpath
 func (c *CPU) ExecTask(t *sim.Task, cont func(), d time.Duration) bool {
 	return c.ExecTaskOnSite(t, cont, c.pick(), trace.SiteApp, d)
+}
+
+// ExecThen is ExecTask for code off the hot path: next runs once the
+// work completes, inline if it completes at once.
+func (c *CPU) ExecThen(t *sim.Task, d time.Duration, next func()) {
+	if !c.ExecTask(t, next, d) {
+		next()
+	}
 }
 
 // ExecTaskSite is ExecTask with an explicit attribution site.

@@ -67,16 +67,22 @@ func TestSubmitOnPinsCore(t *testing.T) {
 	}
 }
 
+// TestExecBlocksProcess: ExecTask suspends the task until its work
+// completes, and lets work that completes at once continue inline,
+// pushing nothing.
 func TestExecBlocksProcess(t *testing.T) {
 	s, c := newCPU(1)
+	task := s.NewTask("w")
 	var after sim.Time = -1
-	s.Spawn("w", func(p *sim.Proc) {
-		c.Exec(p, 250*time.Nanosecond)
-		after = p.Now()
-	})
+	if !c.ExecTask(task, func() { after = s.Now() }, 250*time.Nanosecond) {
+		t.Fatal("ExecTask of 250ns of work did not suspend")
+	}
 	s.Run()
 	if after != 250 {
 		t.Fatalf("after = %v, want 250", after)
+	}
+	if c.ExecTask(task, func() { t.Error("zero work suspended") }, 0) || s.Pending() != 0 {
+		t.Fatalf("ExecTask of zero work suspended or pushed %d events", s.Pending())
 	}
 }
 
@@ -84,10 +90,7 @@ func TestExecContendsWithSubmit(t *testing.T) {
 	s, c := newCPU(1)
 	c.Submit(100*time.Nanosecond, nil)
 	var after sim.Time = -1
-	s.Spawn("w", func(p *sim.Proc) {
-		c.Exec(p, 50*time.Nanosecond)
-		after = p.Now()
-	})
+	c.ExecThen(s.NewTask("w"), 50*time.Nanosecond, func() { after = s.Now() })
 	s.Run()
 	if after != 150 {
 		t.Fatalf("after = %v, want 150 (queued behind submit)", after)

@@ -1,19 +1,11 @@
 package datacenter
 
-// Continuation state machines for the steady-state serve/receive loops:
-// every worker that used to be a blocking goroutine process is a small
-// event-driven state machine on sim.Task, so a request's whole lifetime
-// runs on the event-loop goroutine with zero channel handoffs. Cold
-// paths — accept loops and connection setup (Dial) — stay on the
-// blocking Proc API; a setup proc hands off by running its worker's
-// machine synchronously to the first suspension and returning.
-//
-// Every machine performs exactly the CPU charges, sends and receives of
-// the blocking worker it replaces, at the same code points, so the event
-// schedule (and therefore every table) is byte-identical. All
-// continuations are bound once at construction; the per-request loop
-// allocates only what the blocking loop allocated (the boxed message
-// metadata).
+// The tiers' workers as continuation state machines on sim.Task: the
+// web, proxy, forwarding, client, emulated-client, database and
+// application workers. A worker that needs a backend connection dials it
+// on its own task first (tcp.Stack.Dial), then enters its request loop.
+// All continuations are bound once at construction; the per-request loop
+// allocates only the boxed message metadata.
 
 import (
 	"ioatsim/internal/host"
@@ -38,9 +30,8 @@ type webWorker struct {
 	stepLoop   func()
 }
 
-// startWebWorker schedules the worker's first step as the one event the
-// old Spawn scheduled; the connection is wrapped when that event runs,
-// exactly when the worker proc used to start.
+// startWebWorker starts the worker on a new task (one event); the
+// connection is wrapped when that event runs.
 func startWebWorker(web *Tier, conn *tcp.Conn, name string) {
 	w := &webWorker{web: web, task: web.Node.S.NewTask(name)}
 	w.stepGotReq = w.gotReq
@@ -96,25 +87,31 @@ type proxyWorker struct {
 	stepLoop    func()
 }
 
-// startProxyWorker runs on the dying setup proc (which dialed the
-// backend) and enters the machine synchronously.
-func startProxyWorker(p *sim.Proc, idx int, proxy, web *Tier, cache *contentCache,
-	client *msg.Conn, o Options) {
-	backend := msg.Wrap(proxy.Node.Stack.Dial(p, web.Node.Stack, "http", idx%6, idx%6))
-	w := &proxyWorker{
-		proxy: proxy, cache: cache,
-		task: proxy.Node.S.NewTask(p.Name()),
-		buf:  proxy.Node.Buf(o.FileSize + httpm.RequestBytes),
-	}
-	w.client = msg.NewAsync(client, w.task)
-	w.backend = msg.NewAsync(backend, w.task)
-	w.stepGotReq = w.gotReq
-	w.stepRoute = w.route
-	w.stepReqSent = w.reqSent
-	w.stepGotResp = w.gotResp
-	w.stepRespond = w.respond
-	w.stepLoop = w.loop
-	w.loop()
+// startProxyWorker starts the worker on a new task (one event), which
+// dials the worker's backend connection to the web tier, then enters the
+// request loop.
+func startProxyWorker(name string, idx int, proxy, web *Tier, cache *contentCache,
+	conn *tcp.Conn, o Options) {
+	t := proxy.Node.S.NewTask(name)
+	t.Start(func() {
+		client := msg.Wrap(conn)
+		proxy.Node.Stack.Dial(t, web.Node.Stack, "http", idx%6, idx%6, func(bc *tcp.Conn) {
+			backend := msg.Wrap(bc)
+			w := &proxyWorker{
+				proxy: proxy, cache: cache, task: t,
+				buf: proxy.Node.Buf(o.FileSize + httpm.RequestBytes),
+			}
+			w.client = msg.NewAsync(client, t)
+			w.backend = msg.NewAsync(backend, t)
+			w.stepGotReq = w.gotReq
+			w.stepRoute = w.route
+			w.stepReqSent = w.reqSent
+			w.stepGotResp = w.gotResp
+			w.stepRespond = w.respond
+			w.stepLoop = w.loop
+			w.loop()
+		})
+	})
 }
 
 func (w *proxyWorker) loop() { w.client.Recv(mem.Buffer{}, w.stepGotReq) }
@@ -181,16 +178,27 @@ type fwdWorker struct {
 	stepLoop    func()
 }
 
-func startFwdWorker(task *sim.Task, proxy *Tier, client, backend *msg.Conn, buf mem.Buffer) {
-	w := &fwdWorker{proxy: proxy, task: task, buf: buf}
-	w.client = msg.NewAsync(client, task)
-	w.backend = msg.NewAsync(backend, task)
-	w.stepGotReq = w.gotReq
-	w.stepForward = w.forward
-	w.stepReqSent = w.reqSent
-	w.stepGotResp = w.gotResp
-	w.stepLoop = w.loop
-	w.loop()
+// startFwdWorker starts the worker on a new task (one event), which
+// dials the worker's backend connection to the application tier, then
+// enters the request loop.
+func startFwdWorker(name string, idx int, proxy *Tier, appNode *host.Node,
+	conn *tcp.Conn, o ThreeTierOptions) {
+	t := proxy.Node.S.NewTask(name)
+	t.Start(func() {
+		proxy.Node.Stack.Dial(t, appNode.Stack, "app", idx%6, idx%6, func(bc *tcp.Conn) {
+			backend := msg.Wrap(bc)
+			w := &fwdWorker{proxy: proxy, task: t,
+				buf: proxy.Node.Buf(o.ResponseBytes + httpm.RequestBytes)}
+			w.client = msg.NewAsync(msg.Wrap(conn), t)
+			w.backend = msg.NewAsync(backend, t)
+			w.stepGotReq = w.gotReq
+			w.stepForward = w.forward
+			w.stepReqSent = w.reqSent
+			w.stepGotResp = w.gotResp
+			w.stepLoop = w.loop
+			w.loop()
+		})
+	})
 }
 
 func (w *fwdWorker) loop() { w.client.Recv(mem.Buffer{}, w.stepGotReq) }
@@ -378,26 +386,31 @@ type appWorker struct {
 	stepLoop      func()
 }
 
-// startAppWorker runs on the dying setup proc (which dialed the
-// database) and enters the machine synchronously.
-func startAppWorker(p *sim.Proc, idx int, app *Tier, db *host.Node,
-	client *msg.Conn, o ThreeTierOptions) {
-	dbConn := msg.Wrap(app.Node.Stack.Dial(p, db.Stack, "db", idx%6, idx%6))
-	w := &appWorker{
-		idx: idx, app: app, o: o,
-		task: app.Node.S.NewTask(p.Name()),
-		page: app.Node.Buf(o.ResponseBytes),
-		rows: app.Node.Buf(DBRecordBytes),
-	}
-	w.client = msg.NewAsync(client, w.task)
-	w.db = msg.NewAsync(dbConn, w.task)
-	w.stepGotReq = w.gotReq
-	w.stepQueries = w.startQueries
-	w.stepQuerySent = w.querySent
-	w.stepGotRow = w.gotRow
-	w.stepRespond = w.respond
-	w.stepLoop = w.loop
-	w.loop()
+// startAppWorker starts the worker on a new task (one event), which
+// dials the worker's database connection, then enters the request loop.
+func startAppWorker(name string, idx int, app *Tier, db *host.Node,
+	conn *tcp.Conn, o ThreeTierOptions) {
+	t := app.Node.S.NewTask(name)
+	t.Start(func() {
+		client := msg.Wrap(conn)
+		app.Node.Stack.Dial(t, db.Stack, "db", idx%6, idx%6, func(dc *tcp.Conn) {
+			dbConn := msg.Wrap(dc)
+			w := &appWorker{
+				idx: idx, app: app, o: o, task: t,
+				page: app.Node.Buf(o.ResponseBytes),
+				rows: app.Node.Buf(DBRecordBytes),
+			}
+			w.client = msg.NewAsync(client, t)
+			w.db = msg.NewAsync(dbConn, t)
+			w.stepGotReq = w.gotReq
+			w.stepQueries = w.startQueries
+			w.stepQuerySent = w.querySent
+			w.stepGotRow = w.gotRow
+			w.stepRespond = w.respond
+			w.stepLoop = w.loop
+			w.loop()
+		})
+	})
 }
 
 func (w *appWorker) loop() { w.client.Recv(mem.Buffer{}, w.stepGotReq) }

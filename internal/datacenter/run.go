@@ -7,6 +7,7 @@ import (
 	"ioatsim/internal/ioat"
 	"ioatsim/internal/msg"
 	"ioatsim/internal/sim"
+	"ioatsim/internal/tcp"
 	"ioatsim/internal/workload"
 )
 
@@ -60,17 +61,14 @@ func RunEmulated(o Options, threads int) Metrics {
 
 	var completed int64
 	for t := 0; t < threads; t++ {
-		t := t
 		trace := newTrace(cl, catalog, o)
 		clientNode.CPU.RegisterThread()
-		cl.S.Spawn(fmt.Sprintf("emu%d", t), func(p *sim.Proc) {
-			// Cold path: dial on the setup proc, then hand the loop to a
-			// continuation state machine (async.go) and let the proc die.
-			conn := clientNode.Stack.Dial(p, webNode.Stack, "http", t%6, t%6)
-			mc := msg.Wrap(conn)
-			dst := clientNode.Buf(o.FileSize)
-			startEmuWorker(cl.S.NewTask(p.Name()), clientNode, clientTier,
-				mc, trace, dst, &completed)
+		task := cl.S.NewTask(fmt.Sprintf("emu%d", t))
+		task.Start(func() {
+			clientNode.Stack.Dial(task, webNode.Stack, "http", t%6, t%6, func(conn *tcp.Conn) {
+				startEmuWorker(task, clientNode, clientTier, msg.Wrap(conn),
+					trace, clientNode.Buf(o.FileSize), &completed)
+			})
 		})
 	}
 	return measure(cl, o, &completed, nil, web, clientTier)
@@ -95,45 +93,33 @@ func newTrace(cl *host.Cluster, catalog *workload.Catalog, o Options) workload.T
 }
 
 // startWebTier runs the web server's accept loop; each connection gets a
-// dedicated worker (the Apache worker model) running as a continuation
-// state machine — startWebWorker schedules the same single start event
-// the old per-connection Spawn did.
+// dedicated worker (the Apache worker model).
 func startWebTier(web *Tier) {
-	l := web.Node.Stack.Listen("http")
-	web.Node.S.Spawn("web-accept", func(p *sim.Proc) {
-		for i := 0; ; i++ {
-			conn := l.Accept(p)
-			web.Node.CPU.RegisterThread()
-			startWebWorker(web, conn, fmt.Sprintf("web-worker%d", i))
-		}
+	web.Node.Stack.Listen("http").Serve("web-accept", func(i int, conn *tcp.Conn) {
+		web.Node.CPU.RegisterThread()
+		startWebWorker(web, conn, fmt.Sprintf("web-worker%d", i))
 	})
 }
 
 // startProxyTier runs the proxy's accept loop; each client connection
 // gets a worker holding a persistent backend connection to the web tier.
 func startProxyTier(proxy, web *Tier, cache *contentCache, o Options) {
-	l := proxy.Node.Stack.Listen("http")
-	proxy.Node.S.Spawn("proxy-accept", func(p *sim.Proc) {
-		for i := 0; ; i++ {
-			conn := l.Accept(p)
-			proxy.Node.CPU.RegisterThread()
-			i := i
-			proxy.Node.S.Spawn(fmt.Sprintf("proxy-worker%d", i), func(wp *sim.Proc) {
-				startProxyWorker(wp, i, proxy, web, cache, msg.Wrap(conn), o)
-			})
-		}
+	proxy.Node.Stack.Listen("http").Serve("proxy-accept", func(i int, conn *tcp.Conn) {
+		proxy.Node.CPU.RegisterThread()
+		startProxyWorker(fmt.Sprintf("proxy-worker%d", i), i, proxy, web, cache, conn, o)
 	})
 }
 
-// launchClient starts one closed-loop client thread on a client node.
+// launchClient starts one closed-loop client thread on a client node:
+// it dials the server, then runs the request loop on the same task.
 func launchClient(node, server *host.Node, port int, name string,
 	trace workload.Trace, fileSize int, completed *int64) {
 	node.CPU.RegisterThread()
-	node.S.Spawn(name, func(p *sim.Proc) {
-		conn := node.Stack.Dial(p, server.Stack, "http", 0, port)
-		mc := msg.Wrap(conn)
-		dst := node.Buf(fileSize)
-		startClientWorker(node.S.NewTask(p.Name()), mc, trace, dst, completed)
+	t := node.S.NewTask(name)
+	t.Start(func() {
+		node.Stack.Dial(t, server.Stack, "http", 0, port, func(conn *tcp.Conn) {
+			startClientWorker(t, msg.Wrap(conn), trace, node.Buf(fileSize), completed)
+		})
 	})
 }
 

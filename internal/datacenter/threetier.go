@@ -6,11 +6,10 @@ import (
 
 	"ioatsim/internal/cost"
 	"ioatsim/internal/host"
-	"ioatsim/internal/httpm"
 	"ioatsim/internal/ioat"
 	"ioatsim/internal/mem"
-	"ioatsim/internal/msg"
 	"ioatsim/internal/sim"
+	"ioatsim/internal/tcp"
 )
 
 // The paper's §5.1 names three workload classes and evaluates two; this
@@ -76,13 +75,9 @@ type dbTier struct {
 // and returns DBRecordBytes.
 func startDBTier(n *host.Node) *dbTier {
 	db := &dbTier{node: n, table: n.Mem.Space.Alloc(DBTableBytes, 0)}
-	l := n.Stack.Listen("db")
-	n.S.Spawn("db-accept", func(p *sim.Proc) {
-		for i := 0; ; i++ {
-			conn := l.Accept(p)
-			n.CPU.RegisterThread()
-			startDBWorker(db, conn, fmt.Sprintf("db-worker%d", i))
-		}
+	n.Stack.Listen("db").Serve("db-accept", func(i int, conn *tcp.Conn) {
+		n.CPU.RegisterThread()
+		startDBWorker(db, conn, fmt.Sprintf("db-worker%d", i))
 	})
 	return db
 }
@@ -90,16 +85,9 @@ func startDBTier(n *host.Node) *dbTier {
 // startAppTier runs the application servers: per-connection workers that
 // execute the script, fan queries to the database and render the page.
 func startAppTier(app *Tier, db *host.Node, o ThreeTierOptions) {
-	l := app.Node.Stack.Listen("app")
-	app.Node.S.Spawn("app-accept", func(p *sim.Proc) {
-		for i := 0; ; i++ {
-			conn := l.Accept(p)
-			app.Node.CPU.RegisterThread()
-			i := i
-			app.Node.S.Spawn(fmt.Sprintf("app-worker%d", i), func(wp *sim.Proc) {
-				startAppWorker(wp, i, app, db, msg.Wrap(conn), o)
-			})
-		}
+	app.Node.Stack.Listen("app").Serve("app-accept", func(i int, conn *tcp.Conn) {
+		app.Node.CPU.RegisterThread()
+		startAppWorker(fmt.Sprintf("app-worker%d", i), i, app, db, conn, o)
 	})
 }
 
@@ -122,19 +110,9 @@ func RunThreeTier(o ThreeTierOptions) ThreeTierMetrics {
 
 	// The proxy forwards every request to the app tier (dynamic content
 	// is uncacheable).
-	l := proxyNode.Stack.Listen("http")
-	proxyNode.S.Spawn("proxy-accept", func(p *sim.Proc) {
-		for i := 0; ; i++ {
-			conn := l.Accept(p)
-			proxyNode.CPU.RegisterThread()
-			i := i
-			proxyNode.S.Spawn(fmt.Sprintf("proxy-worker%d", i), func(wp *sim.Proc) {
-				backend := msg.Wrap(proxyNode.Stack.Dial(wp, appNode.Stack, "app", i%6, i%6))
-				buf := proxyNode.Buf(o.ResponseBytes + httpm.RequestBytes)
-				client := msg.Wrap(conn)
-				startFwdWorker(proxyNode.S.NewTask(wp.Name()), proxy, client, backend, buf)
-			})
-		}
+	proxyNode.Stack.Listen("http").Serve("proxy-accept", func(i int, conn *tcp.Conn) {
+		proxyNode.CPU.RegisterThread()
+		startFwdWorker(fmt.Sprintf("proxy-worker%d", i), i, proxy, appNode, conn, o)
 	})
 
 	var completed int64

@@ -23,10 +23,7 @@ func TestTransferTiming(t *testing.T) {
 	dst := m.Space.Alloc(64*cost.KB, 0)
 	done := e.Submit(src.Addr, dst.Addr, 64*cost.KB)
 	var doneAt sim.Time = -1
-	s.Spawn("w", func(p *sim.Proc) {
-		done.Wait(p)
-		doneAt = p.Now()
-	})
+	done.WaitThen(s.NewTask("w"), func() { doneAt = s.Now() })
 	s.Run()
 	want := e.TransferTime(64 * cost.KB)
 	if doneAt != sim.Time(want) {
@@ -44,10 +41,7 @@ func TestEngineSerializes(t *testing.T) {
 	var ends []sim.Time
 	for i := 0; i < 3; i++ {
 		done := e.Submit(buf.Addr, buf.Addr+512*1024, 64*cost.KB)
-		s.Spawn("w", func(p *sim.Proc) {
-			done.Wait(p)
-			ends = append(ends, p.Now())
-		})
+		done.WaitThen(s.NewTask("w"), func() { ends = append(ends, s.Now()) })
 	}
 	s.Run()
 	one := sim.Time(e.TransferTime(64 * cost.KB))

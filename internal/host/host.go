@@ -242,12 +242,13 @@ func (c *Cluster) MustVerify() {
 	}
 }
 
-// Close ends a finished simulation: it ends every process still parked
-// (sim.Simulator.Close) and hands each node's cache state back for the
-// next cluster to reuse (mem.Cache.Release). Every harness that builds
-// a cluster defers it right after building, so it runs after
-// MustVerify, whose final cache audit needs the live state. The
-// cluster can no longer run afterwards; closing twice does nothing.
+// Close ends a finished simulation: it closes the simulator, so no
+// pending event runs afterwards (sim.Simulator.Close), and hands each
+// node's cache state back for the next cluster to reuse
+// (mem.Cache.Release). Every harness that builds a cluster defers it
+// right after building, so it runs after MustVerify, whose final cache
+// audit needs the live state. The cluster can no longer run afterwards;
+// closing twice does nothing.
 func (c *Cluster) Close() {
 	c.S.Close()
 	for _, n := range c.Nodes {

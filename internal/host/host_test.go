@@ -7,6 +7,7 @@ import (
 
 	"ioatsim/internal/cost"
 	"ioatsim/internal/ioat"
+	"ioatsim/internal/mem"
 	"ioatsim/internal/sim"
 	"ioatsim/internal/tcp"
 )
@@ -61,11 +62,7 @@ func TestEndToEndTransferAcrossCluster(t *testing.T) {
 	ca, cb := tcp.Pair(a.Stack, b.Stack, 0, 0)
 	src, dst := a.Buf(64*cost.KB), b.Buf(64*cost.KB)
 	var done sim.Time
-	c.S.Spawn("tx", func(p *sim.Proc) { ca.Send(p, src, cost.MB) })
-	c.S.Spawn("rx", func(p *sim.Proc) {
-		cb.Recv(p, dst, cost.MB)
-		done = p.Now()
-	})
+	transfer(c.S, ca, cb, src, dst, cost.MB, cost.MB, func() { done = c.S.Now() })
 	c.S.Run()
 	if done <= 0 {
 		t.Fatal("transfer did not complete")
@@ -80,8 +77,7 @@ func TestResetMetersClearsUtilization(t *testing.T) {
 	c, a, b := Testbed1(cost.Default(), ioat.None(), 1)
 	ca, cb := tcp.Pair(a.Stack, b.Stack, 0, 0)
 	src, dst := a.Buf(64*cost.KB), b.Buf(64*cost.KB)
-	c.S.Spawn("tx", func(p *sim.Proc) { ca.Send(p, src, cost.MB) })
-	c.S.Spawn("rx", func(p *sim.Proc) { cb.Recv(p, dst, cost.MB) })
+	transfer(c.S, ca, cb, src, dst, cost.MB, cost.MB, func() {})
 	c.S.Run()
 	if b.CPU.Utilization() <= 0 {
 		t.Fatal("expected nonzero utilization after transfer")
@@ -94,16 +90,16 @@ func TestResetMetersClearsUtilization(t *testing.T) {
 	}
 }
 
-// TestClusterClose: Close ends the processes still parked in a transfer
+// TestClusterClose: Close, with a receive still waiting in a transfer
 // that can never finish, releases every node's cache, leaves the
-// simulator unable to run, and does nothing the second time.
+// simulator unable to run, leaves no goroutine behind, and does nothing
+// the second time.
 func TestClusterClose(t *testing.T) {
 	base := runtime.NumGoroutine()
 	c, a, b := Testbed1(cost.Default(), ioat.Linux(), 1)
 	ca, cb := tcp.Pair(a.Stack, b.Stack, 0, 0)
 	src, dst := a.Buf(64*cost.KB), b.Buf(64*cost.KB)
-	c.S.Spawn("tx", func(p *sim.Proc) { ca.Send(p, src, 64*cost.KB) })
-	c.S.Spawn("rx", func(p *sim.Proc) { cb.Recv(p, dst, cost.MB) }) // waits for bytes never sent
+	transfer(c.S, ca, cb, src, dst, 64*cost.KB, cost.MB, func() {}) // waits for bytes never sent
 	c.S.RunUntil(sim.Time(time.Second))
 	c.Close()
 	c.Close()
@@ -128,4 +124,14 @@ func TestClusterClose(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after Close, %d before the cluster", n, base)
 	}
+}
+
+// transfer starts a send of sent bytes from ca and a receive of want
+// bytes on cb, each on a task of its own; done runs once the receive
+// completes.
+func transfer(s *sim.Simulator, ca, cb *tcp.Conn, src, dst mem.Buffer, sent, want int, done func()) {
+	tx := tcp.NewSender(ca, s.NewTask("tx"))
+	rx := tcp.NewReceiver(cb, s.NewTask("rx"))
+	tx.Task().Start(func() { tx.Send(src, sent, func() {}) })
+	rx.Task().Start(func() { rx.Recv(dst, want, done) })
 }

@@ -100,22 +100,23 @@ func (c *Copier) pinCost(addr mem.Addr, n int) time.Duration {
 // re-pin (the paper §7's caveat scenario).
 func (c *Copier) FlushPins() { c.pinned = make(map[mem.Addr]int) }
 
-// Start begins an asynchronous copy of n bytes from src to dst. The
-// calling process is blocked only for the CPU setup portion (page
-// pinning on first use + descriptor programming); the returned
-// completion fires when the engine has moved the data. Between Start and
-// Wait the caller's CPU is free — that is the point of the engine.
-func (c *Copier) Start(p *sim.Proc, src, dst mem.Addr, n int) *sim.Completion {
+// Start begins an asynchronous copy of n bytes from src to dst on behalf
+// of task t. The task is charged only the CPU setup portion (page
+// pinning on first use + descriptor programming); done then receives the
+// completion that fires when the engine has moved the data. Between
+// done and the completion the task's CPU is free — that is the point of
+// the engine.
+func (c *Copier) Start(t *sim.Task, src, dst mem.Addr, n int, done func(*sim.Completion)) {
 	setup := c.Engine.SetupCost(n) + c.pinCost(src, n) + c.pinCost(dst, n)
-	c.CPU.Exec(p, setup)
-	return c.Engine.Submit(src, dst, n)
+	c.CPU.ExecThen(t, setup, func() { done(c.Engine.Submit(src, dst, n)) })
 }
 
-// CopySync performs a blocking CPU memcpy through the cache, for
-// comparison with Start (the paper's Fig. 6 copy-cache / copy-nocache
-// bars).
-func (c *Copier) CopySync(p *sim.Proc, src, dst mem.Addr, n int) time.Duration {
+// CopySync performs a CPU memcpy through the cache, charged to task t,
+// for comparison with Start (the paper's Fig. 6 copy-cache /
+// copy-nocache bars). It returns the copy's CPU time, priced at the call,
+// and runs next once the copy completes.
+func (c *Copier) CopySync(t *sim.Task, src, dst mem.Addr, n int, next func()) time.Duration {
 	d := c.Mem.CopyCost(src, dst, n)
-	c.CPU.Exec(p, d)
+	c.CPU.ExecThen(t, d, next)
 	return d
 }

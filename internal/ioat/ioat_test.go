@@ -49,14 +49,16 @@ func TestAsyncCopyOverlap(t *testing.T) {
 	src := c.Mem.Space.Alloc(64*cost.KB, 0)
 	dst := c.Mem.Space.Alloc(64*cost.KB, 0)
 	var setupDone, copyDone, computeDone sim.Time
-	s.Spawn("app", func(p *sim.Proc) {
-		done := c.Start(p, src.Addr, dst.Addr, 64*cost.KB)
-		setupDone = p.Now()
-		// Overlap: compute while the engine copies.
-		c.CPU.Exec(p, 20*time.Microsecond)
-		computeDone = p.Now()
-		done.Wait(p)
-		copyDone = p.Now()
+	app := s.NewTask("app")
+	app.Start(func() {
+		c.Start(app, src.Addr, dst.Addr, 64*cost.KB, func(done *sim.Completion) {
+			setupDone = s.Now()
+			// Overlap: compute while the engine copies.
+			c.CPU.ExecThen(app, 20*time.Microsecond, func() {
+				computeDone = s.Now()
+				done.WaitThen(app, func() { copyDone = s.Now() })
+			})
+		})
 	})
 	s.Run()
 	if setupDone >= sim.Time(10*time.Microsecond) {
@@ -77,9 +79,9 @@ func TestSyncCopyBlocksCaller(t *testing.T) {
 	src := c.Mem.Space.Alloc(64*cost.KB, 0)
 	dst := c.Mem.Space.Alloc(64*cost.KB, 0)
 	var elapsed sim.Time
-	s.Spawn("app", func(p *sim.Proc) {
-		c.CopySync(p, src.Addr, dst.Addr, 64*cost.KB)
-		elapsed = p.Now()
+	app := s.NewTask("app")
+	app.Start(func() {
+		c.CopySync(app, src.Addr, dst.Addr, 64*cost.KB, func() { elapsed = s.Now() })
 	})
 	s.Run()
 	// Cold 64K copy is ~43 us of CPU time, all blocking.
@@ -95,20 +97,24 @@ func TestAsyncBeatsSyncForLargeColdCopies(t *testing.T) {
 	src := c.Mem.Space.Alloc(64*cost.KB, 0)
 	dst := c.Mem.Space.Alloc(64*cost.KB, 0)
 	var cpuBusyAsync time.Duration
-	s.Spawn("app", func(p *sim.Proc) {
+	app := s.NewTask("app")
+	app.Start(func() {
 		start := c.CPU.BusyTime()
-		done := c.Start(p, src.Addr, dst.Addr, 64*cost.KB)
-		cpuBusyAsync = c.CPU.BusyTime() - start
-		done.Wait(p)
+		c.Start(app, src.Addr, dst.Addr, 64*cost.KB, func(done *sim.Completion) {
+			cpuBusyAsync = c.CPU.BusyTime() - start
+			done.WaitThen(app, func() {})
+		})
 	})
 	s.Run()
 
 	s2, c2 := newNode()
 	var cpuBusySync time.Duration
-	s2.Spawn("app", func(p *sim.Proc) {
+	app2 := s2.NewTask("app")
+	app2.Start(func() {
 		start := c2.CPU.BusyTime()
-		c2.CopySync(p, src.Addr, dst.Addr, 64*cost.KB)
-		cpuBusySync = c2.CPU.BusyTime() - start
+		c2.CopySync(app2, src.Addr, dst.Addr, 64*cost.KB, func() {
+			cpuBusySync = c2.CPU.BusyTime() - start
+		})
 	})
 	s2.Run()
 
@@ -122,19 +128,24 @@ func TestPinRegistrationCache(t *testing.T) {
 	src := c.Mem.Space.Alloc(64*cost.KB, 0)
 	dst := c.Mem.Space.Alloc(64*cost.KB, 0)
 	var first, second, afterFlush time.Duration
-	s.Spawn("app", func(p *sim.Proc) {
+	app := s.NewTask("app")
+	// measure runs one copy to completion and records its CPU cost.
+	measure := func(into *time.Duration, next func()) {
 		b0 := c.CPU.BusyTime()
-		c.Start(p, src.Addr, dst.Addr, 64*cost.KB).Wait(p)
-		first = c.CPU.BusyTime() - b0
-
-		b0 = c.CPU.BusyTime()
-		c.Start(p, src.Addr, dst.Addr, 64*cost.KB).Wait(p)
-		second = c.CPU.BusyTime() - b0
-
-		c.FlushPins()
-		b0 = c.CPU.BusyTime()
-		c.Start(p, src.Addr, dst.Addr, 64*cost.KB).Wait(p)
-		afterFlush = c.CPU.BusyTime() - b0
+		c.Start(app, src.Addr, dst.Addr, 64*cost.KB, func(done *sim.Completion) {
+			done.WaitThen(app, func() {
+				*into = c.CPU.BusyTime() - b0
+				next()
+			})
+		})
+	}
+	app.Start(func() {
+		measure(&first, func() {
+			measure(&second, func() {
+				c.FlushPins()
+				measure(&afterFlush, func() {})
+			})
+		})
 	})
 	s.Run()
 	if second >= first {

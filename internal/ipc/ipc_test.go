@@ -7,6 +7,7 @@ import (
 	"ioatsim/internal/cost"
 	"ioatsim/internal/host"
 	"ioatsim/internal/ioat"
+	"ioatsim/internal/mem"
 	"ioatsim/internal/sim"
 )
 
@@ -15,22 +16,60 @@ func newNode() (*host.Cluster, *host.Node) {
 	return cl, cl.Add("n", ioat.Linux(), 1)
 }
 
+// produce starts a task that sends the messages in sizes from src in
+// turn, and runs done after the last.
+func produce(cl *host.Cluster, ch *Channel, src mem.Buffer, sizes []int, done func()) {
+	t := cl.S.NewTask("producer")
+	i := 0
+	var next func()
+	next = func() {
+		if i == len(sizes) {
+			done()
+			return
+		}
+		i++
+		ch.Send(t, src, sizes[i-1], next)
+	}
+	t.Start(next)
+}
+
+// consume starts a task that receives n messages into dst, calling got
+// with each one's size, and runs done after the last.
+func consume(cl *host.Cluster, ch *Channel, dst mem.Buffer, n int, got func(int), done func()) {
+	t := cl.S.NewTask("consumer")
+	i := 0
+	var next func(int)
+	next = func(size int) {
+		if i > 0 {
+			got(size)
+		}
+		if i == n {
+			done()
+			return
+		}
+		i++
+		ch.Recv(t, dst, next)
+	}
+	t.Start(func() { next(0) })
+}
+
+// repeat returns n copies of size.
+func repeat(size, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = size
+	}
+	return out
+}
+
 func TestDelivery(t *testing.T) {
 	cl, n := newNode()
 	ch := New(n, 64*cost.KB, 8)
 	src := n.Buf(64 * cost.KB)
 	dst := n.Buf(64 * cost.KB)
 	var got []int
-	cl.S.Spawn("producer", func(p *sim.Proc) {
-		for _, sz := range []int{100, 4 * cost.KB, 64 * cost.KB} {
-			ch.Send(p, src, sz)
-		}
-	})
-	cl.S.Spawn("consumer", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, ch.Recv(p, dst))
-		}
-	})
+	produce(cl, ch, src, []int{100, 4 * cost.KB, 64 * cost.KB}, func() {})
+	consume(cl, ch, dst, 3, func(n int) { got = append(got, n) }, func() {})
 	cl.S.Run()
 	want := []int{100, 4 * cost.KB, 64 * cost.KB}
 	for i := range want {
@@ -49,19 +88,14 @@ func TestBackpressure(t *testing.T) {
 	src := n.Buf(4 * cost.KB)
 	dst := n.Buf(4 * cost.KB)
 	var thirdSentAt, firstRecvAt sim.Time = -1, -1
-	cl.S.Spawn("producer", func(p *sim.Proc) {
-		ch.Send(p, src, 4*cost.KB)
-		ch.Send(p, src, 4*cost.KB)
-		ch.Send(p, src, 4*cost.KB) // must wait for the consumer
-		thirdSentAt = p.Now()
+	// The third send must wait for the consumer.
+	produce(cl, ch, src, repeat(4*cost.KB, 3), func() { thirdSentAt = cl.S.Now() })
+	late := cl.S.NewTask("late")
+	late.OnWake(func() {
+		firstRecvAt = cl.S.Now()
+		consume(cl, ch, dst, 3, func(int) {}, func() {})
 	})
-	cl.S.Spawn("consumer", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		firstRecvAt = p.Now()
-		for i := 0; i < 3; i++ {
-			ch.Recv(p, dst)
-		}
-	})
+	late.WakeAfter(time.Millisecond)
 	cl.S.Run()
 	if thirdSentAt < firstRecvAt {
 		t.Fatalf("third send at %v before consumer started at %v — ring unbounded",
@@ -78,18 +112,9 @@ func TestEngineModeFreesProducerCPU(t *testing.T) {
 		src := n.Buf(64 * cost.KB)
 		dst := n.Buf(64 * cost.KB)
 		var producerCPU time.Duration
-		cl.S.Spawn("producer", func(p *sim.Proc) {
-			start := n.CPU.BusyTime()
-			for i := 0; i < 16; i++ {
-				ch.Send(p, src, 64*cost.KB)
-			}
-			producerCPU = n.CPU.BusyTime() - start
-		})
-		cl.S.Spawn("consumer", func(p *sim.Proc) {
-			for i := 0; i < 16; i++ {
-				ch.Recv(p, dst)
-			}
-		})
+		start := n.CPU.BusyTime()
+		produce(cl, ch, src, repeat(64*cost.KB, 16), func() { producerCPU = n.CPU.BusyTime() - start })
+		consume(cl, ch, dst, 16, func(int) {}, func() {})
 		cl.S.Run()
 		return producerCPU
 	}
@@ -110,17 +135,8 @@ func TestThroughputPipelines(t *testing.T) {
 	dst := n.Buf(64 * cost.KB)
 	const N = 32
 	var done sim.Time
-	cl.S.Spawn("producer", func(p *sim.Proc) {
-		for i := 0; i < N; i++ {
-			ch.Send(p, src, 64*cost.KB)
-		}
-	})
-	cl.S.Spawn("consumer", func(p *sim.Proc) {
-		for i := 0; i < N; i++ {
-			ch.Recv(p, dst)
-		}
-		done = p.Now()
-	})
+	produce(cl, ch, src, repeat(64*cost.KB, N), func() {})
+	consume(cl, ch, dst, N, func(int) {}, func() { done = cl.S.Now() })
 	cl.S.Run()
 	perMsg := n.DMA.TransferTime(64 * cost.KB)
 	// 2 engine transfers per message on one engine: the floor is 2N
@@ -140,6 +156,6 @@ func TestOversizeMessagePanics(t *testing.T) {
 			t.Fatal("oversize message did not panic")
 		}
 	}()
-	// Calling Send outside a proc is fine up to the panic point.
-	ch.Send(nil, n.Buf(8*cost.KB), 8*cost.KB)
+	// Calling Send without a task is fine up to the panic point.
+	ch.Send(nil, n.Buf(8*cost.KB), 8*cost.KB, nil)
 }

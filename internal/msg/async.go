@@ -1,12 +1,12 @@
 package msg
 
-// Continuation-passing framed messaging: the header+body protocol of
-// Conn.Send/Recv, driven by a sim.Task through the transport's Sender/
-// Receiver state machines and sharing Conn's envelope and ledger code
-// (post, pop, delivered). An Async is created once per (endpoint, task)
-// on the cold path and reused for every message; continuations are
-// bound at construction so the steady state allocates nothing. Callers
-// must likewise pass pre-bound done callbacks.
+// Continuation-passing framed messaging: the header+body protocol,
+// driven by a sim.Task through the transport's Sender/Receiver state
+// machines, with Conn's envelope and ledger code (post, pop, delivered).
+// An Async is created once per (endpoint, task) on the cold path and
+// reused for every message; continuations are bound at construction so
+// the steady state allocates nothing. Callers must likewise pass
+// pre-bound done callbacks.
 
 import (
 	"ioatsim/internal/mem"
@@ -47,8 +47,10 @@ func NewAsync(m *Conn, t *sim.Task) *Async {
 	return a
 }
 
-// Send is the continuation-passing form of Conn.Send: done fires when
-// the last payload byte has been handed to the NIC.
+// Send transmits one message: meta describes it, body is the payload
+// length, and src is the user buffer the payload is charged against (the
+// header staging buffer when src is empty). done fires when the last
+// payload byte has been handed to the NIC.
 func (a *Async) Send(meta any, body int, src mem.Buffer, opts tcp.SendOptions, done func()) {
 	a.M.post(meta, body)
 	a.sendBody, a.sendSrc, a.sendOpts, a.sendDone = body, src, opts, done
@@ -67,9 +69,10 @@ func (a *Async) sendBodyStep() {
 	done()
 }
 
-// Recv is the continuation-passing form of Conn.Recv: done fires with
-// the message's envelope once header and body have been consumed into
-// dst (the header staging buffer when dst is empty).
+// Recv receives one whole message: done fires with the message's
+// envelope once header and body have been consumed into dst (the header
+// staging buffer when dst is empty). A Recv may start before the
+// message is sent.
 func (a *Async) Recv(dst mem.Buffer, done func(Envelope)) {
 	a.recvDst, a.recvDone = dst, done
 	a.rx.Recv(a.M.hdr, HeaderBytes, a.stepRecvBody)

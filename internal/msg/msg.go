@@ -3,12 +3,13 @@
 // of declared length. The simulator does not move real bytes, so message
 // metadata travels on a zero-cost side channel while all timing and CPU
 // cost comes from the underlying stream transfer of header+body bytes.
+// Conn holds an endpoint's framing state; Async moves messages over it
+// (async.go).
 package msg
 
 import (
 	"ioatsim/internal/check"
 	"ioatsim/internal/mem"
-	"ioatsim/internal/sim"
 	"ioatsim/internal/tcp"
 )
 
@@ -45,31 +46,6 @@ func Wrap(c *tcp.Conn) *Conn {
 // peer returns the wrapper of the remote endpoint, wrapping it on demand
 // (the remote side may not have touched the connection yet).
 func (m *Conn) peer() *Conn { return Wrap(m.T.Peer()) }
-
-// Send transmits one message: meta describes it, body is the payload
-// length, and src is the user buffer the payload is charged against
-// (the header staging buffer is used when src is empty).
-func (m *Conn) Send(p *sim.Proc, meta any, body int, src mem.Buffer, opts tcp.SendOptions) {
-	m.post(meta, body)
-	// Header always goes through the normal copy path.
-	m.T.Send(p, m.hdr, HeaderBytes)
-	if body > 0 {
-		m.T.SendOpts(p, m.orHdr(src), body, opts)
-	}
-}
-
-// Recv blocks until one whole message (header + body) has been received
-// and consumed into dst (the header staging buffer when dst is empty),
-// then returns its envelope.
-func (m *Conn) Recv(p *sim.Proc, dst mem.Buffer) Envelope {
-	m.T.Recv(p, m.hdr, HeaderBytes)
-	env := m.pop()
-	if env.Body > 0 {
-		m.T.Recv(p, m.orHdr(dst), env.Body)
-	}
-	m.delivered(env)
-	return env
-}
 
 // post queues an outgoing message's envelope on the peer and opens its
 // ledger entries, before any of its bytes move.

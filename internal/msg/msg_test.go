@@ -2,6 +2,7 @@ package msg
 
 import (
 	"testing"
+	"time"
 
 	"ioatsim/internal/cost"
 	"ioatsim/internal/host"
@@ -22,19 +23,42 @@ func setup(t *testing.T) (*host.Cluster, *Conn, *Conn) {
 	return cl, Wrap(ca), Wrap(cb)
 }
 
+// start runs fn on a new task named name, with an Async over m driven by
+// that task.
+func start(cl *host.Cluster, m *Conn, name string, fn func(a *Async)) {
+	t := cl.S.NewTask(name)
+	a := NewAsync(m, t)
+	t.Start(func() { fn(a) })
+}
+
+// loop runs step n times in sequence: each call gets the continuation
+// that runs the next.
+func loop(n int, step func(i int, next func())) {
+	i := 0
+	var next func()
+	next = func() {
+		if i < n {
+			i++
+			step(i-1, next)
+		}
+	}
+	next()
+}
+
 func TestRequestResponse(t *testing.T) {
 	cl, client, server := setup(t)
 	var got req
 	var respBody int
-	cl.S.Spawn("server", func(p *sim.Proc) {
-		env := server.Recv(p, server.T.Stack().Mem.Space.Alloc(4*cost.KB, 0))
-		got = env.Meta.(req)
-		server.Send(p, "resp", got.N, server.T.Stack().Mem.Space.Alloc(got.N, 0), tcp.SendOptions{})
+	start(cl, server, "server", func(a *Async) {
+		a.Recv(server.T.Stack().Mem.Space.Alloc(4*cost.KB, 0), func(env Envelope) {
+			got = env.Meta.(req)
+			a.Send("resp", got.N, server.T.Stack().Mem.Space.Alloc(got.N, 0), tcp.SendOptions{}, func() {})
+		})
 	})
-	cl.S.Spawn("client", func(p *sim.Proc) {
-		client.Send(p, req{Path: "/a", N: 16 * cost.KB}, 0, client.T.Stack().Mem.Space.Alloc(1, 0), tcp.SendOptions{})
-		env := client.Recv(p, client.T.Stack().Mem.Space.Alloc(16*cost.KB, 0))
-		respBody = env.Body
+	start(cl, client, "client", func(a *Async) {
+		a.Send(req{Path: "/a", N: 16 * cost.KB}, 0, client.T.Stack().Mem.Space.Alloc(1, 0), tcp.SendOptions{}, func() {
+			a.Recv(client.T.Stack().Mem.Space.Alloc(16*cost.KB, 0), func(env Envelope) { respBody = env.Body })
+		})
 	})
 	cl.S.Run()
 	if got.Path != "/a" || got.N != 16*cost.KB {
@@ -48,16 +72,18 @@ func TestRequestResponse(t *testing.T) {
 func TestMessageOrdering(t *testing.T) {
 	cl, client, server := setup(t)
 	var order []int
-	cl.S.Spawn("server", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			env := server.Recv(p, server.hdr)
-			order = append(order, env.Meta.(int))
-		}
+	start(cl, server, "server", func(a *Async) {
+		loop(5, func(_ int, next func()) {
+			a.Recv(server.hdr, func(env Envelope) {
+				order = append(order, env.Meta.(int))
+				next()
+			})
+		})
 	})
-	cl.S.Spawn("client", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			client.Send(p, i, 1024*(i+1), client.hdr, tcp.SendOptions{})
-		}
+	start(cl, client, "client", func(a *Async) {
+		loop(5, func(i int, next func()) {
+			a.Send(i, 1024*(i+1), client.hdr, tcp.SendOptions{}, next)
+		})
 	})
 	cl.S.Run()
 	if len(order) != 5 {
@@ -73,14 +99,15 @@ func TestMessageOrdering(t *testing.T) {
 func TestRecvBeforeSendBlocks(t *testing.T) {
 	cl, client, server := setup(t)
 	var recvAt, sendAt sim.Time
-	cl.S.Spawn("server", func(p *sim.Proc) {
-		server.Recv(p, server.hdr)
-		recvAt = p.Now()
+	start(cl, server, "server", func(a *Async) {
+		a.Recv(server.hdr, func(Envelope) { recvAt = cl.S.Now() })
 	})
-	cl.S.Spawn("client", func(p *sim.Proc) {
-		p.Sleep(5 * 1000 * 1000) // 5 ms
-		sendAt = p.Now()
-		client.Send(p, "late", 0, client.hdr, tcp.SendOptions{})
+	start(cl, client, "client", func(a *Async) {
+		a.Task().OnWake(func() {
+			sendAt = cl.S.Now()
+			a.Send("late", 0, client.hdr, tcp.SendOptions{}, func() {})
+		})
+		a.Task().WakeAfter(5 * time.Millisecond)
 	})
 	cl.S.Run()
 	if recvAt <= sendAt {
@@ -98,19 +125,21 @@ func TestWrapIdempotent(t *testing.T) {
 func TestZeroBodyMessages(t *testing.T) {
 	cl, client, server := setup(t)
 	count := 0
-	cl.S.Spawn("server", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			env := server.Recv(p, server.hdr)
-			if env.Body != 0 {
-				t.Errorf("body = %d", env.Body)
-			}
-			count++
-		}
+	start(cl, server, "server", func(a *Async) {
+		loop(3, func(_ int, next func()) {
+			a.Recv(server.hdr, func(env Envelope) {
+				if env.Body != 0 {
+					t.Errorf("body = %d", env.Body)
+				}
+				count++
+				next()
+			})
+		})
 	})
-	cl.S.Spawn("client", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			client.Send(p, "ping", 0, client.hdr, tcp.SendOptions{})
-		}
+	start(cl, client, "client", func(a *Async) {
+		loop(3, func(_ int, next func()) {
+			a.Send("ping", 0, client.hdr, tcp.SendOptions{}, next)
+		})
 	})
 	cl.S.Run()
 	if count != 3 {

@@ -1,15 +1,10 @@
 package pvfs
 
-// Continuation state machines for the PVFS data path: the iod request
-// loop and the client library's per-server span workers run as
-// event-driven tasks, so the steady-state stripe transfers execute on
-// the event-loop goroutine with zero channel handoffs. Cold paths — the
-// metadata manager, Create/Open, connection setup — keep the blocking
-// Proc API.
-//
-// Each machine performs exactly the charges and transfers of the
-// blocking loop it replaces, at the same code points, so the event
-// schedule (and the figure tables) is byte-identical.
+// The PVFS servers' request loops and the client library's per-server
+// span workers, as continuation state machines on sim.Task: the metadata
+// manager's worker, the iod request worker, and the span worker. Each
+// binds its steps once, so a request allocates only its boxed message
+// metadata.
 
 import (
 	"time"
@@ -19,6 +14,45 @@ import (
 	"ioatsim/internal/sim"
 	"ioatsim/internal/tcp"
 )
+
+// managerWorker answers metadata operations on one connection.
+type managerWorker struct {
+	sys  *System
+	mc   *msg.Async
+	task *sim.Task
+	req  metaReq
+
+	stepGotReq func(msg.Envelope)
+	stepReply  func()
+	stepLoop   func()
+}
+
+// startManagerWorker starts the worker on a new task (one event); the
+// connection is wrapped when that event runs.
+func startManagerWorker(sys *System, conn *tcp.Conn, name string) {
+	w := &managerWorker{sys: sys, task: sys.ManagerNode.S.NewTask(name)}
+	w.stepGotReq = w.gotReq
+	w.stepReply = w.reply
+	w.stepLoop = w.loop
+	w.task.Start(func() {
+		w.mc = msg.NewAsync(msg.Wrap(conn), w.task)
+		w.loop()
+	})
+}
+
+func (w *managerWorker) loop() { w.mc.Recv(mem.Buffer{}, w.stepGotReq) }
+
+func (w *managerWorker) gotReq(env msg.Envelope) {
+	w.req = env.Meta.(metaReq)
+	if w.sys.ManagerNode.CPU.ExecTask(w.task, w.stepReply, MetaOp) {
+		return
+	}
+	w.reply()
+}
+
+func (w *managerWorker) reply() {
+	w.mc.Send(w.sys.metaOp(w.req), 128, mem.Buffer{}, tcp.SendOptions{}, w.stepLoop)
+}
 
 // iodWorker services one client connection: reads stream file data from
 // the local ramfs to the socket (read + write, the PVFS1 data path),
@@ -35,8 +69,8 @@ type iodWorker struct {
 	stepLoop     func()
 }
 
-// startIODWorker schedules the worker's first step as the one event the
-// old per-connection Spawn scheduled.
+// startIODWorker starts the worker on a new task (one event); the
+// connection is wrapped when that event runs.
 func startIODWorker(iod *IOD, conn *tcp.Conn, name string) {
 	w := &iodWorker{iod: iod, task: iod.Node.S.NewTask(name)}
 	w.stepGotReq = w.gotReq
@@ -89,8 +123,7 @@ func (w *iodWorker) reply() {
 
 // spanWorker drives one server's share of a striped request — the
 // client library's per-server data path. One worker per iod connection,
-// created at client setup and restarted for each Read/Write; Start
-// pushes the same single event the old per-call Spawn pushed.
+// created at client setup and started (one event) for each Read/Write.
 type spanWorker struct {
 	c    *Client
 	srv  int
@@ -102,7 +135,6 @@ type spanWorker struct {
 	buf  mem.Buffer
 	list []span
 	i    int
-	wg   *sim.WaitGroup
 
 	stepLoop func()
 	stepSent func()
@@ -118,20 +150,18 @@ func newSpanWorker(c *Client, srv int) *spanWorker {
 	return w
 }
 
-// start launches the worker over its span list; wg.Done fires when the
-// last span completes.
-func (w *spanWorker) start(m FileMeta, op opKind, buf mem.Buffer, list []span,
-	wg *sim.WaitGroup, name string) {
-	w.m, w.op, w.buf, w.list, w.i, w.wg = m, op, buf, list, 0, wg
+// start launches the worker over its span list; it reports to the
+// client's spanDone when the last span completes.
+func (w *spanWorker) start(m FileMeta, op opKind, buf mem.Buffer, list []span, name string) {
+	w.m, w.op, w.buf, w.list, w.i = m, op, buf, list, 0
 	w.task.SetName(name)
 	w.task.Start(w.stepLoop)
 }
 
 func (w *spanWorker) loop() {
 	if w.i >= len(w.list) {
-		wg := w.wg
-		w.wg, w.list = nil, nil
-		wg.Done()
+		w.list = nil
+		w.c.spanDone()
 		return
 	}
 	sp := w.list[w.i]

@@ -112,43 +112,31 @@ func New(serverNode *host.Node, iods int, stripe int) *System {
 	return sys
 }
 
-// serveManager runs the metadata service.
+// serveManager runs the metadata service: one worker per connection.
 func (sys *System) serveManager() {
-	l := sys.ManagerNode.Stack.Listen("pvfs-mgr")
-	sys.ManagerNode.S.Spawn("pvfs-mgr-accept", func(p *sim.Proc) {
-		for i := 0; ; i++ {
-			conn := l.Accept(p)
-			sys.ManagerNode.S.Spawn(fmt.Sprintf("pvfs-mgr-%d", i), func(wp *sim.Proc) {
-				sys.managerWorker(wp, msg.Wrap(conn))
-			})
-		}
+	sys.ManagerNode.Stack.Listen("pvfs-mgr").Serve("pvfs-mgr-accept", func(i int, conn *tcp.Conn) {
+		startManagerWorker(sys, conn, fmt.Sprintf("pvfs-mgr-%d", i))
 	})
 }
 
-func (sys *System) managerWorker(p *sim.Proc, mc *msg.Conn) {
-	for {
-		env := mc.Recv(p, mem.Buffer{})
-		req := env.Meta.(metaReq)
-		sys.ManagerNode.CPU.Exec(p, MetaOp)
-		var resp metaResp
-		switch req.Op {
-		case "create":
-			m := req.Meta
-			m.Stripe = sys.stripe
-			m.Servers = len(sys.IODs)
-			sys.meta[m.Name] = m
-			// Allocate the stripe files on each iod.
-			for i, iod := range sys.IODs {
-				iod.FS.Create(m.Name, localBytes(m, i))
-			}
-			resp = metaResp{Meta: m, OK: true}
-		case "open":
-			m, ok := sys.meta[req.Meta.Name]
-			resp = metaResp{Meta: m, OK: ok}
-		default:
-			panic("pvfs: unknown manager op " + req.Op)
+// metaOp performs one manager operation.
+func (sys *System) metaOp(req metaReq) metaResp {
+	switch req.Op {
+	case "create":
+		m := req.Meta
+		m.Stripe = sys.stripe
+		m.Servers = len(sys.IODs)
+		sys.meta[m.Name] = m
+		// Allocate the stripe files on each iod.
+		for i, iod := range sys.IODs {
+			iod.FS.Create(m.Name, localBytes(m, i))
 		}
-		mc.Send(p, resp, 128, mem.Buffer{}, tcp.SendOptions{})
+		return metaResp{Meta: m, OK: true}
+	case "open":
+		m, ok := sys.meta[req.Meta.Name]
+		return metaResp{Meta: m, OK: ok}
+	default:
+		panic("pvfs: unknown manager op " + req.Op)
 	}
 }
 
@@ -169,67 +157,94 @@ func localBytes(m FileMeta, i int) int {
 	return n
 }
 
-// serve runs the iod's request loop.
+// serve runs the iod's accept loop: one request worker per connection.
 func (iod *IOD) serve() {
 	service := fmt.Sprintf("pvfs-iod%d", iod.index)
-	l := iod.Node.Stack.Listen(service)
-	iod.Node.S.Spawn(service+"-accept", func(p *sim.Proc) {
-		for i := 0; ; i++ {
-			conn := l.Accept(p)
-			iod.Node.CPU.RegisterThread()
-			startIODWorker(iod, conn, fmt.Sprintf("%s-w%d", service, i))
-		}
+	iod.Node.Stack.Listen(service).Serve(service+"-accept", func(i int, conn *tcp.Conn) {
+		iod.Node.CPU.RegisterThread()
+		startIODWorker(iod, conn, fmt.Sprintf("%s-w%d", service, i))
 	})
 }
 
-// Client is one compute node's PVFS client library instance.
+// Client is one compute node's PVFS client library instance. Its calls
+// run on the task it was created with, one at a time.
 type Client struct {
-	sys     *System
 	node    *host.Node
-	mgr     *msg.Conn
+	task    *sim.Task
+	mgr     *msg.Async
 	conns   []*msg.Conn   // one per iod
 	workers []*spanWorker // one per iod, reused across Read/Write calls
+
+	// The Read or Write in flight: its arguments, the span workers still
+	// running, and its done callback.
+	m       FileMeta
+	off, n  int
+	buf     mem.Buffer
+	op      opKind
+	running int
+	done    func()
+
+	stepFanOut func()
+	stepFinish func()
 }
 
-// NewClient connects a compute node to the system, one connection per
-// iod (data flows directly between client and iods, paper §3.2). The
-// iod connection for server i uses the client port i%ports, matching the
-// paper's VLAN-per-port wiring.
-func NewClient(p *sim.Proc, node *host.Node, sys *System) *Client {
-	c := &Client{sys: sys, node: node}
-	mgrConn := node.Stack.Dial(p, sys.ManagerNode.Stack, "pvfs-mgr", 0, 0)
-	c.mgr = msg.Wrap(mgrConn)
-	for i, iod := range sys.IODs {
-		ports := len(node.NIC.Ports)
-		conn := node.Stack.Dial(p, iod.Node.Stack,
-			fmt.Sprintf("pvfs-iod%d", i), i%ports, iod.Port)
-		c.conns = append(c.conns, msg.Wrap(conn))
+// NewClient connects a compute node to the system on behalf of task t,
+// one connection per iod (data flows directly between client and iods,
+// paper §3.2), and calls done with the client. The iod connection for
+// server i uses the client port i%ports, matching the paper's
+// VLAN-per-port wiring.
+func NewClient(t *sim.Task, node *host.Node, sys *System, done func(*Client)) {
+	c := &Client{node: node, task: t}
+	c.stepFanOut = c.fanOut
+	c.stepFinish = c.finish
+	var dialed func(*tcp.Conn)
+	dialed = func(conn *tcp.Conn) {
+		if c.mgr == nil {
+			c.mgr = msg.NewAsync(msg.Wrap(conn), t)
+		} else {
+			c.conns = append(c.conns, msg.Wrap(conn))
+		}
+		if i := len(c.conns); i < len(sys.IODs) {
+			iod := sys.IODs[i]
+			node.Stack.Dial(t, iod.Node.Stack, fmt.Sprintf("pvfs-iod%d", i),
+				i%len(node.NIC.Ports), iod.Port, dialed)
+			return
+		}
+		for i := range c.conns {
+			c.workers = append(c.workers, newSpanWorker(c, i))
+		}
+		done(c)
 	}
-	for i := range c.conns {
-		c.workers = append(c.workers, newSpanWorker(c, i))
-	}
-	return c
+	node.Stack.Dial(t, sys.ManagerNode.Stack, "pvfs-mgr", 0, 0, dialed)
 }
 
-// Create creates a striped file of the given size.
-func (c *Client) Create(p *sim.Proc, name string, size int) FileMeta {
-	c.node.CPU.Exec(p, c.node.P.Syscall)
-	c.mgr.Send(p, metaReq{Op: "create", Meta: FileMeta{Name: name, Size: size}},
-		128, mem.Buffer{}, tcp.SendOptions{})
-	resp := c.mgr.Recv(p, mem.Buffer{}).Meta.(metaResp)
-	if !resp.OK {
-		panic("pvfs: create failed")
-	}
-	return resp.Meta
+// Create creates a striped file of the given size and calls done with
+// its metadata.
+func (c *Client) Create(name string, size int, done func(FileMeta)) {
+	c.metaCall(metaReq{Op: "create", Meta: FileMeta{Name: name, Size: size}}, func(r metaResp) {
+		if !r.OK {
+			panic("pvfs: create failed")
+		}
+		done(r.Meta)
+	})
 }
 
-// Open fetches the metadata for an existing file.
-func (c *Client) Open(p *sim.Proc, name string) (FileMeta, bool) {
-	c.node.CPU.Exec(p, c.node.P.Syscall)
-	c.mgr.Send(p, metaReq{Op: "open", Meta: FileMeta{Name: name}},
-		128, mem.Buffer{}, tcp.SendOptions{})
-	resp := c.mgr.Recv(p, mem.Buffer{}).Meta.(metaResp)
-	return resp.Meta, resp.OK
+// Open fetches the metadata for an existing file and calls done with it
+// and whether the file exists.
+func (c *Client) Open(name string, done func(FileMeta, bool)) {
+	c.metaCall(metaReq{Op: "open", Meta: FileMeta{Name: name}}, func(r metaResp) {
+		done(r.Meta, r.OK)
+	})
+}
+
+// metaCall charges the system call, sends req to the manager and calls
+// done with the manager's answer.
+func (c *Client) metaCall(req metaReq, done func(metaResp)) {
+	c.node.CPU.ExecThen(c.task, c.node.P.Syscall, func() {
+		c.mgr.Send(req, 128, mem.Buffer{}, tcp.SendOptions{}, func() {
+			c.mgr.Recv(mem.Buffer{}, func(env msg.Envelope) { done(env.Meta.(metaResp)) })
+		})
+	})
 }
 
 // span is one stripe-aligned piece of a request on one server.
@@ -261,36 +276,62 @@ func (c *Client) spans(m FileMeta, off, n int) []span {
 }
 
 // Read reads [off, off+n) of the file into dst, issuing the per-server
-// stripe requests in parallel and gathering the results.
-func (c *Client) Read(p *sim.Proc, m FileMeta, off, n int, dst mem.Buffer) {
-	c.parallelIO(p, m, off, n, dst, opRead)
+// stripe requests in parallel and gathering the results, then calls
+// done.
+func (c *Client) Read(m FileMeta, off, n int, dst mem.Buffer, done func()) {
+	c.parallelIO(m, off, n, dst, opRead, done)
 }
 
-// Write writes [off, off+n) of the file from src, striping in parallel.
-func (c *Client) Write(p *sim.Proc, m FileMeta, off, n int, src mem.Buffer) {
-	c.parallelIO(p, m, off, n, src, opWrite)
+// Write writes [off, off+n) of the file from src, striping in parallel,
+// then calls done.
+func (c *Client) Write(m FileMeta, off, n int, src mem.Buffer, done func()) {
+	c.parallelIO(m, off, n, src, opWrite, done)
 }
 
-// parallelIO fans the spans out to the per-server span workers
-// (continuation state machines, async.go) and waits for all of them —
-// the PVFS client library's parallel data path. Each worker's Start
-// pushes the one event the old per-call Spawn pushed.
-func (c *Client) parallelIO(p *sim.Proc, m FileMeta, off, n int, buf mem.Buffer, op opKind) {
+// parallelIO charges the system call, then fans the spans out to the
+// per-server span workers (continuation state machines, async.go) and
+// waits for all of them — the PVFS client library's parallel data path.
+func (c *Client) parallelIO(m FileMeta, off, n int, buf mem.Buffer, op opKind, done func()) {
 	if n <= 0 {
+		done()
 		return
 	}
-	c.node.CPU.Exec(p, c.node.P.Syscall)
+	c.m, c.off, c.n, c.buf, c.op, c.done = m, off, n, buf, op, done
+	if c.node.CPU.ExecTask(c.task, c.stepFanOut, c.node.P.Syscall) {
+		return
+	}
+	c.fanOut()
+}
+
+// fanOut starts one span worker per server the request touches (one
+// event each) and suspends the client until spanDone wakes it.
+func (c *Client) fanOut() {
 	perServer := make([][]span, len(c.conns))
-	for _, sp := range c.spans(m, off, n) {
+	for _, sp := range c.spans(c.m, c.off, c.n) {
 		perServer[sp.server] = append(perServer[sp.server], sp)
 	}
-	wg := sim.NewWaitGroup(c.node.S)
 	for srv, list := range perServer {
 		if len(list) == 0 {
 			continue
 		}
-		wg.Add(1)
-		c.workers[srv].start(m, op, buf, list, wg, fmt.Sprintf("pvfs-io-%s-%d", m.Name, srv))
+		c.running++
+		c.workers[srv].start(c.m, c.op, c.buf, list, fmt.Sprintf("pvfs-io-%s-%d", c.m.Name, srv))
 	}
-	wg.Wait(p)
+	c.task.OnWake(c.stepFinish)
+}
+
+// spanDone notes one finished span worker; the last one wakes the client
+// (one event).
+func (c *Client) spanDone() {
+	c.running--
+	if c.running == 0 {
+		c.task.Wake()
+	}
+}
+
+// finish ends the Read or Write.
+func (c *Client) finish() {
+	done := c.done
+	c.done = nil
+	done()
 }

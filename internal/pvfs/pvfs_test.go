@@ -19,14 +19,22 @@ func testbed(feat ioat.Features, iods int) (*host.Cluster, *host.Node, *System) 
 	return cl, compute, New(server, iods, 0)
 }
 
+// withClient starts a task that connects a client to sys and runs fn on
+// it.
+func withClient(cl *host.Cluster, compute *host.Node, sys *System, fn func(c *Client)) {
+	t := cl.S.NewTask("client")
+	t.Start(func() { NewClient(t, compute, sys, fn) })
+}
+
 func TestCreateOpenRoundTrip(t *testing.T) {
 	cl, compute, sys := testbed(ioat.Linux(), 4)
 	var created, opened FileMeta
 	var ok bool
-	cl.S.Spawn("client", func(p *sim.Proc) {
-		c := NewClient(p, compute, sys)
-		created = c.Create(p, "f", 8*cost.MB)
-		opened, ok = c.Open(p, "f")
+	withClient(cl, compute, sys, func(c *Client) {
+		c.Create("f", 8*cost.MB, func(m FileMeta) {
+			created = m
+			c.Open("f", func(m FileMeta, found bool) { opened, ok = m, found })
+		})
 	})
 	cl.S.Run()
 	if !ok {
@@ -42,12 +50,14 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 
 func TestOpenMissingFile(t *testing.T) {
 	cl, compute, sys := testbed(ioat.Linux(), 2)
-	var ok bool
-	cl.S.Spawn("client", func(p *sim.Proc) {
-		c := NewClient(p, compute, sys)
-		_, ok = c.Open(p, "missing")
+	ok, answered := true, false
+	withClient(cl, compute, sys, func(c *Client) {
+		c.Open("missing", func(_ FileMeta, found bool) { ok, answered = found, true })
 	})
 	cl.S.Run()
+	if !answered {
+		t.Fatal("open never answered")
+	}
 	if ok {
 		t.Fatal("opened a missing file")
 	}
@@ -55,9 +65,8 @@ func TestOpenMissingFile(t *testing.T) {
 
 func TestStripingDistributesData(t *testing.T) {
 	cl, compute, sys := testbed(ioat.Linux(), 6)
-	cl.S.Spawn("client", func(p *sim.Proc) {
-		c := NewClient(p, compute, sys)
-		c.Create(p, "big", 12*cost.MB)
+	withClient(cl, compute, sys, func(c *Client) {
+		c.Create("big", 12*cost.MB, func(FileMeta) {})
 	})
 	cl.S.Run()
 	for i, iod := range sys.IODs {
@@ -73,9 +82,7 @@ func TestStripingDistributesData(t *testing.T) {
 func TestSpansProperty(t *testing.T) {
 	cl, compute, sys := testbed(ioat.None(), 5)
 	var client *Client
-	cl.S.Spawn("client", func(p *sim.Proc) {
-		client = NewClient(p, compute, sys)
-	})
+	withClient(cl, compute, sys, func(c *Client) { client = c })
 	cl.S.Run()
 
 	f := func(off32, n32 uint32) bool {
@@ -128,12 +135,10 @@ func TestLocalBytesSumsToFileSize(t *testing.T) {
 func TestReadCompletes(t *testing.T) {
 	cl, compute, sys := testbed(ioat.Linux(), 6)
 	var done sim.Time
-	cl.S.Spawn("client", func(p *sim.Proc) {
-		c := NewClient(p, compute, sys)
-		m := c.Create(p, "f", 12*cost.MB)
-		buf := compute.Buf(12 * cost.MB)
-		c.Read(p, m, 0, 12*cost.MB, buf)
-		done = p.Now()
+	withClient(cl, compute, sys, func(c *Client) {
+		c.Create("f", 12*cost.MB, func(m FileMeta) {
+			c.Read(m, 0, 12*cost.MB, compute.Buf(12*cost.MB), func() { done = cl.S.Now() })
+		})
 	})
 	cl.S.Run()
 	if done <= 0 {
@@ -152,12 +157,10 @@ func TestReadCompletes(t *testing.T) {
 func TestWriteCompletes(t *testing.T) {
 	cl, compute, sys := testbed(ioat.Linux(), 6)
 	var done sim.Time
-	cl.S.Spawn("client", func(p *sim.Proc) {
-		c := NewClient(p, compute, sys)
-		m := c.Create(p, "f", 6*cost.MB)
-		buf := compute.Buf(6 * cost.MB)
-		c.Write(p, m, 0, 6*cost.MB, buf)
-		done = p.Now()
+	withClient(cl, compute, sys, func(c *Client) {
+		c.Create("f", 6*cost.MB, func(m FileMeta) {
+			c.Write(m, 0, 6*cost.MB, compute.Buf(6*cost.MB), func() { done = cl.S.Now() })
+		})
 	})
 	cl.S.Run()
 	if done <= 0 {

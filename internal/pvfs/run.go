@@ -95,19 +95,23 @@ func Run(o Options) Metrics {
 	sys := New(server, o.IODs, 0)
 
 	for i := 0; i < o.Clients; i++ {
-		i := i
 		compute.CPU.RegisterThread()
-		cl.S.Spawn(fmt.Sprintf("compute%d", i), func(p *sim.Proc) {
-			c := NewClient(p, compute, sys)
-			meta := c.Create(p, fmt.Sprintf("data%d", i), o.Region)
-			buf := compute.Buf(o.Region)
-			for {
-				if o.Write {
-					c.Write(p, meta, 0, o.Region, buf)
-				} else {
-					c.Read(p, meta, 0, o.Region, buf)
-				}
-			}
+		t := cl.S.NewTask(fmt.Sprintf("compute%d", i))
+		t.Start(func() {
+			NewClient(t, compute, sys, func(c *Client) {
+				c.Create(fmt.Sprintf("data%d", i), o.Region, func(meta FileMeta) {
+					buf := compute.Buf(o.Region)
+					var loop func()
+					loop = func() {
+						if o.Write {
+							c.Write(meta, 0, o.Region, buf, loop)
+						} else {
+							c.Read(meta, 0, o.Region, buf, loop)
+						}
+					}
+					loop()
+				})
+			})
 		})
 	}
 

@@ -12,11 +12,11 @@ import (
 )
 
 // TestExtIPCJobsLeaveNoGoroutines submits ten extipc jobs, whose
-// simulations end with their producer and consumer processes parked,
+// simulations end with their producer and consumer tasks still waiting,
 // at distinct seeds so that none is served from the point cache. Once
 // the daemon is idle again, it must run no more goroutines than before
-// the first job: each job's clusters are closed, so nothing a job
-// simulated stays reachable.
+// the first job: a simulation starts none, and each job's clusters are
+// closed, so nothing a job simulated stays running.
 func TestExtIPCJobsLeaveNoGoroutines(t *testing.T) {
 	s := New(Options{Workers: 1})
 	s.Start()
@@ -45,21 +45,21 @@ func TestExtIPCJobsLeaveNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestProcessPanicFailsOnlyItsJob: a simulation process that panics
-// fails the job running it, and the daemon goes on to serve the next
-// job. The panic starts on the process's own goroutine, which no
-// recover in the daemon could see if the simulator did not hand it
-// back to the event loop.
+// TestProcessPanicFailsOnlyItsJob: a simulation task that panics fails
+// the job running it, and the daemon goes on to serve the next job. The
+// panic unwinds the event loop into the job's runner, where the daemon
+// recovers it.
 func TestProcessPanicFailsOnlyItsJob(t *testing.T) {
 	s := New(Options{Workers: 1})
 	faulty := bench.Runner{ID: "faulty", Run: func(bench.Config) *bench.Result {
 		sm := sim.New()
 		defer sm.Close()
-		sm.Spawn("bystander", func(p *sim.Proc) { p.Sleep(time.Hour) })
-		sm.Spawn("faulty", func(p *sim.Proc) {
-			p.Sleep(1)
-			panic("boom")
-		})
+		bystander := sm.NewTask("bystander")
+		bystander.OnWake(func() {})
+		bystander.WakeAfter(time.Hour)
+		faulty := sm.NewTask("faulty")
+		faulty.OnWake(func() { panic("boom") })
+		faulty.WakeAfter(1)
 		sm.Run()
 		return nil
 	}}
@@ -87,8 +87,8 @@ func TestProcessPanicFailsOnlyItsJob(t *testing.T) {
 		if st.State != want {
 			t.Fatalf("job %d ended %s (%q), want %s", i+1, st.State, st.Error, want)
 		}
-		if want == StateFailed && !strings.Contains(st.Error, `sim: process "faulty" panicked: boom`) {
-			t.Fatalf("failed job's error %q does not carry the process panic", st.Error)
+		if want == StateFailed && !strings.Contains(st.Error, "boom") {
+			t.Fatalf("failed job's error %q does not carry the task's panic", st.Error)
 		}
 	}
 }

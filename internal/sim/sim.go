@@ -1,10 +1,10 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine keeps a virtual clock (nanosecond resolution) and an event
-// heap ordered by (time, sequence). Work can be expressed either as plain
-// callback events (Schedule/At) or as blocking processes (Spawn) that run
-// in their own goroutines but are scheduled strictly one at a time by the
-// event loop, so every run is deterministic.
+// heap ordered by (time, sequence). Work is expressed as plain callback
+// events (Schedule/At) or as Task continuations, state machines whose
+// wakes are ordinary events; everything runs on the one goroutine that
+// calls Run, so every run is deterministic.
 //
 // The pending set is the engine's hottest structure: every simulated
 // frame, interrupt, copy and wake-up passes through it once. It is a
@@ -92,11 +92,11 @@ type Probe interface {
 }
 
 // ProcProbe is an optional extension a Probe can implement to observe
-// scheduler hand-offs to simulation processes. Only the first installed
+// scheduler hand-offs to simulation tasks. Only the first installed
 // probe implementing it receives the callbacks.
 type ProcProbe interface {
-	// ProcRun fires each time the event loop transfers control to a
-	// process (spawn, wake, sleep expiry, completion).
+	// ProcRun fires each time the event loop runs a task's
+	// continuation (start, wake, charge expiry, completion).
 	ProcRun(name string, at Time)
 }
 
@@ -168,7 +168,7 @@ type Simulator struct {
 	stopped bool
 	probe   Probe
 	// procProbe caches the first installed probe that also implements
-	// ProcProbe, so runProc pays one nil-test instead of a type switch.
+	// ProcProbe, so a wake pays one nil-test instead of a type switch.
 	procProbe ProcProbe
 
 	// Pending-event storage. events is the arena; free lists arena slots
@@ -202,14 +202,13 @@ type Simulator struct {
 	// stats tracks scheduler high-water marks (never outcome-affecting).
 	stats SchedStats
 
-	// Process scheduling handshake. While a process goroutine runs, the
-	// event loop (or Close) blocks on parked, so exactly one goroutine
-	// ever touches simulator state at a time. procs holds the processes
-	// that have not returned; closed is set by Close.
-	parked  chan struct{}
-	current *Proc
-	procs   []*Proc
-	closed  bool
+	// Deprecated Proc handshake (proc.go). While a process goroutine
+	// runs, the event loop (or Close) blocks on parked, so exactly one
+	// goroutine ever touches simulator state at a time. procs holds the
+	// processes that have not returned; closed is set by Close.
+	parked chan struct{}
+	procs  []*Proc
+	closed bool
 
 	// executed counts events dispatched, for diagnostics and tests;
 	// flushed marks how much of it has been added to globalExecuted.
@@ -257,11 +256,6 @@ func (s *Simulator) Now() Time { return s.now }
 
 // Executed reports how many events have been dispatched so far.
 func (s *Simulator) Executed() uint64 { return s.executed }
-
-// ProcSwitches reports how many goroutine handoffs (process wakes) this
-// simulator has performed so far. Task wakes are ordinary events and do
-// not count.
-func (s *Simulator) ProcSwitches() uint64 { return s.procSwitches }
 
 // Pending reports how many events are scheduled but not yet dispatched.
 func (s *Simulator) Pending() int { return s.pending }
@@ -372,8 +366,9 @@ func (s *Simulator) RunUntil(deadline Time) Time {
 	return s.now
 }
 
-// mustBeOpen panics once Close has ended the simulation: its processes
-// are gone, so events that would resume them must not run.
+// mustBeOpen panics once Close has ended the simulation: what its
+// events would touch may be gone (ended processes, or the caches a
+// host.Cluster releases with it), so no event may run.
 func (s *Simulator) mustBeOpen() {
 	if s.closed {
 		panic("sim: run of a closed simulator")

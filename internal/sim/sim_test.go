@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -137,11 +136,11 @@ func TestProcSleep(t *testing.T) {
 	s := New()
 	var marks []Time
 	s.Spawn("p", func(p *Proc) {
-		marks = append(marks, p.Now())
+		marks = append(marks, s.Now())
 		p.Sleep(100 * time.Nanosecond)
-		marks = append(marks, p.Now())
+		marks = append(marks, s.Now())
 		p.Sleep(50 * time.Nanosecond)
-		marks = append(marks, p.Now())
+		marks = append(marks, s.Now())
 	})
 	s.Run()
 	want := []Time{0, 100, 150}
@@ -176,158 +175,13 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
-func TestChanSendRecv(t *testing.T) {
-	s := New()
-	ch := NewChan[int](s)
-	var got []int
-	s.Spawn("recv", func(p *Proc) {
-		for {
-			v, ok := ch.Recv(p)
-			if !ok {
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	s.Spawn("send", func(p *Proc) {
-		for i := 1; i <= 5; i++ {
-			ch.Send(i)
-			p.Sleep(10)
-		}
-		ch.Close()
-	})
-	s.Run()
-	if len(got) != 5 {
-		t.Fatalf("received %v, want 5 values", got)
-	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("got = %v, want ordered 1..5", got)
-		}
-	}
-}
-
-func TestChanBlocksUntilSend(t *testing.T) {
-	s := New()
-	ch := NewChan[string](s)
-	var recvAt Time = -1
-	s.Spawn("recv", func(p *Proc) {
-		ch.Recv(p)
-		recvAt = p.Now()
-	})
-	s.Spawn("send", func(p *Proc) {
-		p.Sleep(500)
-		ch.Send("x")
-	})
-	s.Run()
-	if recvAt != 500 {
-		t.Fatalf("recvAt = %v, want 500", recvAt)
-	}
-}
-
-func TestResourceSerializes(t *testing.T) {
-	s := New()
-	r := NewResource(s, 1)
-	var spans [][2]Time
-	for i := 0; i < 3; i++ {
-		s.Spawn("w", func(p *Proc) {
-			r.Acquire(p)
-			start := p.Now()
-			p.Sleep(100)
-			spans = append(spans, [2]Time{start, p.Now()})
-			r.Release()
-		})
-	}
-	s.Run()
-	if len(spans) != 3 {
-		t.Fatalf("spans = %v", spans)
-	}
-	for i := 1; i < len(spans); i++ {
-		if spans[i][0] < spans[i-1][1] {
-			t.Fatalf("overlapping critical sections: %v", spans)
-		}
-	}
-}
-
-func TestResourceCapacity(t *testing.T) {
-	s := New()
-	r := NewResource(s, 2)
-	var maxConc, conc int
-	for i := 0; i < 6; i++ {
-		s.Spawn("w", func(p *Proc) {
-			r.Acquire(p)
-			conc++
-			if conc > maxConc {
-				maxConc = conc
-			}
-			p.Sleep(100)
-			conc--
-			r.Release()
-		})
-	}
-	s.Run()
-	if maxConc != 2 {
-		t.Fatalf("max concurrency = %d, want 2", maxConc)
-	}
-}
-
-func TestResourceAcquireN(t *testing.T) {
-	s := New()
-	r := NewResource(s, 4)
-	var order []int
-	s.Spawn("big", func(p *Proc) {
-		r.AcquireN(p, 3)
-		order = append(order, 3)
-		p.Sleep(100)
-		r.ReleaseN(3)
-	})
-	s.Spawn("big2", func(p *Proc) {
-		p.Sleep(1)
-		r.AcquireN(p, 4) // must wait for everything
-		order = append(order, 4)
-		r.ReleaseN(4)
-	})
-	s.Spawn("small", func(p *Proc) {
-		p.Sleep(2)
-		r.Acquire(p) // fits now, but FIFO puts it behind big2
-		order = append(order, 1)
-		r.Release()
-	})
-	s.Run()
-	if len(order) != 3 || order[0] != 3 || order[1] != 4 || order[2] != 1 {
-		t.Fatalf("order = %v, want [3 4 1] (FIFO)", order)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	s := New()
-	wg := NewWaitGroup(s)
-	var doneAt Time = -1
-	wg.Add(3)
-	for i := 1; i <= 3; i++ {
-		d := Duration(i * 100)
-		s.Spawn("w", func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	s.Spawn("main", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	s.Run()
-	if doneAt != 300 {
-		t.Fatalf("doneAt = %v, want 300", doneAt)
-	}
-}
-
 func TestCompletion(t *testing.T) {
 	s := New()
 	c := s.NewCompletion()
 	var gotAt Time = -1
-	s.Spawn("waiter", func(p *Proc) {
-		c.Wait(p)
-		gotAt = p.Now()
+	task := s.NewTask("waiter")
+	task.Start(func() {
+		c.WaitThen(task, func() { gotAt = s.Now() })
 	})
 	s.Schedule(250, func() { c.Complete() })
 	s.Run()
@@ -344,75 +198,44 @@ func TestCompletionBeforeWait(t *testing.T) {
 	c := s.NewCompletion()
 	c.Complete()
 	var passed bool
-	s.Spawn("waiter", func(p *Proc) {
-		c.Wait(p) // must not block
-		passed = true
+	task := s.NewTask("waiter")
+	task.Start(func() {
+		c.WaitThen(task, func() { passed = true }) // must not suspend
+		if !passed {
+			t.Error("waiter suspended on a fired completion")
+		}
 	})
 	s.Run()
 	if !passed {
-		t.Fatal("waiter blocked on completed completion")
-	}
-}
-
-// Property: a single-capacity resource under random hold times never
-// admits two holders at once and serves all requesters.
-func TestResourceMutualExclusionProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		nn := int(n%20) + 1
-		rnd := rand.New(rand.NewSource(seed))
-		s := New()
-		r := NewResource(s, 1)
-		inside := 0
-		violated := false
-		served := 0
-		for i := 0; i < nn; i++ {
-			hold := Duration(rnd.Intn(50) + 1)
-			start := Duration(rnd.Intn(50))
-			s.SpawnAfter(start, "w", func(p *Proc) {
-				r.Acquire(p)
-				inside++
-				if inside > 1 {
-					violated = true
-				}
-				p.Sleep(hold)
-				inside--
-				r.Release()
-				served++
-			})
-		}
-		s.Run()
-		return !violated && served == nn
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+		t.Fatal("waiter never continued")
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		s := New()
-		ch := NewChan[int](s)
 		var marks []Time
+		consumer := s.NewTask("c")
+		consumer.OnWake(func() { marks = append(marks, s.Now()) })
 		for i := 0; i < 4; i++ {
-			s.Spawn("p", func(p *Proc) {
-				for j := 0; j < 3; j++ {
-					p.Sleep(Duration(10 + j))
-					ch.Send(j)
+			producer := s.NewTask("p")
+			j := 0
+			producer.Start(func() {
+				if j > 0 {
+					consumer.Wake()
+				}
+				if j < 3 {
+					producer.WakeAfter(Duration(10 + j))
+					j++
 				}
 			})
 		}
-		s.Spawn("c", func(p *Proc) {
-			for i := 0; i < 12; i++ {
-				ch.Recv(p)
-				marks = append(marks, p.Now())
-			}
-		})
 		s.Run()
 		return marks
 	}
 	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("nondeterministic lengths %d vs %d", len(a), len(b))
+	if len(a) != 12 || len(a) != len(b) {
+		t.Fatalf("lengths %d and %d, want 12", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {

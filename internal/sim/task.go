@@ -1,20 +1,15 @@
 package sim
 
-import "sync/atomic"
-
-// Task is an event-driven continuation: the goroutine-free counterpart of
-// Proc for steady-state hot loops. Where a Proc parks its goroutine at
-// every blocking point (two host context switches per simulated wake), a
-// Task is a plain state machine whose current continuation runs to
-// completion on the event-loop goroutine — a wake is one ordinary event
-// dispatch, with no channel handoff.
+// Task is an event-driven continuation, the simulator's one execution
+// model: a plain state machine whose current continuation runs to
+// completion on the event-loop goroutine, so a wake is one ordinary
+// event dispatch and no simulation code starts a goroutine.
 //
-// A Task shares the event shape of every Proc wake-up: waking it pushes
-// one pre-bound (func(any), arg) event through ScheduleArg, exactly as
-// resumeProc does. Sequence numbers depend only on push order, so code
-// converted from a Proc to a Task schedules byte-identically as long as
-// it performs the same pushes at the same points (the golden corpus pins
-// this end-to-end).
+// Waking a task pushes one pre-bound (func(any), arg) event through
+// ScheduleArg. Sequence numbers depend only on push order, so two pieces
+// of code that perform the same pushes at the same points schedule
+// byte-identically (the golden corpus pins this end-to-end; DESIGN §4g
+// lists the push each operation makes).
 //
 // Protocol: before any operation that can suspend, the current state
 // machine installs its step function with OnWake (suspending helpers such
@@ -54,7 +49,7 @@ func (t *Task) SetName(name string) { t.name = name }
 func (t *Task) OnWake(fn func()) { t.cont = fn }
 
 // Start installs fn and schedules the task's first wake at the current
-// time — one event push, mirroring what Spawn pushes for a Proc.
+// time: one event push.
 func (t *Task) Start(fn func()) {
 	t.cont = fn
 	t.Wake()
@@ -76,10 +71,9 @@ func (t *Task) WakeAfter(d Duration) { t.sim.ScheduleArg(d, resumeTask, t) }
 //ioat:hotpath
 func (t *Task) WakeAt(at Time) { t.sim.AtArg(at, resumeTask, t) }
 
-// resumeTask is the pre-bound callback behind every task wake-up — the
-// same zero-allocation event shape as resumeProc, dispatched in the same
-// (time, sequence) order, but running the continuation directly on the
-// event-loop goroutine instead of handing off to a parked goroutine.
+// resumeTask is the pre-bound callback behind every task wake-up: a
+// zero-allocation event that runs the continuation directly on the
+// event-loop goroutine.
 //
 //ioat:hotpath
 func resumeTask(a any) {
@@ -90,31 +84,76 @@ func resumeTask(a any) {
 	t.cont()
 }
 
-// wakeAny schedules a completion's waiter — a *Proc parked in Wait or
-// an idle *Task — to resume at the current time. Both arms push the same
-// single pre-bound event.
+// Completion is a one-shot synchronization point: one waiting task, one
+// signal (a DMA transfer, for example).
+type Completion struct {
+	done   bool
+	waiter *Task
+}
+
+// NewCompletion returns an unfired one-shot completion.
+func (s *Simulator) NewCompletion() *Completion {
+	return &Completion{}
+}
+
+// Done reports whether Complete has been called.
+func (c *Completion) Done() bool { return c.done }
+
+// Complete fires the completion, waking the waiting task if there is
+// one: one event push at the current time. Completing twice panics: that
+// always indicates a protocol bug.
 //
 //ioat:hotpath
-func (s *Simulator) wakeAny(w any) {
-	switch v := w.(type) {
-	case *Proc:
-		s.ScheduleArg(0, resumeProc, v)
-	case *Task:
-		s.ScheduleArg(0, resumeTask, v)
-	default:
-		panic("sim: wakeAny of something that is neither *Proc nor *Task")
+func (c *Completion) Complete() {
+	if c.done {
+		panic("sim: completion fired twice")
+	}
+	c.done = true
+	if w := c.waiter; w != nil {
+		c.waiter = nil
+		w.Wake()
 	}
 }
 
-// globalProcSwitches accumulates goroutine handoffs (runProc calls, each
-// costing two host context switches: event loop -> process goroutine and
-// back) across every simulator in the process, flushed once per
-// Run/RunUntil/Step like globalExecuted. Task wakes never count — that
-// is the point of Tasks — so the counter measures exactly the scheduler
-// overhead the continuation conversion removes. Outcomes never depend on
-// it.
-var globalProcSwitches atomic.Uint64
+// Reset rearms a fired completion for reuse, so pools can recycle
+// completions instead of allocating one per transfer. It panics if the
+// completion has not fired or still has a waiting task — recycling an
+// in-flight completion would strand its waiter forever.
+//
+//ioat:hotpath
+func (c *Completion) Reset() {
+	if !c.done {
+		panic("sim: reset of an unfired completion")
+	}
+	if c.waiter != nil {
+		panic("sim: reset of a completion with a parked waiter")
+	}
+	c.done = false
+}
 
-// GlobalProcSwitches reports the total event-loop-to-goroutine handoffs
-// performed by all simulators in this process so far.
-func GlobalProcSwitches() uint64 { return globalProcSwitches.Load() }
+// WaitTask waits for the completion on task t. If the completion has
+// already fired it returns false, pushes nothing, and the caller
+// continues inline; otherwise it installs cont as t's continuation,
+// registers t as the waiter, and returns true — the caller must suspend,
+// and Complete will wake t. Only one task may wait.
+//
+//ioat:hotpath
+func (c *Completion) WaitTask(t *Task, cont func()) bool {
+	if c.done {
+		return false
+	}
+	if c.waiter != nil {
+		panic("sim: second waiter on completion")
+	}
+	t.OnWake(cont)
+	c.waiter = t
+	return true
+}
+
+// WaitThen is WaitTask for code off the hot path: next runs once the
+// completion has fired, inline if it already has.
+func (c *Completion) WaitThen(t *Task, next func()) {
+	if !c.WaitTask(t, next) {
+		next()
+	}
+}

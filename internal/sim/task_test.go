@@ -19,10 +19,9 @@ func parkingProc(s *Simulator, tag string, log *[]string) *Proc {
 	return p
 }
 
-// TestTaskProcWakeOrder proves the tentpole invariant: a Task wake and a
-// Proc wake are the same event shape, so same-time wakes dispatch in
-// strict push (sequence) order regardless of which kind of context they
-// resume.
+// TestTaskProcWakeOrder: a Task wake and a Proc wake are the same event
+// shape, so same-time wakes dispatch in strict push (sequence) order
+// regardless of which kind of context they resume.
 func TestTaskProcWakeOrder(t *testing.T) {
 	s := New()
 	var log []string
@@ -33,9 +32,9 @@ func TestTaskProcWakeOrder(t *testing.T) {
 
 	// Interleave same-time wakes; dispatch order must equal push order.
 	task.Wake()
-	s.Wake(p)
+	s.ScheduleArg(0, resumeProc, p)
 	task.Wake()
-	s.Wake(p)
+	s.ScheduleArg(0, resumeProc, p)
 	task.Wake()
 	s.Run()
 
@@ -79,8 +78,8 @@ func TestTaskProcTimeOrder(t *testing.T) {
 }
 
 // TestTaskStartMirrorsSpawn checks that Start pushes exactly one event,
-// ordered against a Spawn by push order alone — converted code that swaps
-// a Spawn for a Start keeps its schedule.
+// ordered against a Spawn by push order alone, so code that swaps a
+// Spawn for a Start keeps its schedule.
 func TestTaskStartMirrorsSpawn(t *testing.T) {
 	s := New()
 	var log []string
@@ -151,8 +150,8 @@ func TestCompletionWaitTask(t *testing.T) {
 	}
 }
 
-// TestCompletionSecondWaiterTaskPanics checks the one-waiter contract
-// holds across kinds: a task waiting behind an existing waiter panics.
+// TestCompletionSecondWaiterTaskPanics checks the one-waiter contract:
+// a task waiting behind an existing waiter panics.
 func TestCompletionSecondWaiterTaskPanics(t *testing.T) {
 	s := New()
 	c := s.NewCompletion()
@@ -165,33 +164,6 @@ func TestCompletionSecondWaiterTaskPanics(t *testing.T) {
 	c.WaitTask(s.NewTask("second"), func() {})
 }
 
-// TestWakeAny checks the completion waiter's wake-up: it wakes both
-// kinds of context and rejects anything else.
-func TestWakeAny(t *testing.T) {
-	s := New()
-	var log []string
-	p := parkingProc(s, "proc", &log)
-	task := s.NewTask("task")
-	task.OnWake(func() { log = append(log, "task") })
-
-	s.wakeAny(task)
-	s.wakeAny(p)
-	s.Run()
-	want := []string{"task", "proc"}
-	for i := range want {
-		if i >= len(log) || log[i] != want[i] {
-			t.Fatalf("wakeAny order %v, want %v", log, want)
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wakeAny of a non-waiter did not panic")
-		}
-	}()
-	s.wakeAny(42)
-}
-
 // TestProcSwitchCounting checks the observability contract: every proc
 // wake is one goroutine handoff, task wakes are free, and the per-sim
 // counter flushes into the process-wide one on the Run/Step cadence.
@@ -199,102 +171,22 @@ func TestProcSwitchCounting(t *testing.T) {
 	s := New()
 	var log []string
 	p := parkingProc(s, "proc", &log)
-	base := s.ProcSwitches() // spawn handoff
+	base := s.procSwitches // spawn handoff
 
 	task := s.NewTask("task")
 	task.OnWake(func() {})
 
 	globalBase := GlobalProcSwitches()
-	s.Wake(p)
+	s.ScheduleArg(0, resumeProc, p)
 	task.Wake()
-	s.Wake(p)
+	s.ScheduleArg(0, resumeProc, p)
 	task.Wake()
 	s.Run()
 
-	if got := s.ProcSwitches() - base; got != 2 {
-		t.Fatalf("ProcSwitches grew by %d, want 2 (task wakes must not count)", got)
+	if got := s.procSwitches - base; got != 2 {
+		t.Fatalf("procSwitches grew by %d, want 2 (task wakes must not count)", got)
 	}
 	if got := GlobalProcSwitches() - globalBase; got != 2 {
 		t.Fatalf("GlobalProcSwitches grew by %d, want 2", got)
-	}
-}
-
-// TestAwaitResumesInline pins the Done/Await contract the blocking
-// transport rests on: the callback resumes the process inside the event
-// that fires it and pushes nothing, so the process sees that event's
-// time and no further event is dispatched before it runs.
-func TestAwaitResumesInline(t *testing.T) {
-	s := New()
-	task := s.NewTask("task")
-	var firedAt, resumedAt uint64
-	var now Time
-	s.Spawn("proc", func(p *Proc) {
-		done := p.Done()
-		task.OnWake(func() {
-			firedAt = s.Executed()
-			done()
-		})
-		task.WakeAfter(5)
-		p.Await()
-		resumedAt, now = s.Executed(), p.Now()
-	})
-	s.Run()
-	if now != 5 || resumedAt != firedAt {
-		t.Fatalf("resumed at %v after event %d, want 5 inside event %d", now, resumedAt, firedAt)
-	}
-	if got := s.ProcSwitches(); got != 2 {
-		t.Fatalf("ProcSwitches = %d, want 2 (spawn and the inline resume)", got)
-	}
-}
-
-// TestAwaitAfterFire checks the synchronous case: a continuation that
-// finishes before the process awaits lets Await return without parking.
-func TestAwaitAfterFire(t *testing.T) {
-	s := New()
-	s.Spawn("proc", func(p *Proc) {
-		p.Done()()
-		p.Await()
-		p.Sleep(1)
-	})
-	if end := s.Run(); end != 1 || s.ProcSwitches() != 2 {
-		t.Fatalf("end %v after %d switches, want 1 after 2 (spawn and the sleep)", end, s.ProcSwitches())
-	}
-}
-
-// TestDoneMisusePanics covers the three protocol errors: a second fire,
-// Await without Done, and a fire from another process's goroutine while
-// the process is parked.
-func TestDoneMisusePanics(t *testing.T) {
-	s := New()
-	recovered := func(fn func()) (r any) {
-		defer func() { r = recover() }()
-		fn()
-		return nil
-	}
-	var doneA func()
-	finished := false
-	s.Spawn("a", func(p *Proc) {
-		doneA = p.Done()
-		p.Await()
-		finished = true
-	})
-	s.Spawn("b", func(p *Proc) {
-		if recovered(doneA) == nil {
-			t.Error("done callback fired from a process goroutine did not panic")
-		}
-		s.Schedule(0, doneA) // fired from an event, it resumes a
-		done := p.Done()
-		done()
-		if recovered(done) == nil {
-			t.Error("second fire did not panic")
-		}
-		p.Await()
-		if recovered(p.Await) == nil {
-			t.Error("Await without Done did not panic")
-		}
-	})
-	s.Run()
-	if !finished {
-		t.Fatal("process a never resumed")
 	}
 }

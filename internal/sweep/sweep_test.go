@@ -82,30 +82,32 @@ func TestRunPropagatesPanics(t *testing.T) {
 }
 
 // TestRunPropagatesProcessPanics: a panic inside a point's simulation
-// process runs on the process's own goroutine, out of the worker's
-// reach; the simulator hands it back to the event loop, so it reaches
-// the caller like any other point panic, and each point's deferred Close
-// still ends its parked processes.
+// task runs in an event on the worker's goroutine, unwinds the point's
+// RunUntil and reaches the caller like any other point panic, past each
+// point's deferred Close.
 func TestRunPropagatesProcessPanics(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("process panic not propagated")
 		}
-		if msg, _ := r.(string); !strings.Contains(msg, `sim: process "faulty" panicked: boom`) {
+		if msg, _ := r.(string); !strings.Contains(msg, "boom") {
 			t.Fatalf("unexpected panic payload %v", r)
 		}
 	}()
 	Run(2, 4, func(i int) int {
 		s := sim.New()
 		defer s.Close()
-		s.Spawn("bystander", func(p *sim.Proc) { p.Sleep(time.Hour) })
-		s.Spawn("faulty", func(p *sim.Proc) {
-			p.Sleep(time.Duration(i))
+		bystander := s.NewTask("bystander")
+		bystander.OnWake(func() {})
+		bystander.WakeAfter(time.Hour)
+		faulty := s.NewTask("faulty")
+		faulty.OnWake(func() {
 			if i == 3 {
 				panic("boom")
 			}
 		})
+		faulty.WakeAfter(time.Duration(i))
 		return int(s.RunUntil(sim.Time(time.Minute)))
 	})
 }

@@ -5,10 +5,9 @@ package tcp
 // socket write, segmentation per chunk and window credit, and the
 // receive side's CPU or I/OAT-engine copy out of the queued chunks. Each
 // is driven by a sim.Task, so every wake is one event dispatch on the
-// event-loop goroutine. The blocking Conn.Send/Recv are shims: they run
-// the endpoint's own Sender/Receiver with the calling process's done
-// callback (sim.Proc.Done) and park until it fires, which resumes the
-// process inside the completing event.
+// event-loop goroutine, and each calls its done callback inside the
+// event that completes the transfer, so whatever the caller does next
+// runs there too, with no event of its own.
 //
 // A Sender/Receiver is created once per connection endpoint (cold path)
 // and reused for every transfer; all continuations are bound at
@@ -220,9 +219,12 @@ func NewReceiver(c *Conn, t *sim.Task) *Receiver {
 func (r *Receiver) Task() *sim.Task { return r.task }
 
 // Recv consumes exactly n bytes of the stream into dst (cycled if
-// smaller) and calls done when they have all been copied. It runs
-// synchronously up to the first suspension point, and panics if a
-// receive is already in flight.
+// smaller) and calls done when they have all been copied — by the CPU
+// through the cache, or by the I/OAT engine. Kernel buffers are retained
+// until done fires (the net_dma skb lifetime), so large in-flight
+// messages hold a large receive-path working set. It runs synchronously
+// up to the first suspension point, and panics if a receive is already
+// in flight.
 func (r *Receiver) Recv(dst mem.Buffer, n int, done func()) {
 	c := r.c
 	st := c.stack

@@ -60,12 +60,8 @@ func FuzzTCPSegmentation(f *testing.F) {
 		src := sa.Mem.Space.Alloc(min(n, 64*cost.KB), 0)
 		dst := sb.Mem.Space.Alloc(min(n, 64*cost.KB), 0)
 
-		s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, n) })
 		received := false
-		s.Spawn("rx", func(pr *sim.Proc) {
-			cb.Recv(pr, dst, n)
-			received = true
-		})
+		transfer(s, ca, cb, src, dst, n, func() { received = true })
 		s.Run()
 
 		if !received {

@@ -7,7 +7,6 @@ import (
 	"ioatsim/internal/cost"
 	"ioatsim/internal/fault"
 	"ioatsim/internal/ioat"
-	"ioatsim/internal/sim"
 )
 
 // FuzzTCPLossRecovery drives one checked transfer through the recovery
@@ -73,12 +72,8 @@ func FuzzTCPLossRecovery(f *testing.F) {
 		ca, cb := Pair(fn.sa, fn.sb, 0, 0)
 		src := fn.sa.Mem.Space.Alloc(min(n, 64*cost.KB), 0)
 		dst := fn.sb.Mem.Space.Alloc(min(n, 64*cost.KB), 0)
-		fn.s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, n) })
 		received := false
-		fn.s.Spawn("rx", func(pr *sim.Proc) {
-			cb.Recv(pr, dst, n)
-			received = true
-		})
+		transfer(fn.s, ca, cb, src, dst, n, func() { received = true })
 		fn.s.Run()
 
 		id := func() string {

@@ -55,12 +55,10 @@ func (fn *faultNet) transfer(t *testing.T, n int) sim.Time {
 	ca, cb := Pair(fn.sa, fn.sb, 0, 0)
 	src := fn.sa.Mem.Space.Alloc(min(n, 64*cost.KB), 0)
 	dst := fn.sb.Mem.Space.Alloc(min(n, 64*cost.KB), 0)
-	fn.s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, n) })
 	var done sim.Time
 	received := false
-	fn.s.Spawn("rx", func(pr *sim.Proc) {
-		cb.Recv(pr, dst, n)
-		done = pr.Now()
+	transfer(fn.s, ca, cb, src, dst, n, func() {
+		done = fn.s.Now()
 		received = true
 	})
 	fn.s.Run()
@@ -105,16 +103,14 @@ func TestZeroPlanInert(t *testing.T) {
 		ca, cb := Pair(sa, sb, 0, 0)
 		src := sa.Mem.Space.Alloc(64*cost.KB, 0)
 		dst := sb.Mem.Space.Alloc(64*cost.KB, 0)
-		s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, n) })
 		var done sim.Time
 		var txBusy, rxBusy time.Duration
-		s.Spawn("rx", func(pr *sim.Proc) {
-			cb.Recv(pr, dst, n)
+		transfer(s, ca, cb, src, dst, n, func() {
 			// Sample busy time at the delivery instant, not after Run
 			// drains: the zero-plan run keeps (inert) timer events alive
 			// past this point, and busy-time accounting elapses queued
 			// work as virtual time advances.
-			done = pr.Now()
+			done = s.Now()
 			txBusy = sa.CPU.BusyTime()
 			rxBusy = sb.CPU.BusyTime()
 		})
@@ -192,7 +188,7 @@ func TestRTOBackoffBounded(t *testing.T) {
 	})
 	ca, _ := Pair(fn.sa, fn.sb, 0, 0)
 	src := fn.sa.Mem.Space.Alloc(64*cost.KB, 0)
-	fn.s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, 64*cost.KB) })
+	sendSeq(fn.s, ca, src, SendOptions{}, []int{64 * cost.KB}, func() {})
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -226,15 +222,10 @@ func TestNICRingOverflow(t *testing.T) {
 		streams = append(streams, struct{ ca, cb *Conn }{ca, cb})
 	}
 	recvd := 0
-	for i, sp := range streams {
-		sp := sp
+	for _, sp := range streams {
 		src := fn.sa.Mem.Space.Alloc(64*cost.KB, 0)
 		dst := fn.sb.Mem.Space.Alloc(64*cost.KB, 0)
-		fn.s.Spawn("tx"+itoa(i), func(pr *sim.Proc) { sp.ca.Send(pr, src, per) })
-		fn.s.Spawn("rx"+itoa(i), func(pr *sim.Proc) {
-			sp.cb.Recv(pr, dst, per)
-			recvd++
-		})
+		transfer(fn.s, sp.ca, sp.cb, src, dst, per, func() { recvd++ })
 	}
 	fn.s.Run()
 	if recvd != len(streams) {
@@ -289,5 +280,3 @@ func TestLossyStreamStrict(t *testing.T) {
 		t.Error("drops occurred but nothing was retransmitted")
 	}
 }
-
-func itoa(i int) string { return string(rune('0' + i)) }

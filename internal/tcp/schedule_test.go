@@ -10,18 +10,19 @@ import (
 	"ioatsim/internal/sim"
 )
 
-// blockingRow is the observable schedule of one blocking-transfer run.
-type blockingRow struct {
+// transferRow is the observable schedule of one transfer run.
+type transferRow struct {
 	end, rxDone    sim.Time
 	executed       uint64
 	txBusy, rxBusy time.Duration
 	retransmits    int64
 }
 
-// runBlocking streams messages of 1 B to 1 MB from a to b through the
-// blocking Send/Recv calls, each message received in two pieces, and
-// returns what the schedule looked like.
-func runBlocking(feat ioat.Features, sockBuf int, zeroCopy bool, loss float64) blockingRow {
+// runTransfers streams messages of 1 B to 1 MB from a to b, a Sender and
+// a Receiver each on its own task, each message received in two pieces,
+// and returns what the schedule looked like. Each done callback starts
+// the next message.
+func runTransfers(feat ioat.Features, sockBuf int, zeroCopy bool, loss float64) transferRow {
 	p := cost.Default()
 	if sockBuf > 0 {
 		p.SockBuf = sockBuf
@@ -40,19 +41,13 @@ func runBlocking(feat ioat.Features, sockBuf int, zeroCopy bool, loss float64) b
 	src := sa.Mem.Space.Alloc(64*cost.KB, 0)
 	dst := sb.Mem.Space.Alloc(64*cost.KB, 0)
 	sizes := []int{1, 100, 1500, 9000, 64*cost.KB + 7, 300 * cost.KB, cost.MB}
-	s.Spawn("tx", func(pr *sim.Proc) {
-		for _, n := range sizes {
-			ca.SendOpts(pr, src, n, SendOptions{ZeroCopy: zeroCopy})
-		}
-	})
-	var row blockingRow
-	s.Spawn("rx", func(pr *sim.Proc) {
-		for _, n := range sizes {
-			cb.Recv(pr, dst, n/3)
-			cb.Recv(pr, dst, n-n/3)
-		}
-		row.rxDone = pr.Now()
-	})
+	var pieces []int
+	for _, n := range sizes {
+		pieces = append(pieces, n/3, n-n/3)
+	}
+	var row transferRow
+	sendSeq(s, ca, src, SendOptions{ZeroCopy: zeroCopy}, sizes, func() {})
+	recvSeq(s, cb, dst, pieces, func() { row.rxDone = s.Now() })
 	row.end = s.Run()
 	row.executed = s.Executed()
 	row.txBusy, row.rxBusy = sa.CPU.BusyTime(), sb.CPU.BusyTime()
@@ -60,14 +55,16 @@ func runBlocking(feat ioat.Features, sockBuf int, zeroCopy bool, loss float64) b
 	return row
 }
 
-// TestBlockingTransferSchedule pins the blocking transport's schedule
-// across every feature set, socket buffer (32 KB stalls the window on
-// every chunk), zero copy and loss. The shims over Sender/Receiver
-// reproduce these values only because the done callback resumes the
-// process inside the completing event: a resume scheduled as its own
-// event moves every row.
-func TestBlockingTransferSchedule(t *testing.T) {
-	want := []blockingRow{
+// TestTransferSchedule pins the transport's schedule across every
+// feature set, socket buffer (32 KB stalls the window on every chunk),
+// zero copy and loss: end time, receiver finish time, event count, both
+// CPUs' busy time and retransmissions. The values are those of the
+// former blocking transfer calls, which these continuations reproduce
+// because each done callback starts the next message inside the event
+// that completes the last one: starting it from an event of its own
+// moves every row.
+func TestTransferSchedule(t *testing.T) {
+	want := []transferRow{
 		// traditional: sockbuf 32 KB, 128 KB, default; copy, zero copy; lossless, lossy.
 		{12272138, 12270138, 1931, 2086382, 3480285, 0},
 		{112054934, 111349056, 2175, 2116032, 3499827, 3},
@@ -126,7 +123,7 @@ func TestBlockingTransferSchedule(t *testing.T) {
 		for _, sockBuf := range []int{32 * cost.KB, 128 * cost.KB, 0} {
 			for _, zc := range []bool{false, true} {
 				for _, loss := range []float64{0, 0.002} {
-					if row := runBlocking(feat, sockBuf, zc, loss); row != want[i] {
+					if row := runTransfers(feat, sockBuf, zc, loss); row != want[i] {
 						t.Errorf("%s sockbuf=%d zerocopy=%v loss=%v:\n got %+v\nwant %+v",
 							feat.Label(), sockBuf, zc, loss, row, want[i])
 					}

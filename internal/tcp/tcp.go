@@ -11,8 +11,8 @@
 //     (startup cost only, overlapped).
 //
 // Both sides are implemented once, by the Sender and Receiver state
-// machines (async.go); the blocking Conn.Send/Recv are shims that run
-// them on behalf of a simulation process.
+// machines (async.go), each driven by a sim.Task. Connection setup is
+// continuation-passing too: Dial and the listener's accept loop (Serve).
 //
 // Flow control is credit-based with a window of one socket buffer. The
 // fabric is lossless by default (the paper's testbed is a switched LAN
@@ -138,7 +138,11 @@ func NewStack(s *sim.Simulator, p *cost.Params, c *cpu.CPU, m *mem.Model,
 type Listener struct {
 	stack   *Stack
 	service string
-	backlog *sim.Chan[*Conn]
+	// backlog holds the server endpoints whose handshake has completed
+	// and that the accept loop has not taken yet; waiter is the accept
+	// loop's task while it waits on an empty backlog.
+	backlog []*Conn
+	waiter  *sim.Task
 }
 
 // Listen registers a service name on this stack.
@@ -146,21 +150,85 @@ func (st *Stack) Listen(service string) *Listener {
 	if _, dup := st.listeners[service]; dup {
 		panic(fmt.Sprintf("tcp: duplicate listener %q on %s", service, st.Name))
 	}
-	l := &Listener{stack: st, service: service, backlog: sim.NewChan[*Conn](st.S)}
+	l := &Listener{stack: st, service: service}
 	st.listeners[service] = l
 	return l
 }
 
-// Accept blocks until a connection arrives and returns its server-side
-// endpoint.
-func (l *Listener) Accept(p *sim.Proc) *Conn {
-	l.stack.CPU.Exec(p, l.stack.P.Syscall)
-	c, ok := l.backlog.Recv(p)
-	if !ok {
-		panic("tcp: listener closed")
+// Serve starts the listener's accept loop on a new task named name (one
+// start event). Each accept charges the accept syscall, waits for a
+// connection, and charges the context switch back to the accepting
+// thread; handle then runs with the accept index and the server-side
+// endpoint, on the loop's task, before the next accept begins. A
+// listener has at most one accept loop.
+func (l *Listener) Serve(name string, handle func(i int, c *Conn)) {
+	a := &acceptLoop{l: l, task: l.stack.S.NewTask(name), handle: handle}
+	a.stepTake = a.take
+	a.stepHand = a.hand
+	a.task.Start(a.accept)
+}
+
+// acceptLoop is a listener's accept loop; its continuations are bound
+// once in Serve.
+type acceptLoop struct {
+	l      *Listener
+	task   *sim.Task
+	handle func(int, *Conn)
+	n      int   // connections accepted so far
+	conn   *Conn // the connection being accepted
+
+	stepTake func()
+	stepHand func()
+}
+
+// accept charges the accept syscall, then takes a connection.
+func (a *acceptLoop) accept() {
+	st := a.l.stack
+	if st.CPU.ExecTask(a.task, a.stepTake, st.P.Syscall) {
+		return
 	}
-	l.stack.CPU.Exec(p, l.stack.P.ContextSwitch)
-	return c
+	a.take()
+}
+
+// take pops the oldest queued connection and charges the switch back to
+// the accepting thread, or parks the loop until Dial queues one.
+func (a *acceptLoop) take() {
+	l := a.l
+	if len(l.backlog) == 0 {
+		if l.waiter != nil {
+			panic("tcp: second accept loop on one listener")
+		}
+		l.waiter = a.task
+		a.task.OnWake(a.stepTake)
+		return
+	}
+	a.conn = l.backlog[0]
+	l.backlog = l.backlog[1:]
+	st := l.stack
+	if st.CPU.ExecTask(a.task, a.stepHand, st.P.ContextSwitch) {
+		return
+	}
+	a.hand()
+}
+
+// hand gives the accepted connection to the handler and accepts the
+// next one.
+func (a *acceptLoop) hand() {
+	c := a.conn
+	a.conn = nil
+	a.handle(a.n, c)
+	a.n++
+	a.accept()
+}
+
+// enqueue adds a connection whose handshake has completed to the
+// backlog and wakes a waiting accept loop (one event).
+func (l *Listener) enqueue(c *Conn) {
+	l.backlog = append(l.backlog, c)
+	if w := l.waiter; w != nil {
+		l.waiter = nil
+		w.Wake()
+	}
 }
 
 // pending is one received chunk queued on a connection, partially
@@ -201,11 +269,6 @@ type Conn struct {
 	window   int
 	inflight int
 	txWaiter *sim.Task
-
-	// The state machines behind the blocking Send/Recv, built on the
-	// endpoint's first blocking call.
-	tx *Sender
-	rx *Receiver
 
 	// Loss recovery (recovery.go); all idle when the stack has no fault
 	// plan. sndUna..sndNxt is the unacked stream range, tracked segment
@@ -267,10 +330,12 @@ func (st *Stack) newConn(lp, rp int) *Conn {
 }
 
 // Dial establishes a connection from this stack to the named service on
-// the remote stack, using localPort on this node and remotePort on the
-// remote node. It charges the connection-setup syscall and one round
-// trip, then enqueues the server endpoint on the remote listener backlog.
-func (st *Stack) Dial(p *sim.Proc, remote *Stack, service string, localPort, remotePort int) *Conn {
+// the remote stack, on behalf of task t, using localPort on this node and
+// remotePort on the remote node. It charges the connection-setup syscall
+// and one round trip, hands the server endpoint to the remote listener's
+// backlog once the remote syscall completes, and calls done with the
+// client endpoint.
+func (st *Stack) Dial(t *sim.Task, remote *Stack, service string, localPort, remotePort int, done func(*Conn)) {
 	l, ok := remote.listeners[service]
 	if !ok {
 		panic(fmt.Sprintf("tcp: no listener %q on %s", service, remote.Name))
@@ -279,11 +344,15 @@ func (st *Stack) Dial(p *sim.Proc, remote *Stack, service string, localPort, rem
 	sv := remote.newConn(remotePort, localPort)
 	cl.peer, sv.peer = sv, cl
 
-	st.CPU.Exec(p, st.P.Syscall)
-	// SYN + SYN/ACK round trip.
-	p.Sleep(2 * st.P.PropDelay)
-	remote.CPU.Submit(remote.P.Syscall, func() { l.backlog.Send(sv) })
-	return cl
+	established := func() {
+		remote.CPU.Submit(remote.P.Syscall, func() { l.enqueue(sv) })
+		done(cl)
+	}
+	st.CPU.ExecThen(t, st.P.Syscall, func() {
+		// SYN + SYN/ACK round trip.
+		t.OnWake(established)
+		t.WakeAfter(2 * st.P.PropDelay)
+	})
 }
 
 // Pair establishes a connection without the handshake costs — a helper
@@ -300,25 +369,6 @@ type SendOptions struct {
 	// ZeroCopy skips the user-to-kernel copy (the sendfile() path: the
 	// kernel transmits straight from pinned page-cache pages).
 	ZeroCopy bool
-}
-
-// Send transmits n bytes whose source is the user buffer src (cycled if
-// smaller than n), blocking the calling process for the CPU portions and
-// for window stalls. It returns when the last byte has been handed to
-// the NIC.
-func (c *Conn) Send(p *sim.Proc, src mem.Buffer, n int) {
-	c.SendOpts(p, src, n, SendOptions{})
-}
-
-// SendOpts is Send with options. It drives the endpoint's Sender (built
-// on the first blocking call) and parks p until the transfer's done
-// callback resumes it.
-func (c *Conn) SendOpts(p *sim.Proc, src mem.Buffer, n int, opts SendOptions) {
-	if c.tx == nil {
-		c.tx = NewSender(c, c.stack.S.NewTask(p.Name()))
-	}
-	c.tx.SendOpts(src, n, opts, p.Done())
-	p.Await()
 }
 
 // onReceive is the NIC handler: queue the chunk on its connection, start
@@ -385,21 +435,6 @@ func (st *Stack) submitDMA(c *Conn, pd *pending) {
 //ioat:hotpath
 func (pd *pending) startDMA(st *Stack) {
 	pd.dma = st.DMA.Submit(pd.rx.Bufs[0].Addr, 0, pd.rx.Chunk.Bytes)
-}
-
-// Recv consumes exactly n bytes of the stream into the user buffer dst
-// (cycled if smaller), blocking until they have arrived and been copied —
-// by the CPU through the cache, or by the I/OAT engine. Kernel buffers
-// are retained until this call returns (the net_dma skb lifetime), so
-// large in-flight messages hold a large receive-path working set. It
-// drives the endpoint's Receiver (built on the first blocking call) and
-// parks p until the transfer's done callback resumes it.
-func (c *Conn) Recv(p *sim.Proc, dst mem.Buffer, n int) {
-	if c.rx == nil {
-		c.rx = NewReceiver(c, c.stack.S.NewTask(p.Name()))
-	}
-	c.rx.Recv(dst, n, p.Done())
-	p.Await()
 }
 
 // copyCost prices the CPU copy of m bytes from the chunk's kernel buffers

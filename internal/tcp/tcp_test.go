@@ -29,6 +29,49 @@ func newNode(s *sim.Simulator, p *cost.Params, feat ioat.Features, name string, 
 
 func (n *node) buf(size int) mem.Buffer { return n.st.Mem.Space.Alloc(size, 0) }
 
+// sendSeq starts a task that sends the messages in sizes from src on c,
+// each one's done callback starting the next, and runs done after the
+// last.
+func sendSeq(s *sim.Simulator, c *Conn, src mem.Buffer, opts SendOptions, sizes []int, done func()) {
+	tx := NewSender(c, s.NewTask("tx"))
+	i := 0
+	var next func()
+	next = func() {
+		if i == len(sizes) {
+			done()
+			return
+		}
+		i++
+		tx.SendOpts(src, sizes[i-1], opts, next)
+	}
+	tx.Task().Start(next)
+}
+
+// recvSeq starts a task that receives the messages in sizes into dst on
+// c, each one's done callback starting the next, and runs done after the
+// last.
+func recvSeq(s *sim.Simulator, c *Conn, dst mem.Buffer, sizes []int, done func()) {
+	rx := NewReceiver(c, s.NewTask("rx"))
+	i := 0
+	var next func()
+	next = func() {
+		if i == len(sizes) {
+			done()
+			return
+		}
+		i++
+		rx.Recv(dst, sizes[i-1], next)
+	}
+	rx.Task().Start(next)
+}
+
+// transfer starts one n-byte message from ca to cb, each side on a task
+// of its own; done runs once the receiver has it all.
+func transfer(s *sim.Simulator, ca, cb *Conn, src, dst mem.Buffer, n int, done func()) {
+	sendSeq(s, ca, src, SendOptions{}, []int{n}, func() {})
+	recvSeq(s, cb, dst, []int{n}, done)
+}
+
 func twoNodes(feat ioat.Features, p *cost.Params) (*sim.Simulator, *node, *node) {
 	s := sim.New()
 	a := newNode(s, p, feat, "a", 6)
@@ -44,11 +87,7 @@ func TestStreamDelivery(t *testing.T) {
 	var got int
 	src := a.buf(64 * cost.KB)
 	dst := b.buf(64 * cost.KB)
-	s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, n) })
-	s.Spawn("rx", func(pr *sim.Proc) {
-		cb.Recv(pr, dst, n)
-		got = n
-	})
+	transfer(s, ca, cb, src, dst, n, func() { got = n })
 	end := s.Run()
 	if got != n {
 		t.Fatal("receiver did not get all bytes")
@@ -69,12 +108,8 @@ func TestThroughputNearLineRate(t *testing.T) {
 	const n = 8 * cost.MB
 	src := a.buf(64 * cost.KB)
 	dst := b.buf(64 * cost.KB)
-	s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, n) })
 	var done sim.Time
-	s.Spawn("rx", func(pr *sim.Proc) {
-		cb.Recv(pr, dst, n)
-		done = pr.Now()
-	})
+	transfer(s, ca, cb, src, dst, n, func() { done = s.Now() })
 	s.Run()
 	mbps := float64(n*8) / time.Duration(done).Seconds() / 1e6
 	if mbps < 850 || mbps > 945 {
@@ -90,15 +125,13 @@ func TestWindowBlocksSender(t *testing.T) {
 	src := a.buf(64 * cost.KB)
 	dst := b.buf(64 * cost.KB)
 	var sendDone, recvStart sim.Time = -1, -1
-	s.Spawn("tx", func(pr *sim.Proc) {
-		ca.Send(pr, src, 1*cost.MB)
-		sendDone = pr.Now()
+	sendSeq(s, ca, src, SendOptions{}, []int{1 * cost.MB}, func() { sendDone = s.Now() })
+	rx := NewReceiver(cb, s.NewTask("rx"))
+	rx.Task().OnWake(func() {
+		recvStart = s.Now()
+		rx.Recv(dst, 1*cost.MB, func() {})
 	})
-	s.Spawn("rx", func(pr *sim.Proc) {
-		pr.Sleep(20 * time.Millisecond) // receiver absent: window must cap flight
-		recvStart = pr.Now()
-		cb.Recv(pr, dst, 1*cost.MB)
-	})
+	rx.Task().WakeAfter(20 * time.Millisecond) // receiver absent: window must cap flight
 	s.Run()
 	if sendDone < 0 {
 		t.Fatal("sender never finished")
@@ -118,8 +151,7 @@ func TestInflightNeverExceedsWindow(t *testing.T) {
 	ca, cb := Pair(a.st, b.st, 0, 0)
 	src := a.buf(64 * cost.KB)
 	dst := b.buf(64 * cost.KB)
-	s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, 2*cost.MB) })
-	s.Spawn("rx", func(pr *sim.Proc) { cb.Recv(pr, dst, 2*cost.MB) })
+	transfer(s, ca, cb, src, dst, 2*cost.MB, func() {})
 	bad := false
 	var watch func()
 	watch = func() {
@@ -147,11 +179,7 @@ func TestIOATUsesLessCPU(t *testing.T) {
 		src := a.buf(64 * cost.KB)
 		dst := b.buf(64 * cost.KB)
 		var done sim.Time
-		s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, 4*cost.MB) })
-		s.Spawn("rx", func(pr *sim.Proc) {
-			cb.Recv(pr, dst, 4*cost.MB)
-			done = pr.Now()
-		})
+		transfer(s, ca, cb, src, dst, 4*cost.MB, func() { done = s.Now() })
 		s.Run()
 		return b.st.CPU.BusyTime(), done
 	}
@@ -175,22 +203,31 @@ func TestIOATUsesLessCPU(t *testing.T) {
 func TestDialAccept(t *testing.T) {
 	p := cost.Default()
 	s, a, b := twoNodes(ioat.None(), p)
-	l := b.st.Listen("svc")
 	var msg int
+	var acceptedAt sim.Time
 	src := a.buf(4 * cost.KB)
 	dst := b.buf(4 * cost.KB)
-	s.Spawn("client", func(pr *sim.Proc) {
-		c := a.st.Dial(pr, b.st, "svc", 0, 0)
-		c.Send(pr, src, 4*cost.KB)
+	client := s.NewTask("client")
+	client.Start(func() {
+		a.st.Dial(client, b.st, "svc", 0, 0, func(c *Conn) {
+			NewSender(c, client).Send(src, 4*cost.KB, func() {})
+		})
 	})
-	s.Spawn("server", func(pr *sim.Proc) {
-		c := l.Accept(pr)
-		c.Recv(pr, dst, 4*cost.KB)
-		msg = 4 * cost.KB
+	b.st.Listen("svc").Serve("server", func(i int, c *Conn) {
+		if i != 0 {
+			t.Errorf("accept index %d, want 0", i)
+		}
+		acceptedAt = s.Now()
+		recvSeq(s, c, dst, []int{4 * cost.KB}, func() { msg = 4 * cost.KB })
 	})
 	s.Run()
 	if msg != 4*cost.KB {
 		t.Fatal("request never arrived through Dial/Accept")
+	}
+	// Dial charges its syscall and a round trip, the listener's node its
+	// syscall, and the accept its context switch back to the thread.
+	if floor := sim.Time(p.Syscall + 2*p.PropDelay + p.Syscall + p.ContextSwitch); acceptedAt < floor {
+		t.Fatalf("accepted at %v, before the handshake's %v of charges", acceptedAt, floor)
 	}
 }
 
@@ -213,10 +250,8 @@ func TestZeroCopySendCheaper(t *testing.T) {
 		ca, cb := Pair(a.st, b.st, 0, 0)
 		src := a.buf(64 * cost.KB)
 		dst := b.buf(64 * cost.KB)
-		s.Spawn("tx", func(pr *sim.Proc) {
-			ca.SendOpts(pr, src, 4*cost.MB, SendOptions{ZeroCopy: zc})
-		})
-		s.Spawn("rx", func(pr *sim.Proc) { cb.Recv(pr, dst, 4*cost.MB) })
+		sendSeq(s, ca, src, SendOptions{ZeroCopy: zc}, []int{4 * cost.MB}, func() {})
+		recvSeq(s, cb, dst, []int{4 * cost.MB}, func() {})
 		s.Run()
 		return a.st.CPU.BusyTime()
 	}
@@ -233,8 +268,7 @@ func TestTSOReducesSenderCPU(t *testing.T) {
 		ca, cb := Pair(a.st, b.st, 0, 0)
 		src := a.buf(64 * cost.KB)
 		dst := b.buf(64 * cost.KB)
-		s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, 4*cost.MB) })
-		s.Spawn("rx", func(pr *sim.Proc) { cb.Recv(pr, dst, 4*cost.MB) })
+		transfer(s, ca, cb, src, dst, 4*cost.MB, func() {})
 		s.Run()
 		return a.st.CPU.BusyTime()
 	}
@@ -248,24 +282,18 @@ func TestMultiPortScalesBandwidth(t *testing.T) {
 		p := cost.Default()
 		s, a, b := twoNodes(ioat.Linux(), p)
 		var done sim.Time
-		wg := sim.NewWaitGroup(s)
-		wg.Add(ports)
+		left := ports
 		const per = 4 * cost.MB
 		for i := 0; i < ports; i++ {
-			i := i
 			ca, cb := Pair(a.st, b.st, i, i)
 			src := a.buf(64 * cost.KB)
 			dst := b.buf(64 * cost.KB)
-			s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, per) })
-			s.Spawn("rx", func(pr *sim.Proc) {
-				cb.Recv(pr, dst, per)
-				wg.Done()
+			transfer(s, ca, cb, src, dst, per, func() {
+				if left--; left == 0 {
+					done = s.Now()
+				}
 			})
 		}
-		s.Spawn("main", func(pr *sim.Proc) {
-			wg.Wait(pr)
-			done = pr.Now()
-		})
 		s.Run()
 		return float64(ports*per*8) / time.Duration(done).Seconds() / 1e6
 	}
@@ -284,11 +312,7 @@ func TestDeterministicTransfers(t *testing.T) {
 		src := a.buf(64 * cost.KB)
 		dst := b.buf(64 * cost.KB)
 		var done sim.Time
-		s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, 1*cost.MB) })
-		s.Spawn("rx", func(pr *sim.Proc) {
-			cb.Recv(pr, dst, 1*cost.MB)
-			done = pr.Now()
-		})
+		transfer(s, ca, cb, src, dst, 1*cost.MB, func() { done = s.Now() })
 		s.Run()
 		return done
 	}
@@ -305,15 +329,8 @@ func TestMessageBoundariesAcrossChunks(t *testing.T) {
 	src := a.buf(64 * cost.KB)
 	dst := b.buf(64 * cost.KB)
 	total := 0
-	s.Spawn("tx", func(pr *sim.Proc) {
-		ca.Send(pr, src, 200*cost.KB) // > 3 chunks
-	})
-	s.Spawn("rx", func(pr *sim.Proc) {
-		for _, n := range []int{64, 100*cost.KB - 64, 100 * cost.KB} {
-			cb.Recv(pr, dst, n)
-			total += n
-		}
-	})
+	sendSeq(s, ca, src, SendOptions{}, []int{200 * cost.KB}, func() {}) // > 3 chunks
+	recvSeq(s, cb, dst, []int{64, 100*cost.KB - 64, 100 * cost.KB}, func() { total = 200 * cost.KB })
 	s.Run()
 	if total != 200*cost.KB {
 		t.Fatalf("consumed %d, want %d", total, 200*cost.KB)
@@ -326,8 +343,7 @@ func TestKernelBuffersReleased(t *testing.T) {
 	ca, cb := Pair(a.st, b.st, 0, 0)
 	src := a.buf(64 * cost.KB)
 	dst := b.buf(64 * cost.KB)
-	s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, 2*cost.MB) })
-	s.Spawn("rx", func(pr *sim.Proc) { cb.Recv(pr, dst, 2*cost.MB) })
+	transfer(s, ca, cb, src, dst, 2*cost.MB, func() {})
 	s.Run()
 	if live := b.st.NIC.PoolLiveBytes(); live != 0 {
 		t.Fatalf("kernel buffer leak: %d bytes live", live)
@@ -356,18 +372,9 @@ func TestTransferConservationProperty(t *testing.T) {
 		if len(msgs) == 0 {
 			return true
 		}
-		s.Spawn("tx", func(pr *sim.Proc) {
-			for _, n := range msgs {
-				ca.Send(pr, src, n)
-			}
-		})
 		received := false
-		s.Spawn("rx", func(pr *sim.Proc) {
-			for _, n := range msgs {
-				cb.Recv(pr, dst, n)
-			}
-			received = true
-		})
+		sendSeq(s, ca, src, SendOptions{}, msgs, func() {})
+		recvSeq(s, cb, dst, msgs, func() { received = true })
 		s.Run()
 		return received &&
 			a.st.BytesSent == total &&
@@ -399,18 +406,13 @@ func TestCopyCostEveryConsumeOffset(t *testing.T) {
 		ca, cb := Pair(a.st, b.st, 0, 0)
 		src := a.buf(8 * cost.KB)
 		dst := b.buf(8 * cost.KB)
+		var pieces []int
+		for left := msg; left > 0; left -= step {
+			pieces = append(pieces, min(step, left))
+		}
 		var got int
-		s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, msg) })
-		s.Spawn("rx", func(pr *sim.Proc) {
-			for got < msg {
-				n := step
-				if n > msg-got {
-					n = msg - got
-				}
-				cb.Recv(pr, dst, n)
-				got += n
-			}
-		})
+		sendSeq(s, ca, src, SendOptions{}, []int{msg}, func() {})
+		recvSeq(s, cb, dst, pieces, func() { got = msg })
 		s.Run()
 		if got != msg {
 			t.Fatalf("step %d: received %d of %d bytes", step, got, msg)
@@ -431,9 +433,9 @@ func recoverPanic(fn func()) (r any) {
 
 // TestConcurrentTransferPanics checks the one-transfer-per-direction
 // rule on an endpoint: a second send or receive while one is in flight
-// panics instead of overwriting the first one's state, in the
-// continuation form, across two Senders sharing a closed window, and
-// through the blocking shims.
+// panics instead of overwriting the first one's state, on one Sender or
+// Receiver, and across two Senders or two Receivers sharing a closed
+// window or an empty queue.
 func TestConcurrentTransferPanics(t *testing.T) {
 	const sendMsg, recvMsg = "tcp: concurrent Send on one connection", "tcp: concurrent Recv on one connection"
 	p := cost.Default()
@@ -458,18 +460,11 @@ func TestConcurrentTransferPanics(t *testing.T) {
 	NewSender(ca, s.NewTask("tx2")).Send(src, cost.MB, func() {})
 	expect("second Sender", recoverPanic(func() { s.Run() }), sendMsg)
 
+	// A second Receiver on the same endpoint collides at the empty queue.
 	s, a, b = twoNodes(ioat.None(), p)
-	ca, cb = Pair(a.st, b.st, 0, 0)
-	src, dst = a.buf(64*cost.KB), b.buf(64*cost.KB)
-	var sendPanic, recvPanic any
-	s.Spawn("tx", func(pr *sim.Proc) { ca.Send(pr, src, cost.MB) })
-	s.Spawn("rx", func(pr *sim.Proc) { cb.Recv(pr, dst, cost.MB) })
-	s.Spawn("tx2", func(pr *sim.Proc) { sendPanic = recoverPanic(func() { ca.Send(pr, src, 1) }) })
-	s.Spawn("rx2", func(pr *sim.Proc) { recvPanic = recoverPanic(func() { cb.Recv(pr, dst, 1) }) })
-	s.Run()
-	expect("blocking Send", sendPanic, sendMsg)
-	expect("blocking Recv", recvPanic, recvMsg)
-	if cb.Available() != 0 || a.st.BytesSent != cost.MB {
-		t.Errorf("first transfer disturbed: sent %d, %d bytes left unconsumed", a.st.BytesSent, cb.Available())
-	}
+	_, cb = Pair(a.st, b.st, 0, 0)
+	dst = b.buf(64 * cost.KB)
+	NewReceiver(cb, s.NewTask("rx")).Recv(dst, cost.MB, func() {})
+	rx2 := NewReceiver(cb, s.NewTask("rx2"))
+	expect("second Receiver", recoverPanic(func() { rx2.Recv(dst, 1, func() {}) }), recvMsg)
 }

@@ -62,7 +62,11 @@ func TestObsNilWithoutSinks(t *testing.T) {
 func TestProcRunRecorded(t *testing.T) {
 	tr := New(16)
 	s := sim.New(sim.WithProbe(tr))
-	s.Spawn("worker", func(p *sim.Proc) { p.Sleep(time.Microsecond) })
+	w := s.NewTask("worker")
+	w.Start(func() {
+		w.OnWake(func() {})
+		w.WakeAfter(time.Microsecond)
+	})
 	s.Run()
 	found := 0
 	tr.ordered(func(r *record) {
@@ -70,8 +74,8 @@ func TestProcRunRecorded(t *testing.T) {
 			found++
 		}
 	})
-	if found < 2 { // spawn + sleep wake-up
-		t.Fatalf("recorded %d proc-run instants for worker, want >= 2", found)
+	if found != 2 { // start + wake-up
+		t.Fatalf("recorded %d proc-run instants for worker, want 2", found)
 	}
 }
 

@@ -2,25 +2,20 @@
 // "Benefits of I/O Acceleration Technology (I/OAT) in Clusters"
 // (Vaidyanathan & Panda, ISPASS 2007) in pure Go.
 //
-// The package re-exports the library's public surface. A minimal
-// session:
-//
-//	cluster, sender, receiver := ioatsim.Testbed1(ioatsim.DefaultParams(), ioatsim.IOAT(), 1)
-//	defer cluster.Close()
-//	conn, peer := ioatsim.Pair(sender.Stack, receiver.Stack, 0, 0)
-//	src, dst := sender.Buf(64<<10), receiver.Buf(64<<10)
-//	cluster.S.Spawn("tx", func(p *ioatsim.Proc) { conn.Send(p, src, 16<<20) })
-//	cluster.S.Spawn("rx", func(p *ioatsim.Proc) { peer.Recv(p, dst, 16<<20) })
-//	cluster.S.Run()
-//	fmt.Println(receiver.CPU.Utilization())
+// The package re-exports the library's public surface. The package
+// Example streams 16 MB over one port of Testbed 1 and reads back the
+// receiver's CPU utilization.
 //
 // Layers, bottom up:
 //
-//   - the simulation kernel (Simulator, Proc) — a deterministic
-//     discrete-event loop with goroutine-backed blocking processes;
+//   - the simulation kernel (Simulator, Task) — a deterministic
+//     discrete-event loop whose processes are continuation-passing
+//     tasks: a task's code runs inside events and suspends by asking for
+//     a wake, so a simulation starts no goroutines;
 //   - machines (Node, Cluster, Testbed1) — cores, an L2 cache model, a
-//     DMA copy engine, multi-port NICs and a TCP-like transport, with
-//     per-feature I/OAT acceleration (Features);
+//     DMA copy engine, multi-port NICs and a TCP-like transport driven by
+//     Sender and Receiver tasks, with per-feature I/OAT acceleration
+//     (Features);
 //   - applications — the paper's two domains (RunDataCenter, RunPVFS)
 //     plus the §5.1 dynamic-content third tier (RunThreeTier) and the
 //     §7 intra-node IPC channel (IPCChannel);
@@ -49,8 +44,11 @@ import (
 // Simulator is the deterministic discrete-event loop.
 type Simulator = sim.Simulator
 
-// Proc is a blocking simulation process.
-type Proc = sim.Proc
+// Task is a simulation process: a continuation-passing state machine
+// whose wakes are events. Create one with Simulator.NewTask and start it
+// with Task.Start; operations that take time (a CPU charge, a transfer,
+// a copy) take the task and a callback to run when they finish.
+type Task = sim.Task
 
 // Time is virtual time in nanoseconds since the start of the run.
 type Time = sim.Time
@@ -108,8 +106,7 @@ type Copier = ioat.Copier
 type Node = host.Node
 
 // Cluster is a set of nodes sharing one simulator. Close it when the
-// run is over: that ends the processes still parked in it and lets the
-// next cluster reuse its nodes' cache state.
+// run is over: that lets the next cluster reuse its nodes' cache state.
 type Cluster = host.Cluster
 
 // Buffer is a user allocation in a node's simulated memory.
@@ -201,6 +198,20 @@ type Listener = tcp.Listener
 // SendOptions modify one Send call (ZeroCopy selects the sendfile path).
 type SendOptions = tcp.SendOptions
 
+// Sender drives sends on one connection endpoint: Send calls its done
+// callback once the last byte has been handed to the NIC.
+type Sender = tcp.Sender
+
+// Receiver drives receives on one connection endpoint: Recv calls its
+// done callback once the requested bytes have arrived and been copied.
+type Receiver = tcp.Receiver
+
+// NewSender returns a reusable sender for c, driven by task t.
+func NewSender(c *Conn, t *Task) *Sender { return tcp.NewSender(c, t) }
+
+// NewReceiver returns a reusable receiver for c, driven by task t.
+func NewReceiver(c *Conn, t *Task) *Receiver { return tcp.NewReceiver(c, t) }
+
 // Pair establishes a connection between two nodes' stacks on the given
 // port indexes without handshake costs.
 func Pair(a, b *tcp.Stack, portA, portB int) (*Conn, *Conn) {
@@ -245,14 +256,18 @@ type PVFSSystem = pvfs.System
 // PVFSClient is a compute node's client library instance.
 type PVFSClient = pvfs.Client
 
+// PVFSFileMeta describes a striped PVFS file.
+type PVFSFileMeta = pvfs.FileMeta
+
 // NewPVFS deploys iods I/O daemons on the server node.
 func NewPVFS(server *Node, iods, stripe int) *PVFSSystem {
 	return pvfs.New(server, iods, stripe)
 }
 
-// NewPVFSClient connects a compute node to a PVFS system.
-func NewPVFSClient(p *Proc, node *Node, sys *PVFSSystem) *PVFSClient {
-	return pvfs.NewClient(p, node, sys)
+// NewPVFSClient connects a compute node to a PVFS system on behalf of
+// task t, and calls done with the client. The client's calls run on t.
+func NewPVFSClient(t *Task, node *Node, sys *PVFSSystem, done func(*PVFSClient)) {
+	pvfs.NewClient(t, node, sys, done)
 }
 
 // RunPVFS runs the pvfs-test concurrent read/write benchmark.
