@@ -30,9 +30,9 @@ func newNode(s *sim.Simulator, p *cost.Params, feat ioat.Features, name string, 
 func (n *node) buf(size int) mem.Buffer { return n.st.Mem.Space.Alloc(size, 0) }
 
 // sendSeq starts a task that sends the messages in sizes from src on c,
-// each one's done callback starting the next, and runs done after the
-// last.
-func sendSeq(s *sim.Simulator, c *Conn, src mem.Buffer, opts SendOptions, sizes []int, done func()) {
+// each one's done callback starting the next, runs done after the last,
+// and returns the Sender.
+func sendSeq(s *sim.Simulator, c *Conn, src mem.Buffer, opts SendOptions, sizes []int, done func()) *Sender {
 	tx := NewSender(c, s.NewTask("tx"))
 	i := 0
 	var next func()
@@ -45,12 +45,13 @@ func sendSeq(s *sim.Simulator, c *Conn, src mem.Buffer, opts SendOptions, sizes 
 		tx.SendOpts(src, sizes[i-1], opts, next)
 	}
 	tx.Task().Start(next)
+	return tx
 }
 
 // recvSeq starts a task that receives the messages in sizes into dst on
-// c, each one's done callback starting the next, and runs done after the
-// last.
-func recvSeq(s *sim.Simulator, c *Conn, dst mem.Buffer, sizes []int, done func()) {
+// c, each one's done callback starting the next, runs done after the
+// last, and returns the Receiver.
+func recvSeq(s *sim.Simulator, c *Conn, dst mem.Buffer, sizes []int, done func()) *Receiver {
 	rx := NewReceiver(c, s.NewTask("rx"))
 	i := 0
 	var next func()
@@ -63,6 +64,7 @@ func recvSeq(s *sim.Simulator, c *Conn, dst mem.Buffer, sizes []int, done func()
 		rx.Recv(dst, sizes[i-1], next)
 	}
 	rx.Task().Start(next)
+	return rx
 }
 
 // transfer starts one n-byte message from ca to cb, each side on a task
@@ -434,8 +436,9 @@ func recoverPanic(fn func()) (r any) {
 // TestConcurrentTransferPanics checks the one-transfer-per-direction
 // rule on an endpoint: a second send or receive while one is in flight
 // panics instead of overwriting the first one's state, on one Sender or
-// Receiver, and across two Senders or two Receivers sharing a closed
-// window or an empty queue.
+// Receiver, across two Senders or two Receivers sharing a closed window
+// or an empty queue, and from an event partway through a transfer, which
+// must still complete undisturbed.
 func TestConcurrentTransferPanics(t *testing.T) {
 	const sendMsg, recvMsg = "tcp: concurrent Send on one connection", "tcp: concurrent Recv on one connection"
 	p := cost.Default()
@@ -467,4 +470,29 @@ func TestConcurrentTransferPanics(t *testing.T) {
 	NewReceiver(cb, s.NewTask("rx")).Recv(dst, cost.MB, func() {})
 	rx2 := NewReceiver(cb, s.NewTask("rx2"))
 	expect("second Receiver", recoverPanic(func() { rx2.Recv(dst, 1, func() {}) }), recvMsg)
+
+	// A refused second call partway through leaves the first transfer's
+	// state alone: it still completes with every byte sent and consumed.
+	s, a, b = twoNodes(ioat.None(), p)
+	ca, cb = Pair(a.st, b.st, 0, 0)
+	src, dst = a.buf(64*cost.KB), b.buf(64*cost.KB)
+	finished := false
+	tx = sendSeq(s, ca, src, SendOptions{}, []int{cost.MB}, func() {})
+	rx = recvSeq(s, cb, dst, []int{cost.MB}, func() { finished = true })
+	var sendPanic, recvPanic any
+	var midway int64
+	s.Schedule(time.Millisecond, func() {
+		midway = a.st.BytesSent
+		sendPanic = recoverPanic(func() { tx.Send(src, 1, func() {}) })
+		recvPanic = recoverPanic(func() { rx.Recv(dst, 1, func() {}) })
+	})
+	s.Run()
+	if midway == 0 || midway >= cost.MB {
+		t.Fatalf("second calls made with %d of %d bytes sent, want partway", midway, cost.MB)
+	}
+	expect("Sender midway", sendPanic, sendMsg)
+	expect("Receiver midway", recvPanic, recvMsg)
+	if !finished || cb.Available() != 0 || a.st.BytesSent != cost.MB {
+		t.Errorf("first transfer disturbed: finished %v, sent %d, %d bytes left unconsumed", finished, a.st.BytesSent, cb.Available())
+	}
 }
