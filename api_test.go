@@ -72,13 +72,18 @@ func TestPublicAPIPVFS(t *testing.T) {
 }
 
 func TestPublicAPIDataCenter(t *testing.T) {
+	prof := NewProfiler()
 	m := RunDataCenter(DataCenterOptions{
 		Feat: IOAT(), Seed: 1, ClientNodes: 2, ThreadsPerClient: 2,
 		FileCount: 1, FileSize: 4 * KB,
+		Host: []ClusterOption{WithStrictCheck(), WithObservability(Observability{Profile: prof})},
 		Warm: 10 * time.Millisecond, Meas: 20 * time.Millisecond,
 	})
 	if m.Completed == 0 {
 		t.Fatal("no transactions")
+	}
+	if prof.CPUTotal() == 0 {
+		t.Fatal("the Host options did not reach the cluster: the profiler saw no CPU time")
 	}
 }
 

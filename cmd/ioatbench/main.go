@@ -81,7 +81,7 @@ type jsonReport struct {
 	Events      uint64       `json:"events"`
 	EventsPerS  float64      `json:"events_per_s"`
 	// PeakPending is the deepest scheduler pending-event set any
-	// simulation reached — the depth the timing wheel absorbed.
+	// simulation reached — the depth the scheduler's heap held.
 	PeakPending uint64 `json:"peak_pending"`
 	// CacheHits/CacheMisses count point-cache lookups (both zero when
 	// the cache is off).

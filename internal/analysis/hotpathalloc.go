@@ -9,7 +9,7 @@ import (
 )
 
 // HotpathAlloc enforces the 0 allocs/op contract on functions annotated
-// //ioat:hotpath (the steady-state packet path: wheel scheduling,
+// //ioat:hotpath (the steady-state packet path: event scheduling,
 // process/task wakes, chunk delivery, NIC rx, transport steps, DMA
 // completion, batched cache pricing). It rejects the constructs that
 // heap-allocate: capturing closures and method values, &T{...} /
@@ -21,7 +21,7 @@ import (
 // annotated so their contract is checked somewhere.
 //
 // Two escapes are deliberate: plain value composite literals and append
-// are allowed, because the engine's arenas and free-lists rely on them
+// are allowed, because the event heap and the free-lists rely on them
 // (amortized-zero growth of recycled storage); scripts/allocbudget.sh
 // backstops those with real compiler escape analysis, and the
 // BenchmarkSteadyStatePacketPath 0 allocs/op gate backstops everything.

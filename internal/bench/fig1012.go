@@ -15,15 +15,12 @@ type pvfsPair struct{ Plain, Accel pvfs.Metrics }
 // pvfsOptions builds the shared PVFS options for one run.
 func pvfsOptions(cfg Config, feat ioat.Features) pvfs.Options {
 	return pvfs.Options{
-		P:      cfg.params(),
-		Feat:   feat,
-		Seed:   cfg.Seed,
-		Check:  cfg.Check,
-		Strict: cfg.Strict,
-		Fault:  cfg.Fault,
-		Obs:    cfg.Obs,
-		Warm:   cfg.duration(60 * time.Millisecond),
-		Meas:   cfg.duration(240 * time.Millisecond),
+		P:    cfg.params(),
+		Feat: feat,
+		Seed: cfg.Seed,
+		Host: cfg.hostOpts(),
+		Warm: cfg.duration(60 * time.Millisecond),
+		Meas: cfg.duration(240 * time.Millisecond),
 	}
 }
 

@@ -28,10 +28,7 @@ func dcOptions(cfg Config, feat ioat.Features) datacenter.Options {
 		Seed:             cfg.Seed,
 		ClientNodes:      16,
 		ThreadsPerClient: 4,
-		Check:            cfg.Check,
-		Strict:           cfg.Strict,
-		Fault:            cfg.Fault,
-		Obs:              cfg.Obs,
+		Host:             cfg.hostOpts(),
 		Warm:             warm,
 		Meas:             cfg.duration(240 * time.Millisecond),
 	}

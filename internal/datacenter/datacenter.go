@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ioatsim/internal/cost"
-	"ioatsim/internal/fault"
 	"ioatsim/internal/host"
 	"ioatsim/internal/ioat"
 	"ioatsim/internal/mem"
@@ -102,39 +101,11 @@ type Options struct {
 	// CacheBytes enables the proxy content cache when positive.
 	CacheBytes int
 
-	// Check runs the simulation under the runtime invariant checker and
-	// panics on any violation at the end of the run.
-	Check bool
-
-	// Strict upgrades Check to fail-fast (panic at the violating event).
-	Strict bool
-
-	// Fault, when non-nil, runs the data-center under the given fault
-	// plan (see internal/fault).
-	Fault *fault.Plan
-
-	// Obs attaches observability sinks to the cluster (see host.Observability).
-	Obs host.Observability
+	// Host configures the cluster the run builds: the invariant
+	// checker, a fault plan, observability sinks (see host.Option).
+	Host []host.Option
 
 	Warm, Meas time.Duration
-}
-
-// hostOpts translates Options into cluster-construction options.
-func (o Options) hostOpts() []host.Option {
-	var opts []host.Option
-	switch {
-	case o.Strict:
-		opts = append(opts, host.WithStrictCheck())
-	case o.Check:
-		opts = append(opts, host.WithCheck())
-	}
-	if o.Fault != nil {
-		opts = append(opts, host.WithFault(*o.Fault))
-	}
-	if o.Obs.Enabled() {
-		opts = append(opts, host.WithObservability(o.Obs))
-	}
-	return opts
 }
 
 func (o *Options) defaults() {

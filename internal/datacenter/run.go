@@ -16,7 +16,7 @@ import (
 // with the same I/OAT feature set, clients on plain machines.
 func RunTwoTier(o Options) Metrics {
 	o.defaults()
-	cl := host.NewCluster(o.P, o.Seed, o.hostOpts()...)
+	cl := host.NewCluster(o.P, o.Seed, o.Host...)
 	defer cl.Close()
 	proxyNode := cl.Add("proxy", o.Feat, 6)
 	webNode := cl.Add("web", o.Feat, 6)
@@ -48,7 +48,7 @@ func RunTwoTier(o Options) Metrics {
 // node's CPU.
 func RunEmulated(o Options, threads int) Metrics {
 	o.defaults()
-	cl := host.NewCluster(o.P, o.Seed, o.hostOpts()...)
+	cl := host.NewCluster(o.P, o.Seed, o.Host...)
 	defer cl.Close()
 	clientNode := cl.Add("client", o.Feat, 6)
 	webNode := cl.Add("web", o.Feat, 6)

@@ -96,7 +96,7 @@ func startAppTier(app *Tier, db *host.Node, o ThreeTierOptions) {
 // tier with the same I/OAT feature set.
 func RunThreeTier(o ThreeTierOptions) ThreeTierMetrics {
 	o.defaults()
-	cl := host.NewCluster(o.P, o.Seed, o.hostOpts()...)
+	cl := host.NewCluster(o.P, o.Seed, o.Host...)
 	defer cl.Close()
 	proxyNode := cl.Add("proxy", o.Feat, 6)
 	appNode := cl.Add("app", o.Feat, 6)

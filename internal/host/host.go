@@ -203,23 +203,15 @@ func NewCluster(p *cost.Params, seed uint64, opts ...Option) *Cluster {
 	return c
 }
 
-// registerSchedMetrics wires the event scheduler's own depth and
-// timing-wheel activity: pending-set depth (current and high-water),
-// the fullest one-tick bucket seen, and the bucket cascade rate. These
-// size the scheduler for a given workload and show why dispatch stays
-// O(1) as the data-center sweeps pile up tens of thousands of events.
+// registerSchedMetrics wires the event scheduler's pending-set depth,
+// current and high-water: how many events a workload keeps in flight,
+// which is what sizes the scheduler's heap.
 func registerSchedMetrics(sc *metrics.Scope, s *sim.Simulator) {
 	sc.GaugeFunc("sched/pending", func() float64 {
 		return float64(s.Pending())
 	})
 	sc.GaugeFunc("sched/peak_pending", func() float64 {
-		return float64(s.SchedStats().PeakPending)
-	})
-	sc.GaugeFunc("sched/peak_bucket", func() float64 {
-		return float64(s.SchedStats().PeakBucket)
-	})
-	sc.CounterFunc("sched/cascades", func() float64 {
-		return float64(s.SchedStats().Cascades)
+		return float64(s.PeakPending())
 	})
 }
 

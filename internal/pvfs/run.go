@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ioatsim/internal/cost"
-	"ioatsim/internal/fault"
 	"ioatsim/internal/host"
 	"ioatsim/internal/ioat"
 	"ioatsim/internal/sim"
@@ -25,19 +24,9 @@ type Options struct {
 	Region int
 	Write  bool
 
-	// Check runs the simulation under the runtime invariant checker and
-	// panics on any violation at the end of the run.
-	Check bool
-
-	// Strict upgrades Check to fail-fast (panic at the violating event).
-	Strict bool
-
-	// Fault, when non-nil, runs the file system under the given fault
-	// plan (see internal/fault).
-	Fault *fault.Plan
-
-	// Obs attaches observability sinks to the cluster (see host.Observability).
-	Obs host.Observability
+	// Host configures the cluster the run builds: the invariant
+	// checker, a fault plan, observability sinks (see host.Option).
+	Host []host.Option
 
 	Warm, Meas time.Duration
 }
@@ -75,20 +64,7 @@ type Metrics struct {
 // Run executes the concurrent read or write benchmark of §6.2.
 func Run(o Options) Metrics {
 	o.defaults()
-	var opts []host.Option
-	switch {
-	case o.Strict:
-		opts = append(opts, host.WithStrictCheck())
-	case o.Check:
-		opts = append(opts, host.WithCheck())
-	}
-	if o.Fault != nil {
-		opts = append(opts, host.WithFault(*o.Fault))
-	}
-	if o.Obs.Enabled() {
-		opts = append(opts, host.WithObservability(o.Obs))
-	}
-	cl := host.NewCluster(o.P, o.Seed, opts...)
+	cl := host.NewCluster(o.P, o.Seed, o.Host...)
 	defer cl.Close()
 	compute := cl.Add("compute", o.Feat, 6)
 	server := cl.Add("server", o.Feat, 6)

@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkSchedule measures one schedule+dispatch round trip through the
-// heap. Steady state must be allocation-free: the arena slot freed by
+// heap. Steady state must be allocation-free: the heap slot freed by
 // Step is reused by the next Schedule, and the closure is hoisted out of
 // the loop, as hot simulation code does.
 func BenchmarkSchedule(b *testing.B) {
@@ -20,40 +20,36 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleDepth64 is BenchmarkSchedule with 64 events always
-// pending, exercising real sift-up/sift-down paths instead of the trivial
-// single-element heap.
-func BenchmarkScheduleDepth64(b *testing.B) {
+// benchScheduleDepth times one Schedule+Step with depth events always
+// pending: timers 1 µs apart, each new one scheduled later than all of
+// them.
+func benchScheduleDepth(b *testing.B, depth int, later time.Duration) {
 	s := New()
 	fn := func() {}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < depth; i++ {
 		s.Schedule(time.Duration(i+1)*time.Microsecond, fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Schedule(time.Millisecond, fn)
+		s.Schedule(later, fn)
 		s.Step()
 	}
 }
 
-// BenchmarkScheduleDepth64k keeps 64k events pending — the deep-queue
-// shape the data-center and PVFS sweeps build. A comparison-ordered heap
-// pays O(log n) cache-missing sifts per operation here; the wheel stays
-// amortized O(1) regardless of depth.
-func BenchmarkScheduleDepth64k(b *testing.B) {
-	s := New()
-	fn := func() {}
-	for i := 0; i < 64*1024; i++ {
-		s.Schedule(time.Duration(i+1)*time.Microsecond, fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Schedule(70*time.Millisecond, fn)
-		s.Step()
-	}
-}
+// BenchmarkScheduleDepth64 is BenchmarkSchedule with 64 events always
+// pending, exercising real sift-up/sift-down paths instead of the trivial
+// single-element heap.
+func BenchmarkScheduleDepth64(b *testing.B) { benchScheduleDepth(b, 64, time.Millisecond) }
+
+// BenchmarkScheduleDepth1k keeps 1024 events pending, just past the
+// deepest pending set any experiment reaches (778, fig12; DESIGN §4e).
+func BenchmarkScheduleDepth1k(b *testing.B) { benchScheduleDepth(b, 1024, 2*time.Millisecond) }
+
+// BenchmarkScheduleDepth64k keeps 64k events pending, far deeper than
+// any experiment builds (the data-center and PVFS sweeps peak at 756
+// and 778): a stress case for the heap's O(log n) sifts.
+func BenchmarkScheduleDepth64k(b *testing.B) { benchScheduleDepth(b, 64*1024, 70*time.Millisecond) }
 
 // BenchmarkRunHotLoop measures the event loop proper: a self-rescheduling
 // event chain dispatched by RunUntil, the pattern every NIC, link and CPU

@@ -6,14 +6,24 @@ import (
 	"testing"
 )
 
+// Black-box tests of the pending-event set's dispatch order. The
+// TestWheel* tests keep the names they had under the hierarchical
+// timing wheel the heap replaced; each pins an ordering shape that
+// structure had to get right, and any scheduler must still order them
+// by (time, sequence).
+
+// far is a dispatch time 2^48 ns (about 3.3 simulated days) ahead:
+// the old wheel's horizon, past which events took a separate path.
+const far = int64(1) << 48
+
 // TestWheelCrossLevelOrder schedules one batch of events whose delays
-// span every wheel level plus the overflow list, and checks they fire
-// in strict time order with cascades actually exercised.
+// range from one tick to several times far, and checks they fire in
+// strict time order.
 func TestWheelCrossLevelOrder(t *testing.T) {
 	delays := []int64{
 		0, 1, 2, 63, 64, 65, 4095, 4096, 4097,
 		1e6, 1e6 + 1, 1e9, 1e12, 1e14,
-		horizon - 1, horizon, horizon + 12345, 3 * horizon,
+		far - 1, far, far + 12345, 3 * far,
 	}
 	s := New()
 	var fired []Time
@@ -31,14 +41,11 @@ func TestWheelCrossLevelOrder(t *testing.T) {
 			t.Fatalf("event %d fired at %d, want %d (order %v)", i, at, sorted[i], fired)
 		}
 	}
-	if st := s.SchedStats(); st.Cascades == 0 {
-		t.Fatal("cross-level delays produced no cascades")
-	}
 }
 
 // TestWheelSameTickAcrossCascade checks FIFO within one tick when the
-// tick's bucket is assembled from different wheel paths: one event filed
-// at schedule time, one appended later from a nested callback.
+// tick's events are scheduled at different moments: two at start-up,
+// one later from a nested callback.
 func TestWheelSameTickAcrossCascade(t *testing.T) {
 	s := New()
 	var order []string
@@ -56,10 +63,9 @@ func TestWheelSameTickAcrossCascade(t *testing.T) {
 	}
 }
 
-// TestWheelDeadlineDemoteRebase drives the between-runs paths: a
-// RunUntil deadline freezes a materialized bucket (and leaves the wheel
-// base ahead of the clock), then earlier events arrive — one below the
-// open bucket (demote), one below the wheel base (rebase).
+// TestWheelDeadlineDemoteRebase cuts a run at a deadline ahead of the
+// clock but before the earliest pending event, then schedules earlier
+// events into the gap between the two; they must fire first.
 func TestWheelDeadlineDemoteRebase(t *testing.T) {
 	s := New()
 	var fired []Time
@@ -70,8 +76,6 @@ func TestWheelDeadlineDemoteRebase(t *testing.T) {
 	if end := s.RunUntil(50); end != 50 {
 		t.Fatalf("RunUntil(50) = %v, want 50", end)
 	}
-	// Base has advanced to the materialized bucket (100); these land in
-	// the gap the clock was cut back into.
 	s.At(60, mark)
 	s.At(55, mark)
 	s.Run()
@@ -86,21 +90,16 @@ func TestWheelDeadlineDemoteRebase(t *testing.T) {
 	}
 }
 
-// TestWheelLevel0AheadOfBucket pins the shape where the level-0 window
-// straddles a level-1 bucket's range start: with the base mid-epoch, a
-// level-0 event (here 130) can be later than the bucket's range start
-// (128) yet earlier than the bucket's member (170). The bucket must not
-// be dispatched ahead of it.
+// TestWheelLevel0AheadOfBucket schedules, after a drained run, a later
+// event before an earlier one (170, then 130); the earlier must fire
+// first.
 func TestWheelLevel0AheadOfBucket(t *testing.T) {
 	s := New()
 	var fired []Time
 	mark := func() { fired = append(fired, s.Now()) }
-	// Two distinct ticks advance the wheel base to 101, mid-epoch.
 	s.At(100, mark)
 	s.At(101, mark)
 	s.Run()
-	// 170 lands on level 1 (range [128, 192)); 130 demotes it out of the
-	// open bucket and files itself on level 0 ([101, 165)).
 	s.At(170, mark)
 	s.At(130, mark)
 	s.Run()
@@ -112,19 +111,19 @@ func TestWheelLevel0AheadOfBucket(t *testing.T) {
 	}
 }
 
-// TestWheelOverflowOrdering checks events beyond the wheel horizon fire
-// in order, both when mixed with near events (migration) and when the
-// overflow list is all that remains (direct materialization).
+// TestWheelOverflowOrdering checks events far in the future fire in
+// order, both mixed with a near event and once they are all that
+// remains.
 func TestWheelOverflowOrdering(t *testing.T) {
 	s := New()
 	var fired []Time
 	mark := func() { fired = append(fired, s.Now()) }
-	s.At(Time(2*horizon+1), mark)
-	s.At(Time(horizon+10), mark)
+	s.At(Time(2*far+1), mark)
+	s.At(Time(far+10), mark)
 	s.At(5, mark)
-	s.At(Time(2*horizon), mark)
+	s.At(Time(2*far), mark)
 	s.Run()
-	want := []Time{5, Time(horizon + 10), Time(2 * horizon), Time(2*horizon + 1)}
+	want := []Time{5, Time(far + 10), Time(2 * far), Time(2*far + 1)}
 	for i := range want {
 		if i >= len(fired) || fired[i] != want[i] {
 			t.Fatalf("fired = %v, want %v", fired, want)
@@ -132,8 +131,9 @@ func TestWheelOverflowOrdering(t *testing.T) {
 	}
 }
 
-// TestWheelRandomAgainstTime hammers the wheel with random delay sets,
-// including nested reschedules, and checks count and time ordering.
+// TestWheelRandomAgainstTime hammers the scheduler with random delay
+// sets, including nested reschedules, and checks count and time
+// ordering.
 func TestWheelRandomAgainstTime(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -163,7 +163,7 @@ func TestWheelRandomAgainstTime(t *testing.T) {
 	}
 }
 
-// TestSchedStats checks the scheduler high-water marks and their
+// TestSchedStats checks the scheduler's high-water mark and its
 // process-wide aggregation.
 func TestSchedStats(t *testing.T) {
 	s := New()
@@ -174,12 +174,8 @@ func TestSchedStats(t *testing.T) {
 		s.Schedule(Duration(1000+i*4096), func() {})
 	}
 	s.Run()
-	st := s.SchedStats()
-	if st.PeakPending != 50 {
-		t.Fatalf("PeakPending = %d, want 50", st.PeakPending)
-	}
-	if st.PeakBucket < 40 {
-		t.Fatalf("PeakBucket = %d, want >= 40 (the 40-event tick)", st.PeakBucket)
+	if got := s.PeakPending(); got != 50 {
+		t.Fatalf("PeakPending = %d, want 50", got)
 	}
 	if GlobalPeakPending() < 50 {
 		t.Fatalf("GlobalPeakPending = %d, want >= 50 after Run", GlobalPeakPending())
@@ -187,13 +183,14 @@ func TestSchedStats(t *testing.T) {
 }
 
 // FuzzSchedulerOrdering feeds a random interleaved stream of
-// Schedule/ScheduleArg/At/pop operations to the timing wheel and to a
-// reference model that sorts by (at, seq); the dispatch order must be
-// byte-identical.
+// Schedule/ScheduleArg/At/Step/RunUntil operations to the scheduler and
+// to a reference model that picks the least (at, seq); the dispatch
+// order must be identical, and a RunUntil must return its deadline.
 func FuzzSchedulerOrdering(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 1, 0, 1, 2, 0, 0, 3})
 	f.Add([]byte{255, 255, 0, 255, 255, 1, 0, 0, 3, 0, 0, 3})
 	f.Add([]byte{16, 0, 2, 0, 64, 3, 3, 232, 0, 0, 0, 3, 0, 0, 3})
+	f.Add([]byte{0, 9, 0, 0, 9, 2, 0, 5, 4, 0, 1, 0, 0, 4, 4, 0, 0, 4})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		type ref struct {
 			at  Time
@@ -205,7 +202,9 @@ func FuzzSchedulerOrdering(f *testing.F) {
 		var got, want []int
 		id, seq := 0, 0
 		argFn := func(a any) { got = append(got, a.(int)) }
-		popRef := func() {
+		// next returns the index of the reference's least (at, seq)
+		// event; pending must be non-empty.
+		next := func() int {
 			best := 0
 			for i := 1; i < len(pending); i++ {
 				if pending[i].at < pending[best].at ||
@@ -213,13 +212,16 @@ func FuzzSchedulerOrdering(f *testing.F) {
 					best = i
 				}
 			}
+			return best
+		}
+		popRef := func(best int) {
 			want = append(want, pending[best].id)
 			pending = append(pending[:best], pending[best+1:]...)
 		}
 		for i := 0; i+2 < len(ops); i += 3 {
 			d := Duration(int(ops[i])<<8 | int(ops[i+1]))
 			at := s.Now().Add(d)
-			switch ops[i+2] % 4 {
+			switch ops[i+2] % 5 {
 			case 0:
 				myid := id
 				s.Schedule(d, func() { got = append(got, myid) })
@@ -230,7 +232,21 @@ func FuzzSchedulerOrdering(f *testing.F) {
 				s.At(at, func() { got = append(got, myid) })
 			case 3:
 				if s.Step() {
-					popRef()
+					popRef(next())
+				}
+				continue
+			case 4:
+				// Everything due by the deadline runs; the clock ends
+				// at the deadline.
+				for len(pending) > 0 {
+					best := next()
+					if pending[best].at > at {
+						break
+					}
+					popRef(best)
+				}
+				if end := s.RunUntil(at); end != at {
+					t.Fatalf("RunUntil(%v) = %v", at, end)
 				}
 				continue
 			}
@@ -239,10 +255,10 @@ func FuzzSchedulerOrdering(f *testing.F) {
 			seq++
 		}
 		for s.Step() {
-			popRef()
+			popRef(next())
 		}
 		if len(pending) != 0 || s.Pending() != 0 {
-			t.Fatalf("reference has %d pending, wheel %d after drain", len(pending), s.Pending())
+			t.Fatalf("reference has %d pending, scheduler %d after drain", len(pending), s.Pending())
 		}
 		if len(got) != len(want) {
 			t.Fatalf("dispatched %d events, reference %d", len(got), len(want))

@@ -8,14 +8,9 @@
 //
 // The pending set is the engine's hottest structure: every simulated
 // frame, interrupt, copy and wake-up passes through it once. It is a
-// hierarchical timing wheel (see wheel.go) over a value arena with a
-// free-list, so the steady state allocates nothing per event — arena
-// slots and bucket capacity are recycled — and schedule/dispatch stay
-// amortized O(1) however deep the pending set grows. Dispatch order is
-// strictly (time, sequence): the wheel lazily sorts each one-tick bucket
-// by sequence number before draining it, so outcomes are byte-identical
-// to a totally ordered heap. (Earlier engines paid O(log n) heap sifts
-// per event, and before that one *event allocation per Schedule.)
+// 4-ary min-heap of events held by value (heap.go), sized for the few
+// hundred events the experiments keep pending at most; the steady state
+// allocates nothing per event, since the slice's capacity is reused.
 package sim
 
 import (
@@ -36,8 +31,8 @@ func GlobalExecuted() uint64 { return globalExecuted.Load() }
 
 // globalPeakPending is the deepest pending-event set any simulator in
 // the process has reached, flushed on the same cadence as
-// globalExecuted. It feeds benchmark reports (scheduler depth is what
-// distinguishes the wheel from a heap); outcomes never depend on it.
+// globalExecuted. It feeds benchmark reports (the depth the pending set
+// must handle); outcomes never depend on it.
 var globalPeakPending atomic.Uint64
 
 // GlobalPeakPending reports the deepest pending-event set reached by
@@ -65,7 +60,7 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Seconds returns the timestamp as fractional seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// event is a single scheduled callback, stored by value in the arena.
+// event is a single scheduled callback, stored by value in the heap.
 // It carries either a plain closure (fn) or a pre-bound function plus
 // argument (argFn, arg): the steady-state packet paths schedule with the
 // latter so that no per-event closure is allocated — the functions are
@@ -171,36 +166,10 @@ type Simulator struct {
 	// ProcProbe, so a wake pays one nil-test instead of a type switch.
 	procProbe ProcProbe
 
-	// Pending-event storage. events is the arena; free lists arena slots
-	// ready for reuse; the remaining fields are the hierarchical timing
-	// wheel that orders arena indices by the events' (at, seq) — see
-	// wheel.go.
-	events []event
-	free   []int32
-
-	// wheel holds pending arena indices bucketed by dispatch time; occ
-	// is each level's bucket-occupancy bitmap. overflow collects events
-	// beyond the wheel horizon (ovfMin tracks their minimum time), and
-	// pending counts every undispatched event wherever it is filed.
-	wheel    [numLevels][numSlots][]int32
-	occ      [numLevels]uint64
-	overflow []int32
-	ovfMin   Time
-	pending  int
-	// base is the wheel's reference time: every level's slot windows
-	// are anchored at it, and it never exceeds the earliest pending
-	// event. It can run ahead of the clock (see wheel.go).
-	base int64
-
-	// ready is the materialized dispatch bucket: the earliest one-tick
-	// bucket, sorted by sequence number, drained from readyHead. All its
-	// events share timestamp readyAt.
-	ready     []int32
-	readyHead int
-	readyAt   Time
-
-	// stats tracks scheduler high-water marks (never outcome-affecting).
-	stats SchedStats
+	// heap holds the pending events (heap.go); peak is the most ever
+	// pending at once (never outcome-affecting).
+	heap []event
+	peak int
 
 	// Deprecated Proc handshake (proc.go). While a process goroutine
 	// runs, the event loop (or Close) blocks on parked, so exactly one
@@ -233,7 +202,7 @@ func (s *Simulator) flushExecuted() {
 		globalProcSwitches.Add(d)
 		s.flushedSwitches = s.procSwitches
 	}
-	for p := uint64(s.stats.PeakPending); ; {
+	for p := uint64(s.peak); ; {
 		cur := globalPeakPending.Load()
 		if p <= cur || globalPeakPending.CompareAndSwap(cur, p) {
 			break
@@ -244,7 +213,6 @@ func (s *Simulator) flushExecuted() {
 // New returns an empty simulator with the clock at zero.
 func New(opts ...Option) *Simulator {
 	s := &Simulator{parked: make(chan struct{})}
-	s.initWheel()
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -258,7 +226,11 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Executed() uint64 { return s.executed }
 
 // Pending reports how many events are scheduled but not yet dispatched.
-func (s *Simulator) Pending() int { return s.pending }
+func (s *Simulator) Pending() int { return len(s.heap) }
+
+// PeakPending reports the most events ever pending at once in this
+// simulator. It never influences simulation outcomes.
+func (s *Simulator) PeakPending() int { return s.peak }
 
 // Schedule arranges for fn to run after delay d. A negative delay panics:
 // simulated time cannot move backwards.
@@ -301,7 +273,7 @@ func (s *Simulator) AtArg(t Time, fn func(any), arg any) {
 }
 
 // push enqueues one event holding either a closure or a pre-bound
-// (argFn, arg) pair. Both forms share the arena, sequence numbering and
+// (argFn, arg) pair. Both forms share the heap, sequence numbering and
 // probe hooks, so scheduling order — and therefore every simulated
 // outcome — is independent of which form a caller uses.
 //
@@ -313,24 +285,14 @@ func (s *Simulator) push(t Time, fn func(), argFn func(any), arg any) {
 	if s.probe != nil {
 		s.probe.EventScheduled(s.now, t)
 	}
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.events = append(s.events, event{})
-		idx = int32(len(s.events) - 1)
-	}
-	s.seq++
-	s.events[idx] = event{at: t, seq: s.seq, fn: fn, argFn: argFn, arg: arg}
-	s.enqueue(idx, t)
+	s.enqueue(t, fn, argFn, arg)
 }
 
 // Stop makes Run return after the current event completes. Pending events
 // stay queued; a subsequent Run resumes them.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// Run dispatches events in (time, sequence) order until the heap is empty
+// Run dispatches events in (time, sequence) order until none is pending
 // or Stop is called. It returns the time of the last dispatched event.
 func (s *Simulator) Run() Time {
 	return s.RunUntil(maxTime)
@@ -338,27 +300,21 @@ func (s *Simulator) Run() Time {
 
 // RunUntil dispatches events with timestamps <= deadline, then advances
 // the clock to min(deadline, last event time) and returns it. Events
-// beyond the deadline remain pending.
+// beyond the deadline remain pending. A deadline before the current
+// time panics: simulated time cannot move backwards.
 func (s *Simulator) RunUntil(deadline Time) Time {
 	s.mustBeOpen()
+	if deadline < s.now {
+		panic(fmt.Sprintf("sim: run until %v before now %v", deadline, s.now))
+	}
 	s.stopped = false
 	defer s.flushExecuted()
-	for s.pending > 0 && !s.stopped {
-		if at, _ := s.peekAt(); at > deadline {
+	for len(s.heap) > 0 && !s.stopped {
+		if s.heap[0].at > deadline {
 			s.now = deadline
 			return s.now
 		}
-		at, fn, argFn, arg := s.pop()
-		s.now = at
-		s.executed++
-		if s.probe != nil {
-			s.probe.EventDispatched(at)
-		}
-		if fn != nil {
-			fn()
-		} else {
-			argFn(arg)
-		}
+		s.dispatch()
 	}
 	if s.now < deadline && deadline != maxTime {
 		s.now = deadline
@@ -379,9 +335,17 @@ func (s *Simulator) mustBeOpen() {
 // it did so.
 func (s *Simulator) Step() bool {
 	s.mustBeOpen()
-	if s.pending == 0 {
+	if len(s.heap) == 0 {
 		return false
 	}
+	s.dispatch()
+	s.flushExecuted()
+	return true
+}
+
+// dispatch pops the earliest event, advances the clock to it and runs
+// its callback.
+func (s *Simulator) dispatch() {
 	at, fn, argFn, arg := s.pop()
 	s.now = at
 	s.executed++
@@ -393,6 +357,4 @@ func (s *Simulator) Step() bool {
 	} else {
 		argFn(arg)
 	}
-	s.flushExecuted()
-	return true
 }

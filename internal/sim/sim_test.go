@@ -82,6 +82,34 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunUntilPastDeadlinePanics runs past one event, then asks for a
+// deadline before the clock. That must panic like a negative delay, and
+// leave the clock and the pending event where they were: an event
+// scheduled into the rewound gap would fire after a later one had
+// already run.
+func TestRunUntilPastDeadlinePanics(t *testing.T) {
+	s := New()
+	var fired []Time
+	mark := func() { fired = append(fired, s.Now()) }
+	s.At(100, mark)
+	s.At(200, mark)
+	if end := s.RunUntil(150); end != 150 {
+		t.Fatalf("RunUntil(150) = %v, want 150", end)
+	}
+	r := mustPanic(t, "RunUntil(50) at 150", func() { s.RunUntil(50) })
+	if msg, _ := r.(string); msg != "sim: run until 50ns before now 150ns" {
+		t.Fatalf("panic = %v", r)
+	}
+	if s.Now() != 150 || s.Pending() != 1 {
+		t.Fatalf("after the refused RunUntil: now %v, %d pending; want 150ns, 1", s.Now(), s.Pending())
+	}
+	mustPanic(t, "At(60) at 150", func() { s.At(60, mark) })
+	s.Run()
+	if len(fired) != 2 || fired[0] != 100 || fired[1] != 200 {
+		t.Fatalf("fired = %v, want [100ns 200ns]", fired)
+	}
+}
+
 func TestStop(t *testing.T) {
 	s := New()
 	var count int

@@ -1,183 +1,9 @@
-// Package stats provides the measurement instruments the simulator
-// reports through: counters, summaries, time-weighted gauges (for CPU
-// utilization), histograms and labelled series, plus plain-text table
-// rendering for the benchmark harness.
+// Package stats holds the experiment tables the simulator reports
+// through: labelled series of rows, one per paper figure, and their
+// plain-text rendering for the benchmark harness.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"ioatsim/internal/sim"
-)
-
-// Counter accumulates a monotonically increasing count.
-type Counter struct {
-	n int64
-}
-
-// Add increases the counter by d (d >= 0).
-func (c *Counter) Add(d int64) {
-	if d < 0 {
-		panic("stats: negative counter increment")
-	}
-	c.n += d
-}
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Summary accumulates min/max/mean/variance of a stream of samples
-// (Welford's algorithm).
-type Summary struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Observe adds one sample.
-func (s *Summary) Observe(v float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
-	d := v - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (v - s.mean)
-}
-
-// N returns the sample count.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean returns the sample mean (0 if empty).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest sample (0 if empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest sample (0 if empty).
-func (s *Summary) Max() float64 { return s.max }
-
-// Stddev returns the sample standard deviation (0 if n < 2).
-func (s *Summary) Stddev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
-
-// TimeWeighted tracks the time integral of a piecewise-constant value —
-// the instrument behind CPU-utilization and queue-length reporting.
-type TimeWeighted struct {
-	value    float64
-	since    sim.Time
-	integral float64
-	started  bool
-	start    sim.Time
-}
-
-// Set records the value v as of time now. Samples must arrive in
-// non-decreasing time order: a piecewise-constant integral cannot be
-// amended retroactively, so a backwards sample is a caller bug.
-func (g *TimeWeighted) Set(now sim.Time, v float64) {
-	if !g.started {
-		g.started = true
-		g.start = now
-		g.since = now
-		g.value = v
-		return
-	}
-	if now < g.since {
-		panic(fmt.Sprintf("stats: time-weighted gauge sampled backwards (%v after %v)",
-			now, g.since))
-	}
-	g.integral += g.value * float64(now-g.since)
-	g.since = now
-	g.value = v
-}
-
-// Value returns the current value.
-func (g *TimeWeighted) Value() float64 { return g.value }
-
-// Mean returns the time-weighted mean over [start, now].
-func (g *TimeWeighted) Mean(now sim.Time) float64 {
-	if !g.started || now <= g.start {
-		return 0
-	}
-	total := g.integral + g.value*float64(now-g.since)
-	return total / float64(now-g.start)
-}
-
-// Reset restarts the integration window at now, keeping the current value.
-func (g *TimeWeighted) Reset(now sim.Time) {
-	g.start = now
-	g.since = now
-	g.integral = 0
-	g.started = true
-}
-
-// Histogram counts samples into power-of-two buckets from 1 up.
-type Histogram struct {
-	buckets [64]int64
-	n       int64
-	sum     float64
-}
-
-// Observe adds one non-negative sample.
-func (h *Histogram) Observe(v float64) {
-	if v < 0 {
-		panic("stats: negative histogram sample")
-	}
-	h.n++
-	h.sum += v
-	b := 0
-	for x := v; x >= 1 && b < 63; x /= 2 {
-		b++
-	}
-	h.buckets[b]++
-}
-
-// N returns the sample count.
-func (h *Histogram) N() int64 { return h.n }
-
-// Mean returns the sample mean.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Quantile returns an upper bound for the q-quantile (0 < q <= 1) using
-// bucket upper edges.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(h.n)))
-	var seen int64
-	for b, c := range h.buckets {
-		seen += c
-		if seen >= target {
-			if b == 0 {
-				return 1
-			}
-			return math.Pow(2, float64(b))
-		}
-	}
-	return math.Pow(2, 63)
-}
+import "fmt"
 
 // Point is one labelled (x, y...) row of a Series.
 type Point struct {
@@ -241,12 +67,4 @@ func RelativeBenefit(base, accel float64) float64 {
 		return 0
 	}
 	return (base - accel) / base
-}
-
-// Sorted returns a copy of xs in ascending order (helper for tests).
-func Sorted(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	sort.Float64s(out)
-	return out
 }

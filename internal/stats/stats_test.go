@@ -1,138 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
-
-	"ioatsim/internal/sim"
 )
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(41)
-	if c.Value() != 42 {
-		t.Fatalf("counter = %d, want 42", c.Value())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative add did not panic")
-		}
-	}()
-	c.Add(-1)
-}
-
-func TestSummary(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Observe(v)
-	}
-	if s.N() != 8 {
-		t.Fatalf("n = %d", s.N())
-	}
-	if s.Mean() != 5 {
-		t.Fatalf("mean = %v, want 5", s.Mean())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
-	}
-	// Sample stddev of this classic set is ~2.138.
-	if math.Abs(s.Stddev()-2.1380899) > 1e-6 {
-		t.Fatalf("stddev = %v", s.Stddev())
-	}
-}
-
-func TestSummaryMatchesNaive(t *testing.T) {
-	f := func(vals []float64) bool {
-		clean := vals[:0]
-		for _, v := range vals {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e6 {
-				clean = append(clean, v)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		var s Summary
-		sum := 0.0
-		for _, v := range clean {
-			s.Observe(v)
-			sum += v
-		}
-		want := sum / float64(len(clean))
-		return math.Abs(s.Mean()-want) < 1e-6*(1+math.Abs(want))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTimeWeighted(t *testing.T) {
-	var g TimeWeighted
-	g.Set(0, 1)   // busy from 0
-	g.Set(100, 0) // idle from 100
-	g.Set(300, 1) // busy from 300
-	g.Set(400, 0) // idle from 400
-	// busy 200 of 400 -> 0.5 at t=400
-	if got := g.Mean(400); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("mean = %v, want 0.5", got)
-	}
-	// at t=800: busy 200 of 800 -> 0.25
-	if got := g.Mean(800); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("mean = %v, want 0.25", got)
-	}
-}
-
-func TestTimeWeightedReset(t *testing.T) {
-	var g TimeWeighted
-	g.Set(0, 1)
-	g.Set(100, 0)
-	g.Reset(100)
-	g.Set(150, 1)
-	g.Set(200, 0)
-	// window [100,200]: busy 50 -> 0.5
-	if got := g.Mean(200); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("mean after reset = %v, want 0.5", got)
-	}
-}
-
-func TestTimeWeightedConstant(t *testing.T) {
-	f := func(v float64, dt uint16) bool {
-		if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
-			return true
-		}
-		var g TimeWeighted
-		g.Set(0, v)
-		now := sim.Time(dt) + 1
-		got := g.Mean(now)
-		return math.Abs(got-v) < 1e-9*(1+math.Abs(v))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i))
-	}
-	if h.N() != 1000 {
-		t.Fatalf("n = %d", h.N())
-	}
-	if math.Abs(h.Mean()-500.5) > 1e-9 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	q50 := h.Quantile(0.5)
-	if q50 < 256 || q50 > 1024 {
-		t.Fatalf("median bucket edge = %v, want within [256,1024]", q50)
-	}
-	if h.Quantile(1.0) < 1000 {
-		t.Fatalf("max quantile = %v", h.Quantile(1.0))
-	}
-}
 
 func TestSeries(t *testing.T) {
 	s := NewSeries("test", "ports", "a", "b")

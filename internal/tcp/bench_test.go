@@ -59,7 +59,7 @@ func BenchmarkSteadyStatePacketPath(b *testing.B) {
 			// Warm-up run to full drain: free lists only reach their
 			// high-water mark when all in-flight traffic retires, so the
 			// warm phase must include its own drain tail for every slice
-			// (chunk pool, pending pool, event arena) to reach final
+			// (chunk pool, pending pool, event heap) to reach final
 			// capacity before the measured burst starts.
 			const warm = 64
 			txLeft, rxLeft = warm, warm

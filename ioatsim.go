@@ -220,7 +220,9 @@ func Pair(a, b *tcp.Stack, portA, portB int) (*Conn, *Conn) {
 
 // ---- applications ----
 
-// DataCenterOptions configure the §5 two-tier data-center.
+// DataCenterOptions configure the §5 two-tier data-center. Their Host
+// field takes the same ClusterOptions as NewCluster (WithCheck,
+// WithFault, WithObservability, ...).
 type DataCenterOptions = datacenter.Options
 
 // DataCenterMetrics report one data-center run.
@@ -244,7 +246,8 @@ func RunThreeTier(o ThreeTierOptions) datacenter.ThreeTierMetrics {
 	return datacenter.RunThreeTier(o)
 }
 
-// PVFSOptions configure the §6 parallel-file-system benchmark.
+// PVFSOptions configure the §6 parallel-file-system benchmark; Host
+// takes ClusterOptions, as in DataCenterOptions.
 type PVFSOptions = pvfs.Options
 
 // PVFSMetrics report one PVFS run.
