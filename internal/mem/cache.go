@@ -130,6 +130,11 @@ const (
 // too, so callers take the lowest flag or confirm each one.
 func zeroBytes(x uint64) uint64 { return (x - lsbs) &^ x & msbs }
 
+// wayByte[w] selects way w's byte of a fingerprint or LRU word. The
+// walks mask with it because the compiler guards a shift by a variable
+// 8*w with a range check.
+var wayByte = [8]uint64{0xff, 0xff << 8, 0xff << 16, 0xff << 24, 0xff << 32, 0xff << 40, 0xff << 48, 0xff << 56}
+
 // NewCache returns a cache of the given total size, line size and
 // associativity (at most cost.MaxCacheWays). Size must be a multiple of
 // lineSize*ways and the derived set count must be a power of two.
@@ -178,21 +183,46 @@ func (c *Cache) set(line uint64) (*[8]uint64, *[2]uint64) {
 }
 
 // fingerprint returns line's fingerprint byte: 0x80 | the 7 line bits
-// above the set index.
-func (c *Cache) fingerprint(line uint64) uint64 { return 0x80 | line>>c.setBits&0x7f }
+// above the set index. The shift is masked to 0-63 so the compiler
+// drops its range check.
+func (c *Cache) fingerprint(line uint64) uint64 { return 0x80 | line>>(c.setBits&63)&0x7f }
 
-// find returns the way holding line in its set, whose tag words and
-// fingerprint word are given. Way numbers are masked to 0-7 so the
+// find returns the way holding a line in the set whose tag words and
+// fingerprint word are given: the line's tag word is tag, and want is
+// its fingerprint in every byte. Each fingerprint match is confirmed
+// against its tag word, as lines a multiple of 128 sets' worth of lines
+// apart share a fingerprint. Way numbers are masked to 0-7 so the
 // compiler drops the tag array's bounds checks.
-func (c *Cache) find(tags *[8]uint64, fps, line uint64) (way uint, ok bool) {
-	x := fps ^ c.fingerprint(line)*lsbs
-	for m := zeroBytes(x); m != 0; m &= m - 1 {
-		w := uint(bits.TrailingZeros64(m)) >> 3 & 7
-		if tags[w] == line+1 {
+func find(set *[8]uint64, fps, want, tag uint64) (way uint, ok bool) {
+	for m := zeroBytes(fps ^ want); m != 0; m &= m - 1 {
+		if w := uint(bits.TrailingZeros64(m)) >> 3 & 7; set[w] == tag {
 			return w, true
 		}
 	}
 	return 0, false
+}
+
+// fill puts the line whose tag word is tag and whose fingerprint,
+// broadcast to every byte, is want into a set that misses it: into the
+// lowest invalid way, else into the way whose LRU row is zero, which
+// counts as an eviction. It returns the way. Both walk bodies inline it:
+// keep it within the inliner's budget (it costs 80 of 80 with Go 1.24).
+func (c *Cache) fill(set *[8]uint64, md *[2]uint64, want, tag uint64) (w uint, evicted int) {
+	v := zeroBytes(md[0] ^ c.fpEmpty) // invalid ways
+	if v == 0 {
+		v, evicted = zeroBytes(md[1]^c.lruEmpty), 1 // the zero row
+	}
+	w = uint(bits.TrailingZeros64(v)) >> 3 & 7
+	set[w] = tag
+	md[0] ^= (md[0] ^ want) & wayByte[w]
+	return w, evicted
+}
+
+// touch makes way w the most recently used of the set whose metadata is
+// md: it sets row w over the cache's ways (rows holds them in every
+// byte) and clears column w.
+func touch(md *[2]uint64, rows uint64, w uint) {
+	md[1] = (md[1] | rows&wayByte[w&7]) &^ (lsbs << (w & 7))
 }
 
 // Access touches the line containing addr, allocating it on miss, and
@@ -208,9 +238,22 @@ func (c *Cache) Access(addr Addr) bool {
 // updating LRU state or statistics.
 func (c *Cache) Contains(addr Addr) bool {
 	line := uint64(addr) >> c.shift
-	tags, md := c.set(line)
-	_, ok := c.find(tags, md[0], line)
+	set, md := c.set(line)
+	_, ok := find(set, md[0], c.fingerprint(line)*lsbs, line+1)
 	return ok
+}
+
+// run returns the sets of a run: the lines first, first+1, ..., at most
+// n of them, up to the last set before the set index wraps. Line first+i
+// indexes tags[i] and meta[i] and has tag word first+i+1, and all of
+// them share first's fingerprint, returned in every byte of want. The
+// two slices have equal length, so a loop over one indexes both without
+// a bounds check.
+func (c *Cache) run(first uint64, n int) (tags [][8]uint64, meta [][2]uint64, want uint64) {
+	s := int(first & c.mask)
+	e := s + min(n, c.nsets-s)
+	tags = c.tags[s:e]
+	return tags, c.meta[s:e][:len(tags)], c.fingerprint(first) * lsbs
 }
 
 // walk touches n consecutive cache lines starting at line number first,
@@ -218,25 +261,47 @@ func (c *Cache) Contains(addr Addr) bool {
 // displaced a valid line. The referenced way becomes the most recently
 // used. It is the shared core of every referencing operation, and
 // leaves the statistics to its callers.
+//
+// Consecutive lines fall in consecutive sets, so a walk goes one run of
+// sets at a time (see run): the set slices, the fingerprint and the
+// first tag word are computed once per run, and the next set's tag word
+// is one more. find, fill and touch inline into the loop body.
+//
+// A single line takes a body of its own: through the run's set-up it
+// measured a fifth or more slower (BenchmarkAccessLines), and
+// single-line walks are most of what the data-center figures price.
 func (c *Cache) walk(first uint64, n int) (hits, evicted int) {
-	line := first
-	for i := 0; i < n; i++ {
-		tags, md := c.set(line)
-		w, hit := c.find(tags, md[0], line)
+	rows := c.rowMask * lsbs // a touched way's row, in every byte
+	if n == 1 {
+		set, md := c.set(first)
+		want := c.fingerprint(first) * lsbs
+		w, hit := find(set, md[0], want, first+1)
 		if hit {
-			hits++
+			hits = 1
 		} else {
-			if inv := zeroBytes(md[0] ^ c.fpEmpty); inv != 0 {
-				w = uint(bits.TrailingZeros64(inv)) >> 3 & 7
-			} else {
-				w = uint(bits.TrailingZeros64(zeroBytes(md[1]^c.lruEmpty))) >> 3 & 7
-				evicted++
-			}
-			tags[w] = line + 1
-			md[0] = md[0]&^(0xff<<(8*w)) | c.fingerprint(line)<<(8*w)
+			w, evicted = c.fill(set, md, want, first+1)
 		}
-		md[1] = (md[1] | c.rowMask<<(8*w)) &^ (lsbs << w)
-		line++
+		touch(md, rows, w)
+		return hits, evicted
+	}
+	for n > 0 {
+		tags, meta, want := c.run(first, n)
+		tag := first + 1
+		for i := range tags {
+			set, md := &tags[i], &meta[i]
+			w, hit := find(set, md[0], want, tag)
+			if hit {
+				hits++
+			} else {
+				var e int
+				w, e = c.fill(set, md, want, tag)
+				evicted += e
+			}
+			touch(md, rows, w)
+			tag++
+		}
+		first += uint64(len(tags))
+		n -= len(tags)
 	}
 	return hits, evicted
 }
@@ -307,14 +372,24 @@ func (c *Cache) Invalidate(addr Addr, n int) {
 	if n <= 0 {
 		return
 	}
-	line, lines := c.span(addr, n)
-	for i := 0; i < lines; i++ {
-		tags, md := c.set(line)
-		if w, ok := c.find(tags, md[0], line); ok {
-			tags[w] = 0
-			md[0] &^= 0xff << (8 * w)
+	first, lines := c.span(addr, n)
+	for lines > 0 {
+		tags, meta, want := c.run(first, lines)
+		tag := first + 1
+		for i := range tags {
+			// find's loop, written out: through find's two results a set
+			// with no candidate, the common case, cost half as much again.
+			for m := zeroBytes(meta[i][0] ^ want); m != 0; m &= m - 1 {
+				if w := uint(bits.TrailingZeros64(m)) >> 3 & 7; tags[i][w] == tag {
+					tags[i][w] = 0
+					meta[i][0] &^= wayByte[w]
+					break
+				}
+			}
+			tag++
 		}
-		line++
+		first += uint64(len(tags))
+		lines -= len(tags)
 	}
 }
 

@@ -198,9 +198,20 @@ func (r *refCache) contains(addr Addr) bool {
 // divergence in victim choice shows up as a residency mismatch. One
 // operation releases the cache and builds a new one, which reuses the
 // released state and must behave as a fresh reference cache.
+//
+// The span holds at most 32 lines per set, fewer than the 128
+// fingerprints a set tells apart, so no two of its lines alias. An
+// operation whose kind byte has bit 7 set therefore addresses a second
+// window, one fingerprint period (128 * sets * line size bytes) above
+// the first: its lines share a set and a fingerprint with the first
+// window's, so only the tag compare tells them apart. Residency is
+// checked over both windows.
 func FuzzCacheDifferential(f *testing.F) {
 	f.Add(uint8(0), uint8(7), uint8(2), []byte{0, 40, 0, 64, 40, 4, 8, 40, 0, 0, 0, 1})
 	f.Add(uint8(1), uint8(1), uint8(0), []byte{0, 255, 0, 0, 4, 4, 0, 255, 3, 1, 9, 2})
+	// A line and its alias one fingerprint period up, in one set of two
+	// ways: both must miss, and the alias must not read as resident.
+	f.Add(uint8(0), uint8(1), uint8(0), []byte{0, 2, 0, 0, 2, 0x80, 0, 2, 0x81, 0, 2, 4, 0, 2, 0x80})
 	// Long pseudo-random streams over every associativity, so plain
 	// go test exercises each geometry's victim choice in depth.
 	rng := rand.New(rand.NewSource(1))
@@ -220,10 +231,11 @@ func FuzzCacheDifferential(f *testing.F) {
 
 		span := 4 * size // address range spanning several aliasing rounds
 		spanLines := span / lineSize
+		period := Addr(128 * nsets * lineSize) // same set, same fingerprint
 		for i := 0; i+2 < len(ops); i += 3 {
-			addr := Addr(int(ops[i]) * span / 256)
+			addr := Addr(int(ops[i])*span/256) + Addr(ops[i+2]>>7)*period
 			n := int(ops[i+1]) * span / 256
-			kind := ops[i+2] % 7
+			kind := (ops[i+2] & 0x7f) % 7
 			switch kind {
 			case 0:
 				h, m := c.AccessRange(addr, n)
@@ -263,9 +275,11 @@ func FuzzCacheDifferential(f *testing.F) {
 				t.Fatalf("op %d (kind %d): counters %d/%d, reference %d/%d",
 					i/3, kind, c.Hits, c.Misses, r.hits, r.misses)
 			}
-			for a := Addr(0); a < Addr(span); a += Addr(lineSize) {
-				if got, want := c.Contains(a), r.contains(a); got != want {
-					t.Fatalf("op %d (kind %d): Contains(%d) = %v, reference %v", i/3, kind, a, got, want)
+			for _, base := range [2]Addr{0, period} {
+				for a := base; a < base+Addr(span); a += Addr(lineSize) {
+					if got, want := c.Contains(a), r.contains(a); got != want {
+						t.Fatalf("op %d (kind %d): Contains(%d) = %v, reference %v", i/3, kind, a, got, want)
+					}
 				}
 			}
 			if err := c.Audit(); err != nil {
