@@ -84,7 +84,7 @@ trace-smoke: build
 # allocs/op must be 0 on every steady-state path.
 sim-bench:
 	$(GO) test -bench='BenchmarkSchedule|BenchmarkRunHotLoop|BenchmarkProcResume|BenchmarkTaskResume' -benchmem -run='^$$' ./internal/sim/
-	$(GO) test -bench='BenchmarkAccessRange|BenchmarkAccessLines|BenchmarkInvalidate|BenchmarkInstall' -benchmem -run='^$$' ./internal/mem/
+	$(GO) test -bench='BenchmarkAccessRange|BenchmarkAccessLines|BenchmarkAccessEach|BenchmarkInvalidate|BenchmarkInstall' -benchmem -run='^$$' ./internal/mem/
 	$(GO) test -bench='BenchmarkSteadyStatePacketPath' -benchmem -run='^$$' ./internal/tcp/
 
 # CPU + allocation profiles of the heaviest workload (the fig10 app-level

@@ -67,6 +67,43 @@ func TestRequestRejectsWideCache(t *testing.T) {
 	}
 }
 
+// TestDataCenterRunnersTakeHugeLines runs the four data-center runners
+// with 2 MiB and 8 MiB cache lines, a geometry Validate accepts. A line
+// larger than a tier's working set or the database table must leave
+// one line to touch, not panic in the draw or divide by zero.
+func TestDataCenterRunnersTakeHugeLines(t *testing.T) {
+	for _, line := range []int{2 << 20, 8 << 20} {
+		q := Request{
+			Runners:  []string{"fig8a", "fig8b", "fig9", "ext3tier"},
+			Scale:    0.01,
+			Parallel: 1,
+			Check:    true,
+			Costs: []CostOverride{
+				{Field: "CacheLine", Value: float64(line)},
+				{Field: "CacheSize", Value: float64(line)},
+				{Field: "CacheWays", Value: 1},
+				{Field: "HeaderRingBytes", Value: float64(2 * line)},
+			},
+		}
+		cfg, runners, err := q.Config(0)
+		if err != nil {
+			t.Fatalf("%d-byte lines: %v", line, err)
+		}
+		for _, r := range runners {
+			func() {
+				defer func() {
+					if rec := recover(); rec != nil {
+						t.Errorf("%s with %d-byte lines panicked: %v", r.ID, line, rec)
+					}
+				}()
+				if _, err := r.RunContext(cfg); err != nil {
+					t.Errorf("%s with %d-byte lines: %v", r.ID, line, err)
+				}
+			}()
+		}
+	}
+}
+
 func TestRequestConfigDefaultsAndSelection(t *testing.T) {
 	cfg, runners, err := Request{}.Config(0)
 	if err != nil {

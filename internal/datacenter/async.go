@@ -347,9 +347,10 @@ func (w *dbWorker) gotQuery(env msg.Envelope) {
 	lines := db.table.Size / db.node.P.CacheLine
 	work := DBQueryWork
 	// The record: DBRecordBytes of dependent accesses at a
-	// key-determined position in the table.
+	// key-determined position in the table (the first, when a line is
+	// as large as the table).
 	recLines := DBRecordBytes / db.node.P.CacheLine
-	base := (q.Key * 37) % (lines - recLines)
+	base := (q.Key * 37) % max(lines-recLines, 1)
 	work += db.node.Mem.RandomCost(db.table.Addr+mem.Addr(base*db.node.P.CacheLine), recLines)
 	if db.node.CPU.ExecTask(w.task, w.stepReply, work) {
 		return

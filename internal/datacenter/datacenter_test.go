@@ -7,6 +7,8 @@ import (
 	"ioatsim/internal/cost"
 	"ioatsim/internal/host"
 	"ioatsim/internal/ioat"
+	"ioatsim/internal/mem"
+	"ioatsim/internal/rng"
 )
 
 // fastOptions returns a small configuration that still exercises the
@@ -187,5 +189,71 @@ func TestThreeTierDeterministic(t *testing.T) {
 	b := RunThreeTier(o)
 	if a != b {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
+	}
+}
+
+// appWorkPerLine is appWork as one RandomCost call per working-set line:
+// the reference the batched appWork must match draw for draw.
+func appWorkPerLine(t *Tier, fixed time.Duration) time.Duration {
+	lines := t.appState.Size / t.Node.P.CacheLine
+	var d time.Duration
+	for i := 0; i < AppStateLines; i++ {
+		line := t.rand.Intn(lines)
+		d += t.Node.Mem.RandomCost(t.appState.Addr+mem.Addr(line*t.Node.P.CacheLine), 1)
+	}
+	return fixed + d
+}
+
+// TestAppWorkMatchesPerLineTouches runs requests through appWork on one
+// tier and through the per-line reference on a twin with the same seed,
+// with receive-path cache placements and DMA writes between requests so
+// that the working set is partly evicted. Each request must cost the
+// same, leave the generators at the same next draw and leave the same
+// working-set lines resident.
+func TestAppWorkMatchesPerLineTouches(t *testing.T) {
+	newTwin := func() (*Tier, mem.Buffer) {
+		cl := host.NewCluster(cost.Default(), 1)
+		t.Cleanup(cl.Close)
+		n := cl.Add("n", ioat.None(), 1)
+		return newTier(n, rng.New(11)), n.Buf(4 * cost.MB)
+	}
+	batched, rxA := newTwin()
+	perLine, rxB := newTwin()
+	var evictions time.Duration
+	for req := 0; req < 12; req++ {
+		if got, want := batched.appWork(ProxyFixedWork), appWorkPerLine(perLine, ProxyFixedWork); got != want {
+			t.Fatalf("request %d: appWork = %v, per-line reference = %v", req, got, want)
+		}
+		if got, want := batched.rand.Uint64(), perLine.rand.Uint64(); got != want {
+			t.Fatalf("request %d: next draw %#x, per-line reference %#x", req, got, want)
+		}
+		ws, line := batched.appState, batched.Node.P.CacheLine
+		for a := ws.Addr; a < ws.End(); a += mem.Addr(line) {
+			if got, want := batched.Node.Mem.Cache.Contains(a), perLine.Node.Mem.Cache.Contains(a); got != want {
+				t.Fatalf("request %d: line %#x resident %v, per-line reference %v", req, a, got, want)
+			}
+		}
+		off := mem.Addr(req * 320 * cost.KB)
+		for _, tw := range []struct {
+			m  *mem.Model
+			rx mem.Buffer
+		}{{batched.Node.Mem, rxA}, {perLine.Node.Mem, rxB}} {
+			evictions += tw.m.InstallPacket(tw.rx.Addr+off, 256*cost.KB)
+			tw.m.DMAWrite(tw.rx.Addr+off+256*cost.KB, 64*cost.KB)
+		}
+	}
+	if evictions == 0 {
+		t.Fatal("the placements evicted nothing")
+	}
+}
+
+// TestAppWorkAllocatesNothing pins that appWork's chunk of addresses
+// stays on the stack.
+func TestAppWorkAllocatesNothing(t *testing.T) {
+	cl := host.NewCluster(cost.Default(), 1)
+	defer cl.Close()
+	tier := newTier(cl.Add("n", ioat.None(), 1), rng.New(1))
+	if allocs := testing.AllocsPerRun(20, func() { tier.appWork(WebFixedWork) }); allocs != 0 {
+		t.Fatalf("appWork allocates %v times per request", allocs)
 	}
 }

@@ -57,22 +57,27 @@ func BenchmarkAccessRange(b *testing.B) {
 	})
 }
 
-// BenchmarkAccessLines covers the dependent single-line pattern of
-// protocol-header, connection-state and application working-set reads
-// (the datacenter figures' hot loop): uniformly random lines of a
-// working set, each its own call. In "hit" the working set is the
-// datacenter tier's 1.5 MB, 6 lines a set in the 8-way cache, so after
-// the warm pass every access hits. In "mixed" it is 4/3 of the cache,
-// 10-11 lines a set, so about 3 in 4 accesses hit and each miss evicts.
-// Both report the measured hit ratio as hits/op.
+// accessWorkingSets are the working sets of the random single-line
+// benchmarks. In "hit" the working set is the datacenter tier's 1.5 MB,
+// 6 lines a set in the 8-way cache, so after the warm pass every access
+// hits. In "mixed" it is 4/3 of the cache, 10-11 lines a set, so about
+// 3 in 4 accesses hit and each miss evicts.
+var accessWorkingSets = []struct {
+	name string
+	ws   int // working-set bytes
+}{
+	{"hit", 1536 << 10},
+	{"mixed", 4 * (2 << 20) / 3}, // 4/3 of benchCache's 2 MB
+}
+
+// BenchmarkAccessLines times uniformly random lines of a working set
+// (see accessWorkingSets), each its own single-line AccessLines call,
+// and reports the measured hit ratio as hits/op. That is the path of a
+// lone protocol-header or connection-state line; the datacenter
+// figures' working-set touches take AccessEach (BenchmarkAccessEach),
+// so this times a now-rare path, through the run walk's set-up.
 func BenchmarkAccessLines(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		ws   int // working-set bytes
-	}{
-		{"hit", 1536 << 10},
-		{"mixed", 4 * (2 << 20) / 3}, // 4/3 of benchCache's 2 MB
-	} {
+	for _, bc := range accessWorkingSets {
 		b.Run(bc.name, func(b *testing.B) {
 			c := benchCache()
 			lines := bc.ws / c.LineSize()
@@ -88,6 +93,38 @@ func BenchmarkAccessLines(b *testing.B) {
 				hits += h
 			}
 			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
+	}
+}
+
+// BenchmarkAccessEach times the datacenter figures' working-set
+// touches: each call prices 1,024 uniformly random lines of a working
+// set (see accessWorkingSets), one request's worth, drawn with the same
+// generator as BenchmarkAccessLines. It reports the hits per call (of
+// 1,024) as hits/op and the time per line as ns/line, comparable with
+// BenchmarkAccessLines' ns/op.
+func BenchmarkAccessEach(b *testing.B) {
+	const perCall = 1024
+	for _, bc := range accessWorkingSets {
+		b.Run(bc.name, func(b *testing.B) {
+			c := benchCache()
+			lines := bc.ws / c.LineSize()
+			c.AccessRange(0, bc.ws)
+			var addrs [perCall]Addr
+			rnd := uint64(1)
+			hits := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range addrs {
+					rnd = rnd*6364136223846793005 + 1442695040888963407
+					addrs[j] = Addr(int(rnd>>33) % lines * c.LineSize())
+				}
+				h, _ := c.AccessEach(addrs[:])
+				hits += h
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perCall), "ns/line")
 		})
 	}
 }

@@ -205,8 +205,9 @@ func find(set *[8]uint64, fps, want, tag uint64) (way uint, ok bool) {
 // fill puts the line whose tag word is tag and whose fingerprint,
 // broadcast to every byte, is want into a set that misses it: into the
 // lowest invalid way, else into the way whose LRU row is zero, which
-// counts as an eviction. It returns the way. Both walk bodies inline it:
-// keep it within the inliner's budget (it costs 80 of 80 with Go 1.24).
+// counts as an eviction. It returns the way. walk and AccessEach inline
+// it: keep it within the inliner's budget (it costs 80 of 80 with Go
+// 1.24; TestWalkHelpersInline fails if it stops inlining).
 func (c *Cache) fill(set *[8]uint64, md *[2]uint64, want, tag uint64) (w uint, evicted int) {
 	v := zeroBytes(md[0] ^ c.fpEmpty) // invalid ways
 	if v == 0 {
@@ -259,31 +260,17 @@ func (c *Cache) run(first uint64, n int) (tags [][8]uint64, meta [][2]uint64, wa
 // walk touches n consecutive cache lines starting at line number first,
 // allocating on miss, and returns how many hit and how many misses
 // displaced a valid line. The referenced way becomes the most recently
-// used. It is the shared core of every referencing operation, and
-// leaves the statistics to its callers.
+// used. It is the shared core of every range operation, and leaves the
+// statistics to its callers.
 //
 // Consecutive lines fall in consecutive sets, so a walk goes one run of
 // sets at a time (see run): the set slices, the fingerprint and the
 // first tag word are computed once per run, and the next set's tag word
-// is one more. find, fill and touch inline into the loop body.
-//
-// A single line takes a body of its own: through the run's set-up it
-// measured a fifth or more slower (BenchmarkAccessLines), and
-// single-line walks are most of what the data-center figures price.
+// is one more. find, fill and touch inline into the loop body. Random
+// single lines, most of what the data-center figures price, take
+// AccessEach instead.
 func (c *Cache) walk(first uint64, n int) (hits, evicted int) {
 	rows := c.rowMask * lsbs // a touched way's row, in every byte
-	if n == 1 {
-		set, md := c.set(first)
-		want := c.fingerprint(first) * lsbs
-		w, hit := find(set, md[0], want, first+1)
-		if hit {
-			hits = 1
-		} else {
-			w, evicted = c.fill(set, md, want, first+1)
-		}
-		touch(md, rows, w)
-		return hits, evicted
-	}
 	for n > 0 {
 		tags, meta, want := c.run(first, n)
 		tag := first + 1
@@ -345,6 +332,37 @@ func (c *Cache) AccessLines(addr Addr, nLines int) (hits, misses int) {
 		return 0, 0
 	}
 	return c.accessLines(uint64(addr)>>c.shift, nLines)
+}
+
+// AccessEach touches the line holding each address of addrs in turn,
+// allocating on miss, and returns the hit and miss counts: the outcome
+// of AccessLines(a, 1) for each a in order, in one loop. It is the path
+// of a request's random working-set touches, priced per line by
+// Model.RandomEachCost. Each address is a walk of one set: find, then
+// fill on a miss, then touch, with the set slices and the touched row
+// read once per call.
+//
+//ioat:hotpath
+func (c *Cache) AccessEach(addrs []Addr) (hits, misses int) {
+	tags, meta := c.tags, c.meta
+	rows := c.rowMask * lsbs // a touched way's row, in every byte
+	for _, a := range addrs {
+		line := uint64(a) >> c.shift
+		s := line & c.mask
+		set, md := &tags[s], &meta[s]
+		want := c.fingerprint(line) * lsbs
+		w, hit := find(set, md[0], want, line+1)
+		if hit {
+			hits++
+		} else {
+			w, _ = c.fill(set, md, want, line+1)
+		}
+		touch(md, rows, w)
+	}
+	misses = len(addrs) - hits
+	c.Hits += uint64(hits)
+	c.Misses += uint64(misses)
+	return hits, misses
 }
 
 // Install brings every line of [addr, addr+n) into the cache without

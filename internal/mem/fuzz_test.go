@@ -206,6 +206,10 @@ func (r *refCache) contains(addr Addr) bool {
 // the first: its lines share a set and a fingerprint with the first
 // window's, so only the tag compare tells them apart. Residency is
 // checked over both windows.
+//
+// An AccessEach operation touches up to 63 addresses drawn from the
+// operation's bytes, each in either window and at any offset within its
+// line, and must match the reference's single-line accesses in order.
 func FuzzCacheDifferential(f *testing.F) {
 	f.Add(uint8(0), uint8(7), uint8(2), []byte{0, 40, 0, 64, 40, 4, 8, 40, 0, 0, 0, 1})
 	f.Add(uint8(1), uint8(1), uint8(0), []byte{0, 255, 0, 0, 4, 4, 0, 255, 3, 1, 9, 2})
@@ -220,6 +224,10 @@ func FuzzCacheDifferential(f *testing.F) {
 		rng.Read(ops)
 		f.Add(uint8(ways), uint8(ways-1), uint8(ways), ops)
 	}
+	// Batches of random single lines over both windows, in 2- and 8-way
+	// sets, between range accesses and invalidations.
+	f.Add(uint8(1), uint8(1), uint8(2), []byte{9, 40, 7, 0, 64, 0, 17, 63, 7, 0, 200, 4, 200, 33, 0x87, 3, 62, 7})
+	f.Add(uint8(0), uint8(7), uint8(1), []byte{1, 63, 7, 5, 50, 0x87, 0, 255, 0x80, 77, 61, 7, 0, 0, 7})
 
 	f.Fuzz(func(t *testing.T, lineSel, waySel, setSel uint8, ops []byte) {
 		lineSize := 16 << (int(lineSel) % 5) // 16..256, power of two
@@ -232,10 +240,11 @@ func FuzzCacheDifferential(f *testing.F) {
 		span := 4 * size // address range spanning several aliasing rounds
 		spanLines := span / lineSize
 		period := Addr(128 * nsets * lineSize) // same set, same fingerprint
+		var addrs []Addr
 		for i := 0; i+2 < len(ops); i += 3 {
 			addr := Addr(int(ops[i])*span/256) + Addr(ops[i+2]>>7)*period
 			n := int(ops[i+1]) * span / 256
-			kind := (ops[i+2] & 0x7f) % 7
+			kind := (ops[i+2] & 0x7f) % 8
 			switch kind {
 			case 0:
 				h, m := c.AccessRange(addr, n)
@@ -270,6 +279,24 @@ func FuzzCacheDifferential(f *testing.F) {
 				c.Release()
 				c = NewCache(size, lineSize, ways)
 				r = newRefCache(size, lineSize, ways)
+			case 7:
+				addrs = addrs[:0]
+				x := uint64(i)<<16 | uint64(ops[i])<<8 | uint64(ops[i+1])
+				for range int(ops[i+1]) % 64 {
+					x = x*6364136223846793005 + 1442695040888963407
+					a := Addr(x>>33) % Addr(span)
+					addrs = append(addrs, a+Addr(x>>32&1)*period)
+				}
+				h, m := c.AccessEach(addrs)
+				var rh, rm int
+				for _, a := range addrs {
+					eh, em := r.accessLines(uint64(a)>>r.shift, 1)
+					rh += eh
+					rm += em
+				}
+				if h != rh || m != rm {
+					t.Fatalf("op %d AccessEach(%v) = %d/%d, reference %d/%d", i/3, addrs, h, m, rh, rm)
+				}
 			}
 			if int(c.Hits) != r.hits || int(c.Misses) != r.misses {
 				t.Fatalf("op %d (kind %d): counters %d/%d, reference %d/%d",

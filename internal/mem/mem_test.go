@@ -5,8 +5,11 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"ioatsim/internal/check"
 	"ioatsim/internal/cost"
+	"ioatsim/internal/trace"
 )
 
 func TestSpaceAllocDisjoint(t *testing.T) {
@@ -435,5 +438,69 @@ func TestModelZeroSizes(t *testing.T) {
 	m := NewModel(cost.Default())
 	if m.CopyCost(0, 0, 0) != 0 || m.TouchCost(0, 0) != 0 || m.RandomCost(0, 0) != 0 {
 		t.Fatal("zero-size operations must cost nothing")
+	}
+}
+
+// TestModelRandomEachCostMatchesRandomCost prices the same random
+// addresses through RandomEachCost on one model and through one
+// RandomCost(a, 1) per address on its twin, both checked and profiled,
+// over a working set half as large again as the cache. Every batch must
+// cost the same, and the models must end with the same counters, the
+// same profiler totals, the same count of audited operations and no
+// violation.
+func TestModelRandomEachCostMatchesRandomCost(t *testing.T) {
+	p := cost.Default()
+	type twin struct {
+		m    *Model
+		chk  *check.Checker
+		prof *trace.Profiler
+	}
+	newTwin := func() twin {
+		tw := twin{m: NewModel(p), chk: check.New(), prof: trace.NewProfiler()}
+		tw.m.SetChecker(tw.chk)
+		tw.m.SetObs(&trace.Obs{P: tw.prof})
+		return tw
+	}
+	each, single := newTwin(), newTwin()
+	ws := each.m.Space.Alloc(3*p.CacheSize/2, 0)
+	lines := ws.Size / p.CacheLine
+
+	rnd := uint64(7)
+	var addrs []Addr
+	for _, n := range []int{0, 1, 64, 1024, 3, 4096, 64, 1000, 5000} {
+		addrs = addrs[:0]
+		for range n {
+			rnd = rnd*6364136223846793005 + 1442695040888963407
+			addrs = append(addrs, ws.Addr+Addr(int(rnd>>33)%lines*p.CacheLine+int(rnd>>20)%p.CacheLine))
+		}
+		got := each.m.RandomEachCost(addrs)
+		var want time.Duration
+		for _, a := range addrs {
+			want += single.m.RandomCost(a, 1)
+		}
+		if got != want {
+			t.Fatalf("%d addresses: RandomEachCost = %v, RandomCost per address = %v", n, got, want)
+		}
+	}
+	e, s := each.m, single.m
+	if e.Cache.Hits != s.Cache.Hits || e.Cache.Misses != s.Cache.Misses {
+		t.Fatalf("counters %d/%d, per address %d/%d", e.Cache.Hits, e.Cache.Misses, s.Cache.Hits, s.Cache.Misses)
+	}
+	if e.Cache.Hits == 0 || e.Cache.Misses == 0 {
+		t.Fatalf("want both hits and misses, got %d/%d", e.Cache.Hits, e.Cache.Misses)
+	}
+	for _, site := range []trace.Site{trace.SiteHeaderHit, trace.SiteHeaderMiss} {
+		if g, w := each.prof.Self(site), single.prof.Self(site); g != w {
+			t.Fatalf("profiler %v: %v, per address %v", site, g, w)
+		}
+	}
+	if e.ops != s.ops || e.ops < 2*auditEvery {
+		t.Fatalf("audit counter %d, per address %d (want at least %d)", e.ops, s.ops, 2*auditEvery)
+	}
+	for _, tw := range []twin{each, single} {
+		tw.chk.Finish()
+		if v := tw.chk.Violations(); len(v) != 0 {
+			t.Fatalf("violations: %v", v)
+		}
 	}
 }

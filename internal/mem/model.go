@@ -161,6 +161,30 @@ func (m *Model) RandomCost(addr Addr, nLines int) time.Duration {
 	return time.Duration(h)*m.P.RandHit + time.Duration(miss)*m.P.RandMiss
 }
 
+// RandomEachCost prices one dependent single-line access at each of
+// addrs, in order — a request's random touches of its working set — as
+// RandomCost(a, 1) for each a would, in one pass over the cache. In
+// checked mode each address counts as one priced operation, so the
+// cache is audited as often as under single calls.
+//
+//ioat:hotpath
+func (m *Model) RandomEachCost(addrs []Addr) time.Duration {
+	h, miss := m.Cache.AccessEach(addrs)
+	if m.chk != nil {
+		n := len(addrs)
+		m.chk.Assert(h+miss == n,
+			"mem", "random access of %d addresses counted %d hits + %d misses", n, h, miss)
+		for range n {
+			m.observe()
+		}
+	}
+	if m.obs != nil {
+		m.obs.Cost(trace.SiteHeaderHit, time.Duration(h)*m.P.RandHit)
+		m.obs.Cost(trace.SiteHeaderMiss, time.Duration(miss)*m.P.RandMiss)
+	}
+	return time.Duration(h)*m.P.RandHit + time.Duration(miss)*m.P.RandMiss
+}
+
 // DMAWrite models a device (NIC or copy engine) writing [addr, addr+n):
 // the data lands in memory and any stale cached lines are invalidated,
 // so the CPU's next access misses.
