@@ -94,3 +94,26 @@ func TestAllocBudgetRealTree(t *testing.T) {
 		t.Fatalf("committed allowlist: want exit 0, got %d\n%s", code, out)
 	}
 }
+
+// TestAllocBudgetAfterPackageBuild compiles internal/mem with
+// -gcflags=-m from its own directory into an empty build cache, as a
+// test run there may, then runs the committed allowlist against the
+// real tree with that cache. The go command replays the cached
+// diagnostics with the paths it first printed (./cache.go), so the
+// script must resolve them to the keys a build from the root gives.
+func TestAllocBudgetAfterPackageBuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the compiler; skipped in -short")
+	}
+	root := repoRoot(t)
+	t.Setenv("GOCACHE", t.TempDir())
+	cmd := exec.Command("go", "build", "-o", os.DevNull, "-gcflags=-m", ".")
+	cmd.Dir = filepath.Join(root, "internal", "mem")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go build -gcflags=-m in internal/mem: %v\n%s", err, out)
+	}
+	out, code := runAllocBudget(t, root, filepath.Join(root, "testdata", "lint", "escape_allowlist.txt"))
+	if code != 0 {
+		t.Fatalf("committed allowlist after a package-directory build: want exit 0, got %d\n%s", code, out)
+	}
+}

@@ -105,8 +105,8 @@ func TestClusterClose(t *testing.T) {
 	c.Close()
 	for what, fn := range map[string]func(){
 		"RunUntil":             func() { c.S.RunUntil(sim.Time(2 * time.Second)) },
-		"node1's cache access": func() { a.Mem.Cache.Access(0) },
-		"node2's cache access": func() { b.Mem.Cache.Access(0) },
+		"node1's cache access": func() { a.Mem.Cache.AccessLines(0, 1) },
+		"node2's cache access": func() { b.Mem.Cache.AccessLines(0, 1) },
 	} {
 		func() {
 			defer func() {

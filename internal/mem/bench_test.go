@@ -10,17 +10,36 @@ func benchCache() *Cache { return NewCache(2<<20, 64, 8) }
 // characteristic regimes: hit-heavy (working set resident), miss-heavy
 // (streaming through a buffer far larger than the cache), wrap-around
 // (a range whose line count exceeds the set count, so the set cursor
-// wraps within one call), and one frame per call (the short walks of
-// per-frame copies, where a call's set-up weighs most).
+// wraps within one call), one frame per call (the short walks of
+// per-frame copies, where a call's set-up weighs most), and a stream
+// sender's copies (the same two ranges again and again, which the walk
+// memo answers).
 func BenchmarkAccessRange(b *testing.B) {
 	const chunk = 64 << 10 // one socket-buffer chunk
 	b.Run("hit", func(b *testing.B) {
+		// 24 resident chunks in turn, more than the walk memo holds, so
+		// every pass walks its sets and hits.
+		const chunks = 24
 		c := benchCache()
-		c.AccessRange(0, chunk) // warm: every later pass hits
+		c.AccessRange(0, chunks*chunk) // warm: every later pass hits
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.AccessRange(0, chunk)
+			c.AccessRange(Addr(i%chunks*chunk), chunk)
+		}
+		b.SetBytes(chunk)
+	})
+	b.Run("repeat", func(b *testing.B) {
+		// A user buffer and one kernel buffer, walked in turn.
+		src, dst := Addr(0), Addr(1<<20)
+		c := benchCache()
+		c.AccessRange(src, chunk)
+		c.AccessRange(dst, chunk)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.AccessRange(src, chunk)
+			src, dst = dst, src
 		}
 		b.SetBytes(chunk)
 	})

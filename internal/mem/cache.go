@@ -36,6 +36,12 @@ import (
 // is an empty cache: a new state needs no initialization, a recycled
 // one (see Release) only a clear, and one loop body serves every 1-8-way
 // geometry.
+//
+// The cache also remembers its recent long walks (see walk): a repeat of
+// one whose lines are all still resident is answered without visiting a
+// set, and the LRU touches it owes are applied later, before anything
+// reads LRU state. Hit/miss sequences and victims stay those of the
+// eager walk (DESIGN §4b).
 type Cache struct {
 	lineSize int
 	ways     int
@@ -50,8 +56,32 @@ type Cache struct {
 
 	cacheState
 
+	// memo holds the nmemo most recently repeated or walked ranges of
+	// memoMin to nsets lines, oldest first, every line of each resident.
+	// The newest lazy of them were repeated since the last settle and
+	// still owe their touches.
+	memo  [memoSize]memoWalk
+	nmemo int
+	lazy  int
+
 	Hits   uint64
 	Misses uint64
+}
+
+// The walk memo's bounds. Every repeated walk of the stream figures is
+// 256 lines or longer, so the minimum only keeps lookups off short
+// walks; 16 entries hold the walks fig4's 12 concurrent streams cycle
+// through, where 8 let a third of the repeated lines be walked again
+// (EXPERIMENTS, Host-side performance: repeated range walks).
+const (
+	memoMin  = 32 // shortest remembered walk, in lines
+	memoSize = 16 // remembered walks
+)
+
+// memoWalk is a remembered walk: n lines from line first.
+type memoWalk struct {
+	first uint64
+	n     int
 }
 
 // cacheState is the per-set state of a cache, 80 B a set: 320 KiB at
@@ -117,6 +147,7 @@ func (c *Cache) Release() {
 	released.states = append(released.states, c.cacheState)
 	released.Unlock()
 	c.cacheState = cacheState{}
+	c.forget()
 }
 
 // SWAR constants: the low and the high bit of every byte of a word.
@@ -226,15 +257,6 @@ func touch(md *[2]uint64, rows uint64, w uint) {
 	md[1] = (md[1] | rows&wayByte[w&7]) &^ (lsbs << (w & 7))
 }
 
-// Access touches the line containing addr, allocating it on miss, and
-// reports whether it was a hit.
-//
-//ioat:hotpath
-func (c *Cache) Access(addr Addr) bool {
-	hits, _ := c.accessLines(uint64(addr)>>c.shift, 1)
-	return hits == 1
-}
-
 // Contains reports whether the line holding addr is resident, without
 // updating LRU state or statistics.
 func (c *Cache) Contains(addr Addr) bool {
@@ -263,13 +285,39 @@ func (c *Cache) run(first uint64, n int) (tags [][8]uint64, meta [][2]uint64, wa
 // used. It is the shared core of every range operation, and leaves the
 // statistics to its callers.
 //
+// A walk of memoMin to nsets lines visits each set at most once, so its
+// lines are all resident when it ends. walk remembers it, and answers a
+// repeat from the memo while no line can have left: n hits, no
+// eviction, and the repeat's touches owed (see settle). Any other walk
+// first settles what is owed, then walks the sets; one that evicts a
+// valid line forgets the memo.
+func (c *Cache) walk(first uint64, n int) (hits, evicted int) {
+	long := n >= memoMin && n <= c.nsets
+	if long && c.recall(first, n) {
+		return n, 0
+	}
+	if c.lazy > 0 {
+		c.settle()
+	}
+	hits, evicted = c.walkSets(first, n)
+	if evicted > 0 {
+		c.forget()
+	}
+	if long {
+		c.remember(first, n)
+	}
+	return hits, evicted
+}
+
+// walkSets is walk's set loop, without the memo.
+//
 // Consecutive lines fall in consecutive sets, so a walk goes one run of
 // sets at a time (see run): the set slices, the fingerprint and the
 // first tag word are computed once per run, and the next set's tag word
 // is one more. find, fill and touch inline into the loop body. Random
 // single lines, most of what the data-center figures price, take
 // AccessEach instead.
-func (c *Cache) walk(first uint64, n int) (hits, evicted int) {
+func (c *Cache) walkSets(first uint64, n int) (hits, evicted int) {
 	rows := c.rowMask * lsbs // a touched way's row, in every byte
 	for n > 0 {
 		tags, meta, want := c.run(first, n)
@@ -292,6 +340,54 @@ func (c *Cache) walk(first uint64, n int) (hits, evicted int) {
 	}
 	return hits, evicted
 }
+
+// recall reports whether the walk of n lines from first is remembered.
+// If it is, it becomes the newest entry, and one of the lazy ones if it
+// was not already.
+func (c *Cache) recall(first uint64, n int) bool {
+	for i := c.nmemo - 1; i >= 0; i-- {
+		if c.memo[i] == (memoWalk{first, n}) {
+			if i < c.nmemo-c.lazy {
+				c.lazy++
+			}
+			copy(c.memo[i:], c.memo[i+1:c.nmemo])
+			c.memo[c.nmemo-1] = memoWalk{first, n}
+			return true
+		}
+	}
+	return false
+}
+
+// remember adds a walk that just ended, with nothing owed, as the newest
+// entry, dropping the oldest one when the memo is full.
+func (c *Cache) remember(first uint64, n int) {
+	if c.nmemo == memoSize {
+		copy(c.memo[:], c.memo[1:])
+		c.nmemo--
+	}
+	c.memo[c.nmemo] = memoWalk{first, n}
+	c.nmemo++
+}
+
+// settle applies the touches the lazy entries owe: it walks each once,
+// oldest first. Touching a set's ways again in an order changes only
+// the LRU bits between touched ways, to that order, and the bits
+// between touched and untouched ways, as touching once did; so one walk
+// of each entry, in the order of its last repeat, leaves every set as
+// all the repeats would have. No remembered line has left the cache, so
+// every line hits.
+func (c *Cache) settle() {
+	for _, m := range c.memo[c.nmemo-c.lazy : c.nmemo] {
+		if hits, _ := c.walkSets(m.first, m.n); hits != m.n {
+			panic("mem: a remembered walk missed")
+		}
+	}
+	c.lazy = 0
+}
+
+// forget empties the memo, dropping any touches owed: callers settle
+// first unless the state they leave makes those touches moot.
+func (c *Cache) forget() { c.nmemo, c.lazy = 0, 0 }
 
 // span returns the first line number and the line count of [addr,
 // addr+n) (n > 0).
@@ -340,10 +436,14 @@ func (c *Cache) AccessLines(addr Addr, nLines int) (hits, misses int) {
 // of a request's random working-set touches, priced per line by
 // Model.RandomEachCost. Each address is a walk of one set: find, then
 // fill on a miss, then touch, with the set slices and the touched row
-// read once per call.
+// read once per call. It settles the walk memo first, and forgets it
+// after a miss, which may have evicted a remembered line.
 //
 //ioat:hotpath
 func (c *Cache) AccessEach(addrs []Addr) (hits, misses int) {
+	if c.lazy > 0 {
+		c.settle()
+	}
 	tags, meta := c.tags, c.meta
 	rows := c.rowMask * lsbs // a touched way's row, in every byte
 	for _, a := range addrs {
@@ -360,6 +460,9 @@ func (c *Cache) AccessEach(addrs []Addr) (hits, misses int) {
 		touch(md, rows, w)
 	}
 	misses = len(addrs) - hits
+	if misses > 0 {
+		c.forget()
+	}
 	c.Hits += uint64(hits)
 	c.Misses += uint64(misses)
 	return hits, misses
@@ -383,13 +486,18 @@ func (c *Cache) Install(addr Addr, n int) (evicted int) {
 // Invalidate drops every line of [addr, addr+n) — the coherence action a
 // DMA write forces on the CPU cache (paper §2.2.2). LRU state is
 // untouched, as invalidation is not a reference: an invalid way is
-// refilled before any valid one is evicted.
+// refilled before any valid one is evicted. It settles the walk memo
+// first, and forgets it once it drops a resident line.
 //
 //ioat:hotpath
 func (c *Cache) Invalidate(addr Addr, n int) {
 	if n <= 0 {
 		return
 	}
+	if c.lazy > 0 {
+		c.settle()
+	}
+	dropped := false
 	first, lines := c.span(addr, n)
 	for lines > 0 {
 		tags, meta, want := c.run(first, lines)
@@ -401,6 +509,7 @@ func (c *Cache) Invalidate(addr Addr, n int) {
 				if w := uint(bits.TrailingZeros64(m)) >> 3 & 7; tags[i][w] == tag {
 					tags[i][w] = 0
 					meta[i][0] &^= wayByte[w]
+					dropped = true
 					break
 				}
 			}
@@ -409,12 +518,16 @@ func (c *Cache) Invalidate(addr Addr, n int) {
 		first += uint64(len(tags))
 		lines -= len(tags)
 	}
+	if dropped {
+		c.forget()
+	}
 }
 
 // Flush empties the cache.
 func (c *Cache) Flush() {
 	clear(c.tags)
 	clear(c.meta)
+	c.forget()
 }
 
 // OccupiedLines returns how many valid lines the cache currently holds.
@@ -438,12 +551,19 @@ func (c *Cache) Lines() int { return c.nsets * c.ways }
 // holds it, no duplicate tags within a set, fingerprint bytes that agree
 // with the tags (0 exactly on invalid ways), and an LRU matrix that is a
 // strict total order over each set's valid ways with no bits outside its
-// ways or on its diagonal. It returns the first violation found, or nil.
-// The walk is O(lines), so the invariant checker runs it periodically
-// and at the end of a run, not per access.
+// ways or on its diagonal, and every line of every remembered walk
+// resident. It returns the first violation found, or nil. The walk is
+// O(lines), so the invariant checker runs it periodically and at the end
+// of a run, not per access.
 func (c *Cache) Audit() error {
 	if occ := c.OccupiedLines(); occ > c.Lines() {
 		return fmt.Errorf("mem: cache occupancy %d exceeds capacity %d lines", occ, c.Lines())
+	}
+	for _, m := range c.memo[:c.nmemo] {
+		if r := c.Resident(Addr(m.first<<c.shift), m.n<<c.shift); r != m.n {
+			return fmt.Errorf("mem: remembered walk of %d lines from line %#x has %d resident",
+				m.n, m.first, r)
+		}
 	}
 	const diagonal = 0x8040201008040201
 	// The bits a touch can set: rows and columns of the cache's ways.

@@ -3,6 +3,7 @@ package mem
 import (
 	"math/bits"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -39,7 +40,7 @@ func FuzzCacheAccessRange(f *testing.F) {
 				accHits += hits
 				accMisses += misses
 			case 1:
-				c.Access(addr)
+				c.AccessLines(addr, 1)
 			case 2:
 				if ev := c.Install(addr, n); ev > spanLines(c, addr, n) {
 					t.Fatalf("Install(%d, %d) evicted %d lines for %d installed",
@@ -191,25 +192,8 @@ func (r *refCache) contains(addr Addr) bool {
 }
 
 // FuzzCacheDifferential drives Cache and the stamp-based refCache with
-// the same fuzz-chosen geometry (1-8 ways) and operation stream, and
-// requires identical behaviour after every operation: every return
-// value (Install's eviction count included), the Hits/Misses counters,
-// residency of every line of the address span, and a clean Audit. Any
-// divergence in victim choice shows up as a residency mismatch. One
-// operation releases the cache and builds a new one, which reuses the
-// released state and must behave as a fresh reference cache.
-//
-// The span holds at most 32 lines per set, fewer than the 128
-// fingerprints a set tells apart, so no two of its lines alias. An
-// operation whose kind byte has bit 7 set therefore addresses a second
-// window, one fingerprint period (128 * sets * line size bytes) above
-// the first: its lines share a set and a fingerprint with the first
-// window's, so only the tag compare tells them apart. Residency is
-// checked over both windows.
-//
-// An AccessEach operation touches up to 63 addresses drawn from the
-// operation's bytes, each in either window and at any offset within its
-// line, and must match the reference's single-line accesses in order.
+// the same fuzz-chosen geometry (1-8 ways) and operation stream through
+// diffCache, which requires identical behaviour after every operation.
 func FuzzCacheDifferential(f *testing.F) {
 	f.Add(uint8(0), uint8(7), uint8(2), []byte{0, 40, 0, 64, 40, 4, 8, 40, 0, 0, 0, 1})
 	f.Add(uint8(1), uint8(1), uint8(0), []byte{0, 255, 0, 0, 4, 4, 0, 255, 3, 1, 9, 2})
@@ -228,90 +212,225 @@ func FuzzCacheDifferential(f *testing.F) {
 	// sets, between range accesses and invalidations.
 	f.Add(uint8(1), uint8(1), uint8(2), []byte{9, 40, 7, 0, 64, 0, 17, 63, 7, 0, 200, 4, 200, 33, 0x87, 3, 62, 7})
 	f.Add(uint8(0), uint8(7), uint8(1), []byte{1, 63, 7, 5, 50, 0x87, 0, 255, 0x80, 77, 61, 7, 0, 0, 7})
+	// Repeated walks of 32 to 64 lines in 32- and 64-set geometries, the
+	// ones the walk memo answers: a 64-line range walked, repeated from
+	// the memo, Installed, repeated in the alias window, then evicted by a
+	// conflicting walk and repeated again.
+	f.Add(uint8(2), uint8(1), uint8(6), []byte{0, 32, 0, 0, 0, 8, 0, 1, 8, 0, 0, 0x88, 128, 32, 0, 1, 0, 8, 2, 3, 4, 0, 0, 8})
+	for i, g := range memoGeometries {
+		f.Add(uint8(2), uint8(g.ways-1), g.setSel, memoOps(rand.New(rand.NewSource(int64(i+1))), g, 300))
+	}
 
-	f.Fuzz(func(t *testing.T, lineSel, waySel, setSel uint8, ops []byte) {
-		lineSize := 16 << (int(lineSel) % 5) // 16..256, power of two
-		ways := 1 + int(waySel)%8            // 1..8
-		nsets := 1 << (int(setSel) % 7)      // 1..64, power of two
-		size := lineSize * ways * nsets
-		c := NewCache(size, lineSize, ways)
-		r := newRefCache(size, lineSize, ways)
+	f.Fuzz(diffCache)
+}
 
-		span := 4 * size // address range spanning several aliasing rounds
-		spanLines := span / lineSize
-		period := Addr(128 * nsets * lineSize) // same set, same fingerprint
-		var addrs []Addr
-		for i := 0; i+2 < len(ops); i += 3 {
-			addr := Addr(int(ops[i])*span/256) + Addr(ops[i+2]>>7)*period
-			n := int(ops[i+1]) * span / 256
-			kind := (ops[i+2] & 0x7f) % 8
-			switch kind {
-			case 0:
-				h, m := c.AccessRange(addr, n)
-				rh, rm := r.accessLines(r.span(addr, n))
-				if h != rh || m != rm {
-					t.Fatalf("op %d AccessRange(%d, %d) = %d/%d, reference %d/%d", i/3, addr, n, h, m, rh, rm)
-				}
-			case 1:
-				hit := c.Access(addr)
-				rh, _ := r.accessLines(uint64(addr)>>r.shift, 1)
-				if hit != (rh == 1) {
-					t.Fatalf("op %d Access(%d) = %v, reference %v", i/3, addr, hit, rh == 1)
-				}
-			case 2:
-				nLines := int(ops[i+1]) * spanLines / 256
-				h, m := c.AccessLines(addr, nLines)
-				rh, rm := r.accessLines(uint64(addr)>>r.shift, nLines)
-				if h != rh || m != rm {
-					t.Fatalf("op %d AccessLines(%d, %d) = %d/%d, reference %d/%d", i/3, addr, nLines, h, m, rh, rm)
-				}
-			case 3:
-				if ev, rev := c.Install(addr, n), r.install(addr, n); ev != rev {
-					t.Fatalf("op %d Install(%d, %d) evicted %d, reference %d", i/3, addr, n, ev, rev)
-				}
-			case 4:
-				c.Invalidate(addr, n)
-				r.invalidate(addr, n)
-			case 5:
-				c.Flush()
-				r.flush()
-			case 6:
-				c.Release()
-				c = NewCache(size, lineSize, ways)
-				r = newRefCache(size, lineSize, ways)
-			case 7:
-				addrs = addrs[:0]
-				x := uint64(i)<<16 | uint64(ops[i])<<8 | uint64(ops[i+1])
-				for range int(ops[i+1]) % 64 {
-					x = x*6364136223846793005 + 1442695040888963407
-					a := Addr(x>>33) % Addr(span)
-					addrs = append(addrs, a+Addr(x>>32&1)*period)
-				}
-				h, m := c.AccessEach(addrs)
-				var rh, rm int
-				for _, a := range addrs {
-					eh, em := r.accessLines(uint64(a)>>r.shift, 1)
-					rh += eh
-					rm += em
-				}
-				if h != rh || m != rm {
-					t.Fatalf("op %d AccessEach(%v) = %d/%d, reference %d/%d", i/3, addrs, h, m, rh, rm)
-				}
+// diffCache drives a Cache and a refCache of the geometry the three
+// selectors pick through the operations ops encodes, three bytes each,
+// and requires identical behaviour after every operation: every return
+// value (Install's eviction count included), the Hits/Misses counters,
+// residency of every line of the address span, and a clean Audit. Any
+// divergence in victim choice shows up as a residency mismatch. One
+// operation releases the cache and builds a new one, which reuses the
+// released state and must behave as a fresh reference cache.
+//
+// The span holds at most 32 lines per set, fewer than the 128
+// fingerprints a set tells apart, so no two of its lines alias. An
+// operation whose kind byte has bit 7 set therefore addresses a second
+// window, one fingerprint period (128 * sets * line size bytes) above
+// the first: its lines share a set and a fingerprint with the first
+// window's, so only the tag compare tells them apart. Residency is
+// checked over both windows.
+//
+// An AccessEach operation touches up to 63 addresses drawn from the
+// operation's bytes, each in either window and at any offset within its
+// line, and must match the reference's single-line accesses in order.
+//
+// A repeat operation walks the range of one of the earlier AccessRange,
+// Install and Invalidate operations again, counted back from the latest
+// by its first byte, in its own window, as an AccessRange (even second
+// byte) or an Install: in 32- and 64-set geometries those are the walks
+// of 32 lines or more, within one pass of the sets, that the cache's
+// walk memo answers without visiting a set.
+func diffCache(t *testing.T, lineSel, waySel, setSel uint8, ops []byte) {
+	lineSize := 16 << (int(lineSel) % 5) // 16..256, power of two
+	ways := 1 + int(waySel)%8            // 1..8
+	nsets := 1 << (int(setSel) % 7)      // 1..64, power of two
+	size := lineSize * ways * nsets
+	c := NewCache(size, lineSize, ways)
+	r := newRefCache(size, lineSize, ways)
+
+	span := 4 * size // address range spanning several aliasing rounds
+	spanLines := span / lineSize
+	period := Addr(128 * nsets * lineSize) // same set, same fingerprint
+	type walked struct {
+		addr Addr // within the first window
+		n    int
+	}
+	var (
+		addrs  []Addr
+		ranges []walked
+	)
+	for i := 0; i+2 < len(ops); i += 3 {
+		window := Addr(ops[i+2]>>7) * period
+		addr := Addr(int(ops[i])*span/256) + window
+		n := int(ops[i+1]) * span / 256
+		kind := (ops[i+2] & 0x7f) % 9
+		switch kind {
+		case 0, 3, 4:
+			ranges = append(ranges, walked{addr - window, n})
+		}
+		switch kind {
+		case 0:
+			h, m := c.AccessRange(addr, n)
+			rh, rm := r.accessLines(r.span(addr, n))
+			if h != rh || m != rm {
+				t.Fatalf("op %d AccessRange(%d, %d) = %d/%d, reference %d/%d", i/3, addr, n, h, m, rh, rm)
 			}
-			if int(c.Hits) != r.hits || int(c.Misses) != r.misses {
-				t.Fatalf("op %d (kind %d): counters %d/%d, reference %d/%d",
-					i/3, kind, c.Hits, c.Misses, r.hits, r.misses)
+		case 1:
+			h, m := c.AccessLines(addr, 1)
+			rh, rm := r.accessLines(uint64(addr)>>r.shift, 1)
+			if h != rh || m != rm {
+				t.Fatalf("op %d AccessLines(%d, 1) = %d/%d, reference %d/%d", i/3, addr, h, m, rh, rm)
 			}
-			for _, base := range [2]Addr{0, period} {
-				for a := base; a < base+Addr(span); a += Addr(lineSize) {
-					if got, want := c.Contains(a), r.contains(a); got != want {
-						t.Fatalf("op %d (kind %d): Contains(%d) = %v, reference %v", i/3, kind, a, got, want)
-					}
+		case 2:
+			nLines := int(ops[i+1]) * spanLines / 256
+			h, m := c.AccessLines(addr, nLines)
+			rh, rm := r.accessLines(uint64(addr)>>r.shift, nLines)
+			if h != rh || m != rm {
+				t.Fatalf("op %d AccessLines(%d, %d) = %d/%d, reference %d/%d", i/3, addr, nLines, h, m, rh, rm)
+			}
+		case 3:
+			if ev, rev := c.Install(addr, n), r.install(addr, n); ev != rev {
+				t.Fatalf("op %d Install(%d, %d) evicted %d, reference %d", i/3, addr, n, ev, rev)
+			}
+		case 4:
+			c.Invalidate(addr, n)
+			r.invalidate(addr, n)
+		case 5:
+			c.Flush()
+			r.flush()
+		case 6:
+			c.Release()
+			c = NewCache(size, lineSize, ways)
+			r = newRefCache(size, lineSize, ways)
+		case 7:
+			addrs = addrs[:0]
+			x := uint64(i)<<16 | uint64(ops[i])<<8 | uint64(ops[i+1])
+			for range int(ops[i+1]) % 64 {
+				x = x*6364136223846793005 + 1442695040888963407
+				a := Addr(x>>33) % Addr(span)
+				addrs = append(addrs, a+Addr(x>>32&1)*period)
+			}
+			h, m := c.AccessEach(addrs)
+			var rh, rm int
+			for _, a := range addrs {
+				eh, em := r.accessLines(uint64(a)>>r.shift, 1)
+				rh += eh
+				rm += em
+			}
+			if h != rh || m != rm {
+				t.Fatalf("op %d AccessEach(%v) = %d/%d, reference %d/%d", i/3, addrs, h, m, rh, rm)
+			}
+		case 8:
+			if len(ranges) == 0 {
+				break
+			}
+			w := ranges[len(ranges)-1-int(ops[i])%len(ranges)]
+			a := w.addr + window
+			if ops[i+1]&1 == 0 {
+				h, m := c.AccessRange(a, w.n)
+				rh, rm := r.accessLines(r.span(a, w.n))
+				if h != rh || m != rm {
+					t.Fatalf("op %d repeats AccessRange(%d, %d) = %d/%d, reference %d/%d", i/3, a, w.n, h, m, rh, rm)
 				}
-			}
-			if err := c.Audit(); err != nil {
-				t.Fatalf("op %d (kind %d): audit: %v", i/3, kind, err)
+			} else if ev, rev := c.Install(a, w.n), r.install(a, w.n); ev != rev {
+				t.Fatalf("op %d repeats Install(%d, %d) evicted %d, reference %d", i/3, a, w.n, ev, rev)
 			}
 		}
-	})
+		if int(c.Hits) != r.hits || int(c.Misses) != r.misses {
+			t.Fatalf("op %d (kind %d): counters %d/%d, reference %d/%d",
+				i/3, kind, c.Hits, c.Misses, r.hits, r.misses)
+		}
+		for _, base := range [2]Addr{0, period} {
+			for a := base; a < base+Addr(span); a += Addr(lineSize) {
+				if got, want := c.Contains(a), r.contains(a); got != want {
+					t.Fatalf("op %d (kind %d): Contains(%d) = %v, reference %v", i/3, kind, a, got, want)
+				}
+			}
+		}
+		if err := c.Audit(); err != nil {
+			t.Fatalf("op %d (kind %d): audit: %v", i/3, kind, err)
+		}
+	}
+}
+
+// memoGeometry is a cache geometry of 64-byte lines (line selector 2)
+// in which diffCache's ranges of long bytes span 32 lines or more and at
+// most one pass of the sets: the walks the memo remembers.
+type memoGeometry struct {
+	setSel uint8 // 5: 32 sets, 6: 64 sets
+	ways   int
+	long   [2]byte // the range-length bytes that make such a walk
+}
+
+var memoGeometries = []memoGeometry{
+	{6, 2, [2]byte{16, 32}}, // 32-64 lines
+	{6, 4, [2]byte{8, 16}},  // 32-64 lines
+	{5, 4, [2]byte{16, 16}}, // 32 lines
+	{5, 8, [2]byte{8, 8}},   // 32 lines
+}
+
+// memoOps returns count diffCache operations for geometry g that keep a
+// few fixed long ranges resident and walk them again and again, by
+// AccessRange, Install and the repeat operation, in both windows,
+// between short walks, AccessEach batches, invalidations, walks that
+// evict, and the odd Flush and Release.
+func memoOps(rng *rand.Rand, g memoGeometry, count int) []byte {
+	long := func() byte { return g.long[0] + byte(rng.Intn(int(g.long[1]-g.long[0])+1)) }
+	var fixed [3][2]byte
+	for i := range fixed {
+		fixed[i] = [2]byte{byte(2 * rng.Intn(128)), long()}
+	}
+	ops := make([]byte, 0, 3*count)
+	for range count {
+		window := byte(rng.Intn(2)) << 7
+		op := [3]byte{byte(2 * rng.Intn(128)), 0, 0}
+		switch x := rng.Intn(40); {
+		case x < 14: // a fixed range, walked or installed
+			f := fixed[rng.Intn(len(fixed))]
+			op = [3]byte{f[0], f[1], []byte{0, 3}[rng.Intn(2)]}
+		case x < 20: // a repeat of a recent range
+			op = [3]byte{byte(rng.Intn(8)), byte(rng.Intn(2)), 8}
+		case x < 24: // a new long range
+			op[1], op[2] = long(), 0
+		case x < 28: // a short walk
+			op[1], op[2] = byte(rng.Intn(8)), 2
+		case x < 32:
+			op[1], op[2] = byte(rng.Intn(64)), 7
+		case x < 35: // an invalidation, at most a few lines
+			op[1], op[2] = byte(rng.Intn(3)), 4
+		case x < 38: // a walk that may wrap and evict
+			op[1], op[2] = byte(rng.Intn(256)), 0
+		case x < 39:
+			op[2] = 5
+		default:
+			op[2] = 6
+		}
+		op[2] |= window
+		ops = append(ops, op[:]...)
+	}
+	return ops
+}
+
+// TestCacheMemoDifferential runs diffCache over 300 streams from
+// memoOps, cycling through memoGeometries: a few fixed ranges of 32 to
+// 64 lines walked again and again, so the walk memo answers most of
+// their walks and settles them before the short walks, AccessEach
+// batches, invalidations and evicting walks between them.
+func TestCacheMemoDifferential(t *testing.T) {
+	for seed := range 300 {
+		g := memoGeometries[seed%len(memoGeometries)]
+		ops := memoOps(rand.New(rand.NewSource(int64(seed))), g, 200)
+		t.Run(strconv.Itoa(seed), func(t *testing.T) { diffCache(t, 2, uint8(g.ways-1), g.setSel, ops) })
+	}
 }

@@ -80,18 +80,24 @@ func TestPoolGrowsUnderBacklog(t *testing.T) {
 	}
 }
 
+// hit touches the line holding addr and reports whether it hit.
+func hit(c *Cache, addr Addr) bool {
+	h, _ := c.AccessLines(addr, 1)
+	return h == 1
+}
+
 func TestCacheHitAfterAccess(t *testing.T) {
 	c := NewCache(64*1024, 64, 8)
-	if c.Access(1000) {
+	if hit(c, 1000) {
 		t.Fatal("cold access reported hit")
 	}
-	if !c.Access(1000) {
+	if !hit(c, 1000) {
 		t.Fatal("second access missed")
 	}
-	if !c.Access(1023) { // same line (line 15 covers 960..1023)
+	if !hit(c, 1023) { // same line (line 15 covers 960..1023)
 		t.Fatal("same-line access missed")
 	}
-	if c.Access(1024) { // next line
+	if hit(c, 1024) { // next line
 		t.Fatal("next-line access hit while cold")
 	}
 }
@@ -116,10 +122,10 @@ func TestCacheLRUWithinSet(t *testing.T) {
 	// 2-way cache with 2 sets: lines mapping to set 0 are addresses
 	// 0, 256, 512, ... (line 64, sets 2).
 	c := NewCache(256, 64, 2)
-	c.Access(0)   // set0 way A
-	c.Access(256) // set0 way B
-	c.Access(0)   // refresh A
-	c.Access(512) // evicts B (LRU)
+	c.AccessLines(0, 1)   // set0 way A
+	c.AccessLines(256, 1) // set0 way B
+	c.AccessLines(0, 1)   // refresh A
+	c.AccessLines(512, 1) // evicts B (LRU)
 	if !c.Contains(0) {
 		t.Fatal("MRU line evicted")
 	}
@@ -174,7 +180,7 @@ func TestCacheReleaseThenAccessPanics(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Access", func() { c.Access(0) }},
+		{"AccessLines", func() { c.AccessLines(0, 1) }},
 		{"AccessRange", func() { c.AccessRange(0, 64) }},
 		{"Install", func() { c.Install(0, 64) }},
 		{"Invalidate", func() { c.Invalidate(0, 64) }},
@@ -192,6 +198,44 @@ func TestCacheReleaseThenAccessPanics(t *testing.T) {
 	if c.Hits+c.Misses != 64 || next.OccupiedLines() != 0 {
 		t.Fatalf("released cache counts %d accesses, want 64; its successor holds %d lines, want 0",
 			c.Hits+c.Misses, next.OccupiedLines())
+	}
+}
+
+// TestCacheMemoForgotten: a flushed cache, a released one and a new one
+// that reuses a released state never answer a walk from a memo that
+// remembered lines they no longer hold.
+func TestCacheMemoForgotten(t *testing.T) {
+	const size, chunk = 64 * 64 * 8, 64 * 64 // 64 sets; a 64-line walk
+	remembered := func() *Cache {
+		c := NewCache(size, 64, 8)
+		c.AccessRange(0, chunk)
+		if h, _ := c.AccessRange(0, chunk); h != 64 || c.nmemo != 1 || c.lazy != 1 {
+			t.Fatalf("repeat hit %d of 64 lines with %d walks remembered, %d owing touches; want 64, 1, 1",
+				h, c.nmemo, c.lazy)
+		}
+		return c
+	}
+	c := remembered()
+	c.Flush()
+	if h, m := c.AccessRange(0, chunk); h != 0 || m != 64 {
+		t.Fatalf("flushed cache: %d hits, %d misses; want 0 and 64", h, m)
+	}
+	c = remembered()
+	held := &c.tags[0]
+	c.Release()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("released cache answered a remembered walk")
+			}
+		}()
+		c.AccessRange(0, chunk)
+	}()
+	if c = NewCache(size, 64, 8); &c.tags[0] != held {
+		t.Fatal("NewCache did not reuse the state just released")
+	}
+	if h, m := c.AccessRange(0, chunk); h != 0 || m != 64 {
+		t.Fatalf("recycled cache: %d hits, %d misses; want 0 and 64", h, m)
 	}
 }
 
@@ -267,7 +311,7 @@ func TestCacheAuditCatchesCorruption(t *testing.T) {
 	fill := func() *Cache {
 		c := NewCache(4*8*64, 64, 8)
 		for _, a := range []Addr{0, 256, 512} {
-			c.Access(a)
+			c.AccessLines(a, 1)
 		}
 		if err := c.Audit(); err != nil {
 			t.Fatalf("uncorrupted cache fails audit: %v", err)

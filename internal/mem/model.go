@@ -144,7 +144,7 @@ func (m *Model) TouchCost(addr Addr, n int) time.Duration {
 // RandomCost prices dependent accesses to nLines lines starting at addr —
 // the pattern of protocol-header and connection-state reads, where each
 // miss pays the full DRAM latency. The lines are consecutive, so the
-// cache walks them in one batched pass instead of one Access call each.
+// cache walks them as one range: one AccessLines call, not one per line.
 //
 //ioat:hotpath
 func (m *Model) RandomCost(addr Addr, nLines int) time.Duration {

@@ -51,16 +51,31 @@ fi
 # dependencies compile quietly; the build cache replays the diagnostics
 # on later runs.
 raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
+sites="$(mktemp)"
+trap 'rm -f "$raw" "$sites"' EXIT
 if ! go build -o /dev/null -gcflags='-m' "${pkgs[@]}" >"$raw" 2>&1; then
     echo "allocbudget: go build failed:" >&2
     cat "$raw" >&2
     exit 2
 fi
 
+# The escape sites, with module-relative paths. The build cache replays
+# a package's diagnostics with the paths of the directory that first
+# compiled it, so after a `go build -gcflags=-m .` inside internal/mem
+# they read ./cache.go here too. Resolve each ./ path against the
+# package its "# <import path>" header names.
+module="$(awk '$1 == "module" { print $2; exit }' go.mod)"
+awk -v mod="$module" '
+    /^# / {
+        dir = $2 == mod ? "." : index($2, mod "/") == 1 ? substr($2, length(mod) + 2) : ""
+        next
+    }
+    dir != "" && /^\.\// { $0 = dir substr($0, 2) }
+    /escapes to heap|moved to heap/
+' "$raw" >"$sites"
+
 # One normalized key per escape site: position stripped to the file.
-current="$(grep -E 'escapes to heap|moved to heap' "$raw" |
-    sed -E 's/:[0-9]+(:[0-9]+)?: / /' | LC_ALL=C sort -u || true)"
+current="$(sed -E 's/:[0-9]+(:[0-9]+)?: / /' "$sites" | LC_ALL=C sort -u || true)"
 
 if [ "$update" -eq 1 ]; then
     mkdir -p "$(dirname "$ALLOWLIST")"
@@ -94,8 +109,7 @@ if [ -n "$new_keys" ]; then
     while IFS= read -r key; do
         file="${key%% *}"
         msg="${key#* }"
-        grep -F "$msg" "$raw" | grep -F "$file" | grep -E 'escapes to heap|moved to heap' |
-            LC_ALL=C sort -u | sed 's/^/  /' >&2
+        grep -F "$msg" "$sites" | grep -F "$file" | LC_ALL=C sort -u | sed 's/^/  /' >&2
     done <<<"$new_keys"
     echo "allocbudget: if an allocation is deliberate (pool refill, cold path)," >&2
     echo "allocbudget: justify it in review and re-run scripts/allocbudget.sh -update" >&2
