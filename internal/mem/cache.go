@@ -56,23 +56,26 @@ type Cache struct {
 
 	cacheState
 
+	Hits   uint64
+	Misses uint64
+
 	// memo holds the nmemo most recently repeated or walked ranges of
 	// memoMin to nsets lines, oldest first, every line of each resident.
 	// The newest lazy of them were repeated since the last settle and
-	// still owe their touches.
-	memo  [memoSize]memoWalk
-	nmemo int
+	// still owe their touches. Every walk reads lazy; only long walks
+	// and settles read the array, so it comes last, off the host cache
+	// lines of the fields every walk reads.
 	lazy  int
-
-	Hits   uint64
-	Misses uint64
+	nmemo int
+	memo  [memoSize]memoWalk
 }
 
-// The walk memo's bounds. Every repeated walk of the stream figures is
-// 256 lines or longer, so the minimum only keeps lookups off short
-// walks; 16 entries hold the walks fig4's 12 concurrent streams cycle
-// through, where 8 let a third of the repeated lines be walked again
-// (EXPERIMENTS, Host-side performance: repeated range walks).
+// The walk memo's bounds (EXPERIMENTS, Host-side performance: repeated
+// range walks). Every walk the stream figures repeat is 256 lines or
+// longer, so the minimum only keeps lookups off short walks. fig4's 12
+// streams cycle through more ranges than 8 entries hold: with 8, a
+// stream round saves a fifth fewer lines than with 16, and with 32 only
+// 3% more.
 const (
 	memoMin  = 32 // shortest remembered walk, in lines
 	memoSize = 16 // remembered walks
