@@ -39,8 +39,9 @@ golden:
 	$(GO) test . -run 'TestGoldenCorpus$$' -update
 
 # Short fuzz pass over the transport segmentation, loss recovery, cache
-# invariants, the cache's equivalence to its stamp-based reference, and
-# scheduler invariants; CI runs this on every push. Minimizing a new
+# invariants, the cache's equivalence to its stamp-based reference,
+# scheduler invariants, and the point cache's eviction against its
+# scanning reference; CI runs this on every push. Minimizing a new
 # input is capped at 1 s: at Go's default of 60 s it can take the whole
 # 15 s run, during which nothing is fuzzed.
 fuzz-smoke:
@@ -49,6 +50,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzCacheAccessRange -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzCacheDifferential -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSchedulerOrdering -fuzztime 15s -fuzzminimizetime 1s
+	$(GO) test ./internal/sweep -run '^$$' -fuzz FuzzPointCacheBound -fuzztime 15s -fuzzminimizetime 1s
 
 # Fault-plane smoke: the loss sweep under strict fail-fast checking, plus
 # the benign-plan differential (a non-nil all-zero plan must reproduce

@@ -2,9 +2,9 @@
 // sweep jobs go in over HTTP, run on a bounded worker pool behind an
 // admission-controlled queue, and come back as NDJSON result streams or
 // polled status documents — every table byte-identical to what
-// ioatbench prints for the same configuration. A shared, LRU-bounded
-// point cache makes repeated configurations orders of magnitude faster
-// than a cold run.
+// ioatbench prints for the same configuration. A shared, bounded point
+// cache makes repeated configurations orders of magnitude faster than a
+// cold run; when full, it evicts the point cheapest to simulate again.
 //
 // Typical session:
 //

@@ -128,9 +128,6 @@ func (c Config) hostOpts() []host.Option {
 	return opts
 }
 
-// DefaultConfig runs paper-sized experiments.
-func DefaultConfig() Config { return Config{Seed: 1, Scale: 1} }
-
 // duration scales a nominal measurement window.
 func (c Config) duration(d time.Duration) time.Duration {
 	if c.Scale <= 0 || c.Scale == 1 {
@@ -341,6 +338,13 @@ func runMicroWith(p *cost.Params, feat ioat.Features, cfg Config,
 // whenever a change alters any experiment's output (a golden-corpus
 // diff is the signal).
 const cacheVersion = "ioatsim-v6"
+
+// goldenDigest is the SHA-256 over the sorted names and contents of
+// testdata/golden/*.txt that cacheVersion was last set for.
+// TestCacheVersionTracksGoldens fails once a golden moves, until
+// cacheVersion is bumped and this is set to the new digest, so a
+// restarted ioatd -pointcache never serves rows of older code as hits.
+const goldenDigest = "1b8fde99c94d351e6ddb3f3c845e66e34b61c215ca9958b099fb04e568e7598d"
 
 // key builds the content-addressed identity of one sweep point from the
 // code version, the figure/point discriminators (which must include the

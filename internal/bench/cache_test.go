@@ -2,7 +2,13 @@ package bench
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"ioatsim/internal/cost"
@@ -142,5 +148,30 @@ func TestCachedFigureIdentity(t *testing.T) {
 	hits, misses := cache.Stats()
 	if misses == 0 || hits != misses {
 		t.Errorf("stats = %d hits, %d misses; want one full cold pass and one full warm pass", hits, misses)
+	}
+}
+
+// TestCacheVersionTracksGoldens ties cacheVersion to the golden corpus:
+// point keys hash configurations, not model code, so a change that
+// moves any table must also bump cacheVersion, or a persisted point
+// cache would serve the old rows. The digest covers each golden's name
+// and contents, in name order.
+func TestCacheVersionTracksGoldens(t *testing.T) {
+	names, err := filepath.Glob(filepath.Join("..", "..", "testdata", "golden", "*.txt"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no goldens found: %v", err)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", filepath.Base(name), len(data))
+		h.Write(data)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenDigest {
+		t.Fatalf("goldens changed: bump cacheVersion and set goldenDigest to %s", got)
 	}
 }

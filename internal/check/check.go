@@ -211,9 +211,3 @@ func (l *Ledger) Out(n int64) {
 
 // InFlight returns units currently inside the account.
 func (l *Ledger) InFlight() int64 { return l.in - l.out }
-
-// Inflow returns total inflow.
-func (l *Ledger) Inflow() int64 { return l.in }
-
-// Outflow returns total outflow.
-func (l *Ledger) Outflow() int64 { return l.out }

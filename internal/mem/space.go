@@ -55,9 +55,6 @@ func (s *Space) Alloc(size, align int) Buffer {
 	return b
 }
 
-// Allocated returns the total bytes handed out so far.
-func (s *Space) Allocated() int64 { return int64(s.next) }
-
 // Pool is a LIFO free list of fixed-size buffers, modelling a slab
 // allocator: the most recently freed buffer is reused first, so a
 // fast-draining consumer keeps a small, cache-hot working set while a

@@ -161,9 +161,6 @@ func (c *Counter) Add(d int64) {
 	c.v += d
 }
 
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.v++ }
-
 // Value returns the cumulative count.
 func (c *Counter) Value() int64 { return c.v }
 
@@ -283,9 +280,6 @@ func (h *Histogram) Observe(v float64) {
 
 // N returns the sample count.
 func (h *Histogram) N() int64 { return h.n }
-
-// Sum returns the sample sum.
-func (h *Histogram) Sum() float64 { return h.sum }
 
 // Mean returns the sample mean (0 if empty).
 func (h *Histogram) Mean() float64 {

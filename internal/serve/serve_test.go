@@ -523,8 +523,10 @@ func TestRunnersEndpoint(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
-	_, st := postJob(t, ts, goldenBody("fig3a"))
-	waitTerminal(t, s, st.ID, StateDone)
+	for range 2 { // the repeat is served warm, from the point cache
+		_, st := postJob(t, ts, goldenBody("fig3a"))
+		waitTerminal(t, s, st.ID, StateDone)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -539,7 +541,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, key := range []string{
 		"uptime_s", "queue_depth", "inflight_jobs", "jobs_accepted", "jobs_done",
-		"job_latency_s", "cache_hits", "cache_hit_ratio", "cache_entries",
+		"job_latency_s", "cache_hits", "cache_hit_ratio", "cache_saved_s", "cache_entries",
 		"sim_events_total",
 	} {
 		if _, ok := doc[key]; !ok {
@@ -551,6 +553,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if doc["sim_events_total"].(float64) <= 0 {
 		t.Errorf("sim_events_total = %v, want > 0", doc["sim_events_total"])
+	}
+	if doc["cache_saved_s"].(float64) <= 0 {
+		t.Errorf("cache_saved_s = %v after a warm repeat, want > 0", doc["cache_saved_s"])
 	}
 	lat, ok := doc["job_latency_s"].(map[string]any)
 	if !ok || lat["count"].(float64) < 1 {

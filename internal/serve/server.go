@@ -2,9 +2,10 @@
 // an HTTP daemon (cmd/ioatd) that accepts sweep jobs over the same
 // configuration surface as the CLI, runs them on a bounded worker pool
 // behind an admission-controlled FIFO queue, streams per-experiment
-// results as NDJSON while a job is in flight, and shares one
-// LRU-bounded point-result cache across every job so repeated
-// configurations are served from memory instead of re-simulated.
+// results as NDJSON while a job is in flight, and shares one bounded
+// point-result cache across every job so repeated configurations are
+// served from memory instead of re-simulated. When full, the cache
+// evicts the point cheapest to simulate again (sweep.PointCache).
 //
 // The serving pipeline is queue -> pool -> cache:
 //
@@ -168,6 +169,7 @@ func (s *Server) registerMetrics() {
 		}
 		return float64(h) / float64(h+m)
 	})
+	s.snap.Func("cache_saved_s", func() float64 { return s.cache.Saved().Seconds() })
 	s.snap.Func("cache_evictions", func() float64 { return float64(s.cache.Evictions()) })
 	s.snap.Func("cache_entries", func() float64 { return float64(s.cache.Len()) })
 	s.snap.Func("cache_bytes", func() float64 { return float64(s.cache.Bytes()) })

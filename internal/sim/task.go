@@ -32,9 +32,6 @@ func (s *Simulator) NewTask(name string) *Task {
 // Name returns the label the task was created with.
 func (t *Task) Name() string { return t.name }
 
-// Sim returns the owning simulator.
-func (t *Task) Sim() *Simulator { return t.sim }
-
 // Now returns the current virtual time.
 func (t *Task) Now() Time { return t.sim.now }
 

@@ -17,6 +17,7 @@ package sweep
 
 import (
 	"bytes"
+	"container/heap"
 	"context"
 	"crypto/sha256"
 	"encoding/gob"
@@ -28,6 +29,7 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"time"
 )
 
 // Key returns the content-addressed identity of one sweep point: a hex
@@ -100,46 +102,91 @@ func writeCanon(w io.Writer, v reflect.Value) {
 // invocations at the same configuration and code version skip the
 // simulation. Safe for concurrent use by parallel sweep workers.
 //
-// The in-process memo is optionally bounded (see Bound): entries are
-// kept on an LRU list and the oldest are dropped once the entry or
-// payload-byte cap is exceeded, so a long-running server can share one
-// cache across an unbounded job stream without growing without limit.
-// Eviction only forgets the in-process copy — a persisted entry is
-// re-promoted from disk on the next lookup.
+// The in-process memo is optionally bounded (see Bound), so a
+// long-running server can share one cache across an unbounded job
+// stream without growing without limit. Points differ in what a miss
+// costs (at scale 0.05 a fig7a point simulates ~100x longer than an
+// ablpin one), so eviction is GreedyDual (Cao & Irani, USITS 1997)
+// rather than LRU: each entry records the host time that produced it,
+// its priority is the cache's inflation value L plus that cost,
+// refreshed on every use, and the lowest priority goes first, raising
+// L to it. Cheap points make room before expensive ones, yet L's rise
+// ages out an expensive entry nothing uses any more; with equal costs
+// the victims are exactly LRU's. Eviction only forgets the in-process
+// copy — a persisted entry is re-promoted from disk on the next lookup.
 type PointCache struct {
 	dir string
 
 	mu         sync.Mutex
-	memo       map[string]*lruEntry
-	head, tail *lruEntry // LRU list: head = most recent, tail = next victim
-	bytes      int64     // sum of memoized payload lengths
-	maxEntries int       // 0 = unbounded
-	maxBytes   int64     // 0 = unbounded
+	memo       map[string]*memoEntry
+	queue      evictQueue    // eviction order, lowest priority first
+	clock      time.Duration // GreedyDual's inflation value L; never falls
+	uses       uint64        // last use sequence number handed out
+	bytes      int64         // sum of memoized payload lengths
+	maxEntries int           // 0 = unbounded
+	maxBytes   int64         // 0 = unbounded
 	hits       uint64
 	misses     uint64
 	evictions  uint64
+	saved      time.Duration // summed cost of every hit
 }
 
-// lruEntry is one memoized result on the recency list.
-type lruEntry struct {
-	key        string
-	blob       []byte
-	prev, next *lruEntry
+// memoEntry is one memoized result.
+type memoEntry struct {
+	key  string
+	blob []byte
+	cost time.Duration // host time that produced this copy of blob
+	prio time.Duration // L + cost at the last use
+	seq  uint64        // use sequence number of the last use
+	idx  int           // position in the eviction queue
+}
+
+// evictQueue is a binary min-heap (container/heap) of the memo's
+// entries by (prio, seq): the lowest priority first, and among equal
+// priorities the least recently used.
+type evictQueue []*memoEntry
+
+func (q evictQueue) Len() int { return len(q) }
+
+func (q evictQueue) Less(i, j int) bool {
+	if q[i].prio != q[j].prio {
+		return q[i].prio < q[j].prio
+	}
+	return q[i].seq < q[j].seq
+}
+
+func (q evictQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].idx, q[j].idx = i, j
+}
+
+func (q *evictQueue) Push(x any) {
+	e := x.(*memoEntry)
+	e.idx = len(*q)
+	*q = append(*q, e)
+}
+
+func (q *evictQueue) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*q = old[:len(old)-1]
+	return e
 }
 
 // NewPointCache returns an unbounded cache memoizing in process; if dir
 // is non-empty, results are also persisted there (the directory is
 // created on first store).
 func NewPointCache(dir string) *PointCache {
-	return &PointCache{dir: dir, memo: make(map[string]*lruEntry)}
+	return &PointCache{dir: dir, memo: make(map[string]*memoEntry)}
 }
 
 // Bound caps the in-process memo at maxEntries results and maxBytes
 // payload bytes (either 0 = unbounded in that dimension) and returns c.
-// Exceeding a cap evicts least-recently-used entries, except that the
-// most recent entry always stays — a single result larger than maxBytes
-// must not thrash. Safe to call at any point; existing excess entries
-// are evicted immediately.
+// Exceeding a cap evicts the lowest-priority entries, except that the
+// most recently stored or hit entry always stays — a single result
+// larger than maxBytes must not thrash. Safe to call at any point;
+// existing excess entries are evicted immediately.
 func (c *PointCache) Bound(maxEntries int, maxBytes int64) *PointCache {
 	c.mu.Lock()
 	c.maxEntries = maxEntries
@@ -159,11 +206,21 @@ func (c *PointCache) Stats() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
-// Evictions reports how many memo entries the LRU bound has dropped.
+// Evictions reports how many memo entries the bound has dropped.
 func (c *PointCache) Evictions() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.evictions
+}
+
+// Saved reports the host time the hits so far did not spend: the sum of
+// the recorded cost of each memo hit's entry. A hit read from disk
+// counts nothing, since this process never timed that point, so Saved
+// is a lower bound.
+func (c *PointCache) Saved() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.saved
 }
 
 // Len reports the number of in-process memo entries.
@@ -180,31 +237,13 @@ func (c *PointCache) Bytes() int64 {
 	return c.bytes
 }
 
-// unlink removes e from the recency list.
-func (c *PointCache) unlink(e *lruEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// pushFront makes e the most recent entry.
-func (c *PointCache) pushFront(e *lruEntry) {
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
+// use makes e the newest entry, sets its priority to L + its cost and
+// restores the queue order. Callers hold c.mu.
+func (c *PointCache) use(e *memoEntry) {
+	c.uses++
+	e.seq = c.uses
+	e.prio = c.clock + e.cost
+	heap.Fix(&c.queue, e.idx)
 }
 
 // over reports whether the memo exceeds a configured cap.
@@ -213,69 +252,79 @@ func (c *PointCache) over() bool {
 		(c.maxBytes > 0 && c.bytes > c.maxBytes)
 }
 
-// evict drops least-recently-used entries until the memo fits its caps,
-// always sparing the most recent entry. Callers hold c.mu.
+// evict drops the lowest-priority entries until the memo fits its caps,
+// always sparing the newest entry, and raises L to each victim's
+// priority. Each eviction is O(log n): when the newest entry heads the
+// queue, the next victim is the lower of its two children. Callers hold
+// c.mu.
 func (c *PointCache) evict() {
-	for c.over() && c.tail != nil && c.tail != c.head {
-		victim := c.tail
-		c.unlink(victim)
+	for c.over() && len(c.queue) > 1 {
+		i := 0
+		if c.queue[0].seq == c.uses {
+			i = 1
+			if len(c.queue) > 2 && c.queue.Less(2, 1) {
+				i = 2
+			}
+		}
+		victim := heap.Remove(&c.queue, i).(*memoEntry)
 		delete(c.memo, victim.key)
 		c.bytes -= int64(len(victim.blob))
+		c.clock = max(c.clock, victim.prio)
 		c.evictions++
 	}
 }
 
-// insert records key -> blob in the memo (replacing any existing entry),
-// promotes it to most recent, and enforces the caps. Callers hold c.mu.
-func (c *PointCache) insert(key string, blob []byte) {
-	if e, ok := c.memo[key]; ok {
-		c.bytes += int64(len(blob)) - int64(len(e.blob))
-		e.blob = blob
-		c.unlink(e)
-		c.pushFront(e)
-	} else {
-		e := &lruEntry{key: key, blob: blob}
+// insert records key -> blob, produced at the given cost, in the memo
+// (replacing any existing entry), makes it the newest entry, and
+// enforces the caps. Callers hold c.mu.
+func (c *PointCache) insert(key string, blob []byte, cost time.Duration) {
+	e, ok := c.memo[key]
+	if !ok {
+		e = &memoEntry{key: key, idx: len(c.queue)}
 		c.memo[key] = e
-		c.bytes += int64(len(blob))
-		c.pushFront(e)
+		c.queue = append(c.queue, e) // use sifts it into place
 	}
+	c.bytes += int64(len(blob)) - int64(len(e.blob))
+	e.blob, e.cost = blob, cost
+	c.use(e)
 	c.evict()
 }
 
-// lookup returns the stored encoding for key, consulting the memo map
+// fetch returns the stored encoding for key, consulting the memo map
 // first and the persistence directory second (promoting disk hits into
-// the memo).
-func (c *PointCache) lookup(key string) ([]byte, bool) {
+// the memo, at the cost of the file read). saved is the recorded cost
+// of a memo hit's entry, and 0 for a disk hit.
+func (c *PointCache) fetch(key string) (blob []byte, saved time.Duration, ok bool) {
 	c.mu.Lock()
 	if e, ok := c.memo[key]; ok {
-		blob := e.blob
-		c.unlink(e)
-		c.pushFront(e)
+		blob, saved = e.blob, e.cost
+		c.use(e)
 		c.mu.Unlock()
-		return blob, true
+		return blob, saved, true
 	}
 	c.mu.Unlock()
 	if c.dir == "" {
-		return nil, false
+		return nil, 0, false
 	}
+	t0 := time.Now()
 	blob, err := os.ReadFile(filepath.Join(c.dir, key+".gob"))
 	if err != nil {
-		return nil, false
+		return nil, 0, false
 	}
 	c.mu.Lock()
-	c.insert(key, blob)
+	c.insert(key, blob, time.Since(t0))
 	c.mu.Unlock()
-	return blob, true
+	return blob, 0, true
 }
 
-// store records the encoding for key. Disk writes go through a temp
-// file and rename, so a crashed or concurrent run never leaves a
-// half-written entry (a corrupted entry would be recomputed anyway, see
-// CachedRun). Persistence errors are deliberately swallowed: the cache
+// put records the encoding for key, produced at the given cost. Disk
+// writes go through a temp file and rename, so a crashed or concurrent
+// run never leaves a half-written entry (a corrupted entry would be
+// recomputed anyway, see CachedRun). Persistence errors are deliberately swallowed: the cache
 // is an accelerator, never a correctness dependency.
-func (c *PointCache) store(key string, blob []byte) {
+func (c *PointCache) put(key string, blob []byte, cost time.Duration) {
 	c.mu.Lock()
-	c.insert(key, blob)
+	c.insert(key, blob, cost)
 	c.mu.Unlock()
 	if c.dir == "" {
 		return
@@ -298,11 +347,13 @@ func (c *PointCache) store(key string, blob []byte) {
 	}
 }
 
-// count adjusts the hit/miss tallies.
-func (c *PointCache) count(hit bool) {
+// count adjusts the hit/miss tallies; saved is what a hit did not
+// spend (see fetch).
+func (c *PointCache) count(hit bool, saved time.Duration) {
 	c.mu.Lock()
 	if hit {
 		c.hits++
+		c.saved += saved
 	} else {
 		c.misses++
 	}
@@ -329,20 +380,22 @@ func CachedRunCtx[T any](ctx context.Context, c *PointCache, parallel, n int, ke
 	}
 	return RunCtx(ctx, parallel, n, func(i int) T {
 		k := key(i)
-		if blob, ok := c.lookup(k); ok {
+		if blob, saved, ok := c.fetch(k); ok {
 			var out T
 			if gob.NewDecoder(bytes.NewReader(blob)).Decode(&out) == nil {
-				c.count(true)
+				c.count(true, saved)
 				return out
 			}
 		}
-		c.count(false)
+		c.count(false, 0)
+		t0 := time.Now()
 		out := fn(i)
+		cost := time.Since(t0)
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&out); err != nil {
 			panic(fmt.Sprintf("sweep: point result %T not cacheable: %v", out, err))
 		}
-		c.store(k, buf.Bytes())
+		c.put(k, buf.Bytes(), cost)
 		return out
 	})
 }

@@ -308,9 +308,6 @@ func (c *Conn) FlowID() int { return c.flowID }
 // StateAddr implements nic.Flow.
 func (c *Conn) StateAddr() mem.Addr { return c.state.Addr }
 
-// LocalPort returns the index of the NIC port this endpoint uses.
-func (c *Conn) LocalPort() int { return c.localPort }
-
 // newConn builds one endpoint on st using local port lp, speaking to
 // remote port rp.
 func (st *Stack) newConn(lp, rp int) *Conn {
