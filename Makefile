@@ -40,8 +40,9 @@ golden:
 
 # Short fuzz pass over the transport segmentation, loss recovery, cache
 # invariants, the cache's equivalence to its stamp-based reference,
-# scheduler invariants, and the point cache's eviction against its
-# scanning reference; CI runs this on every push. Minimizing a new
+# scheduler invariants, the point cache's eviction against its scanning
+# reference, and point-cache keys against their fmt-based reference
+# encoder; CI runs this on every push. Minimizing a new
 # input is capped at 1 s: at Go's default of 60 s it can take the whole
 # 15 s run, during which nothing is fuzzed.
 fuzz-smoke:
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzCacheDifferential -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSchedulerOrdering -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz FuzzPointCacheBound -fuzztime 15s -fuzzminimizetime 1s
+	$(GO) test ./internal/sweep -run '^$$' -fuzz FuzzKeyCanonical -fuzztime 15s -fuzzminimizetime 1s
 
 # Fault-plane smoke: the loss sweep under strict fail-fast checking, plus
 # the benign-plan differential (a non-nil all-zero plan must reproduce
@@ -82,12 +84,14 @@ trace-smoke: build
 	@echo "trace-smoke OK"
 
 # Hot-path microbenchmarks: event core, context resume cost (goroutine
-# handoff vs continuation), cache model, end-to-end packet path.
-# allocs/op must be 0 on every steady-state path.
+# handoff vs continuation), cache model, end-to-end packet path, and
+# the point-cache key and memo hit (the benchmark ladder's sweep rungs).
+# allocs/op must be 0 on every steady-state simulation path.
 sim-bench:
 	$(GO) test -bench='BenchmarkSchedule|BenchmarkRunHotLoop|BenchmarkProcResume|BenchmarkTaskResume' -benchmem -run='^$$' ./internal/sim/
 	$(GO) test -bench='BenchmarkAccessRange|BenchmarkAccessLines|BenchmarkAccessEach|BenchmarkInvalidate|BenchmarkInstall' -benchmem -run='^$$' ./internal/mem/
 	$(GO) test -bench='BenchmarkSteadyStatePacketPath' -benchmem -run='^$$' ./internal/tcp/
+	$(GO) test -bench='BenchmarkKey$$|BenchmarkCachedRunHit$$' -benchmem -run='^$$' ./internal/sweep/
 
 # CPU + allocation profiles of the heaviest workload (the fig10 app-level
 # sweep) at benchmark scale; inspect with `go tool pprof`.

@@ -10,9 +10,11 @@ import (
 
 // TestGoldenCorpusWithCache replays the whole corpus through the point
 // cache: a cold pass populates it, a warm pass must answer every point
-// from it, and both must render byte-identical to the committed golden
-// files. This pins the cache's core contract — memoized rows are
-// indistinguishable from simulated ones.
+// from its memo, a disk pass through a fresh cache over the same
+// directory must answer every point from the files, and all three must
+// render byte-identical to the committed golden files. This pins the
+// cache's core contract — memoized rows, and rows decoded from disk,
+// are indistinguishable from simulated ones.
 func TestGoldenCorpusWithCache(t *testing.T) {
 	if *updateGolden {
 		t.Skip("regenerating corpus")
@@ -24,12 +26,17 @@ func TestGoldenCorpusWithCache(t *testing.T) {
 		// the non-race run of this test.
 		t.Skip("skipping double corpus pass under -race")
 	}
-	cache := sweep.NewPointCache(t.TempDir())
+	dir := t.TempDir()
+	cache := sweep.NewPointCache(dir)
 	cfg := goldenConfig()
 	cfg.Cache = cache
 
 	var prevHits, prevMisses uint64
-	for _, pass := range []string{"cold", "warm"} {
+	for _, pass := range []string{"cold", "warm", "disk"} {
+		if pass == "disk" {
+			cache = sweep.NewPointCache(dir)
+			cfg.Cache = cache
+		}
 		for _, r := range bench.Experiments() {
 			got := r.Run(cfg).String()
 			want, err := os.ReadFile(goldenPath(r.ID))
@@ -53,6 +60,11 @@ func TestGoldenCorpusWithCache(t *testing.T) {
 			}
 			if hits-prevHits != prevMisses {
 				t.Errorf("warm pass hit %d of %d points", hits-prevHits, prevMisses)
+			}
+		case "disk":
+			if misses != 0 || hits != prevMisses {
+				t.Errorf("disk pass hit %d and missed %d of %d points; every point must come from the files",
+					hits, misses, prevMisses)
 			}
 		}
 		prevHits, prevMisses = hits, misses

@@ -7,6 +7,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"ioatsim/internal/cost"
@@ -179,32 +180,35 @@ type Runner struct {
 	Run   func(Config) *Result
 }
 
-// Experiments lists every reproducible figure in paper order.
-func Experiments() []Runner {
-	return []Runner{
-		{"fig3a", "Bandwidth vs. ports", "unidirectional ttcp over 1..6 GbE ports, 64K messages; receiver CPU with and without I/OAT", Fig3a},
-		{"fig3b", "Bi-directional bandwidth vs. ports", "N streams each way over 1..6 ports; one node's CPU utilization", Fig3b},
-		{"fig4", "Multi-stream bandwidth vs. threads", "1..12 receiver threads round-robined over six ports, 16K messages", Fig4},
-		{"fig5a", "Sender-side optimizations: bandwidth", "cumulative socket-buffer/TSO/jumbo/coalescing cases, unidirectional", Fig5a},
-		{"fig5b", "Sender-side optimizations: bi-directional", "the same cases bi-directionally; Case 4 is the paper's 38% headline", Fig5b},
-		{"fig6", "CPU-based copy vs. DMA-based copy", "1K..64K copies: cached/uncached memcpy vs engine total, overhead and overlap", Fig6},
-		{"fig7a", "I/OAT split-up: CPU benefit (16K-128K)", "non-I/OAT vs DMA-only vs DMA+split-header at medium messages", Fig7a},
-		{"fig7b", "I/OAT split-up: throughput (1M-8M)", "the same split at cache-exceeding messages, where split headers pay", Fig7b},
-		{"fig8a", "Data-center TPS: single-file traces", "proxy+web two-tier TPS for 2K..10K single-file traces", Fig8a},
-		{"fig8b", "Data-center TPS: Zipf traces", "two-tier TPS under Zipf document popularity, alpha 0.95..0.5", Fig8b},
-		{"fig9", "Data-center TPS vs. emulated clients", "1..256 client threads against the web tier; the 4x concurrency result", Fig9},
-		{"fig10a", "PVFS concurrent read, 6 I/O servers", "parallel-FS read bandwidth and client CPU, 1..6 clients", Fig10a},
-		{"fig10b", "PVFS concurrent read, 5 I/O servers", "the same sweep with five I/O servers", Fig10b},
-		{"fig11a", "PVFS concurrent write, 6 I/O servers", "parallel-FS write bandwidth and server CPU, 1..6 clients", Fig11a},
-		{"fig11b", "PVFS concurrent write, 5 I/O servers", "the same sweep with five I/O servers", Fig11b},
-		{"fig12", "PVFS multi-stream read", "1..64 emulated clients on one compute node reading 2M regions", Fig12},
-		{"ablrss", "Ablation: multiple receive queues", "MTU 576 interrupt saturation vs RSS spreading flows across cores", AblRSS},
-		{"ablpin", "Ablation: page-pinning cost vs. DMA benefit", "sweeps per-page pin cost until the engine stops paying off (paper §7)", AblPin},
-		{"ablcoal", "Ablation: interrupt coalescing budget", "frames-per-interrupt budget under light and heavy load (paper §2.1)", AblCoal},
-		{"ext3tier", "Extension: 3-tier dynamic-content data-center", "proxy→app→database tiers swept over DB queries per request", Ext3Tier},
-		{"extipc", "Extension: intra-node IPC via the copy engine", "shared-memory channel, CPU copies vs engine copies (paper §7)", ExtIPC},
-		{"fault_loss", "Extension: goodput and CPU vs. loss rate", "the fig3a layout under 0..2% Bernoulli frame loss with go-back-N recovery", FaultLoss},
-	}
+// Experiments lists every reproducible figure in paper order. The
+// slice is the caller's own copy.
+func Experiments() []Runner { return slices.Clone(experiments) }
+
+// experiments is the runner table, built once: a job reaches it several
+// times (Request.Validate, Request.Config, Find).
+var experiments = []Runner{
+	{"fig3a", "Bandwidth vs. ports", "unidirectional ttcp over 1..6 GbE ports, 64K messages; receiver CPU with and without I/OAT", Fig3a},
+	{"fig3b", "Bi-directional bandwidth vs. ports", "N streams each way over 1..6 ports; one node's CPU utilization", Fig3b},
+	{"fig4", "Multi-stream bandwidth vs. threads", "1..12 receiver threads round-robined over six ports, 16K messages", Fig4},
+	{"fig5a", "Sender-side optimizations: bandwidth", "cumulative socket-buffer/TSO/jumbo/coalescing cases, unidirectional", Fig5a},
+	{"fig5b", "Sender-side optimizations: bi-directional", "the same cases bi-directionally; Case 4 is the paper's 38% headline", Fig5b},
+	{"fig6", "CPU-based copy vs. DMA-based copy", "1K..64K copies: cached/uncached memcpy vs engine total, overhead and overlap", Fig6},
+	{"fig7a", "I/OAT split-up: CPU benefit (16K-128K)", "non-I/OAT vs DMA-only vs DMA+split-header at medium messages", Fig7a},
+	{"fig7b", "I/OAT split-up: throughput (1M-8M)", "the same split at cache-exceeding messages, where split headers pay", Fig7b},
+	{"fig8a", "Data-center TPS: single-file traces", "proxy+web two-tier TPS for 2K..10K single-file traces", Fig8a},
+	{"fig8b", "Data-center TPS: Zipf traces", "two-tier TPS under Zipf document popularity, alpha 0.95..0.5", Fig8b},
+	{"fig9", "Data-center TPS vs. emulated clients", "1..256 client threads against the web tier; the 4x concurrency result", Fig9},
+	{"fig10a", "PVFS concurrent read, 6 I/O servers", "parallel-FS read bandwidth and client CPU, 1..6 clients", Fig10a},
+	{"fig10b", "PVFS concurrent read, 5 I/O servers", "the same sweep with five I/O servers", Fig10b},
+	{"fig11a", "PVFS concurrent write, 6 I/O servers", "parallel-FS write bandwidth and server CPU, 1..6 clients", Fig11a},
+	{"fig11b", "PVFS concurrent write, 5 I/O servers", "the same sweep with five I/O servers", Fig11b},
+	{"fig12", "PVFS multi-stream read", "1..64 emulated clients on one compute node reading 2M regions", Fig12},
+	{"ablrss", "Ablation: multiple receive queues", "MTU 576 interrupt saturation vs RSS spreading flows across cores", AblRSS},
+	{"ablpin", "Ablation: page-pinning cost vs. DMA benefit", "sweeps per-page pin cost until the engine stops paying off (paper §7)", AblPin},
+	{"ablcoal", "Ablation: interrupt coalescing budget", "frames-per-interrupt budget under light and heavy load (paper §2.1)", AblCoal},
+	{"ext3tier", "Extension: 3-tier dynamic-content data-center", "proxy→app→database tiers swept over DB queries per request", Ext3Tier},
+	{"extipc", "Extension: intra-node IPC via the copy engine", "shared-memory channel, CPU copies vs engine copies (paper §7)", ExtIPC},
+	{"fault_loss", "Extension: goodput and CPU vs. loss rate", "the fig3a layout under 0..2% Bernoulli frame loss with go-back-N recovery", FaultLoss},
 }
 
 // canceled carries a context error out of a cancelled sweep; points
@@ -231,7 +235,7 @@ func (r Runner) RunContext(cfg Config) (res *Result, err error) {
 
 // Find returns the runner with the given id.
 func Find(id string) (Runner, bool) {
-	for _, r := range Experiments() {
+	for _, r := range experiments {
 		if r.ID == id {
 			return r, true
 		}

@@ -29,6 +29,15 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 	if _, ok := Find("nope"); ok {
 		t.Fatal("Find accepted an unknown id")
 	}
+	// The table is built once: Experiments hands out a copy, and Find
+	// scans the table without allocating (a job calls it per runner).
+	got[0].ID = "changed"
+	if Experiments()[0].ID != "fig3a" {
+		t.Fatal("changing Experiments' result changed the registry")
+	}
+	if n := testing.AllocsPerRun(10, func() { Find("fault_loss") }); n != 0 {
+		t.Fatalf("Find allocates %v times per call", n)
+	}
 }
 
 func TestConfigScaling(t *testing.T) {

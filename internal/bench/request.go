@@ -127,13 +127,12 @@ func (q Request) Config(maxScale float64) (Config, []Runner, error) {
 		}
 		cfg.Fault = &plan
 	}
-	runners := Experiments()
-	if len(q.Runners) > 0 {
-		runners = runners[:0:0]
-		for _, id := range q.Runners {
-			r, _ := Find(id) // Validate vouched for every id
-			runners = append(runners, r)
-		}
+	if len(q.Runners) == 0 {
+		return cfg, Experiments(), nil
+	}
+	runners := make([]Runner, len(q.Runners))
+	for i, id := range q.Runners {
+		runners[i], _ = Find(id) // Validate vouched for every id
 	}
 	return cfg, runners, nil
 }

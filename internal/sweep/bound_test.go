@@ -6,13 +6,15 @@ import (
 	"time"
 )
 
-// store records key -> blob at cost 0. With every cost equal, the
-// policy evicts in exactly LRU order, which the recency tests pin.
-func (c *PointCache) store(key string, blob []byte) { c.put(key, blob, 0) }
+// store records key -> blob at cost 0, with blob as its row. With every
+// cost equal, the policy evicts in exactly LRU order, which the recency
+// tests pin.
+func (c *PointCache) store(key string, blob []byte) { c.put(key, blob, blob, 0) }
 
-// lookup is fetch without the saved cost.
+// lookup is fetch without the saved cost; a file's bytes are its row.
 func (c *PointCache) lookup(key string) ([]byte, bool) {
-	blob, _, ok := c.fetch(key)
+	row, _, ok := c.fetch(key, func(blob []byte) (any, bool) { return blob, true })
+	blob, _ := row.([]byte)
 	return blob, ok
 }
 
@@ -29,7 +31,7 @@ func (c *PointCache) has(key string) bool {
 func TestBoundEvictsOldestByEntries(t *testing.T) {
 	c := NewPointCache("").Bound(4, 0)
 	for i := 0; i < 10; i++ {
-		c.put(Key("lru", i), []byte{byte(i)}, time.Millisecond)
+		c.put(Key("lru", i), []byte{byte(i)}, nil, time.Millisecond)
 	}
 	if got := c.Len(); got != 4 {
 		t.Fatalf("Len = %d, want 4", got)
@@ -119,9 +121,9 @@ func TestReplaceAdjustsBytes(t *testing.T) {
 // less.
 func TestEvictsCheapBeforeOlderExpensive(t *testing.T) {
 	c := NewPointCache("").Bound(2, 0)
-	c.put("dear", []byte{1}, 40*time.Millisecond)
-	c.put("cheap", []byte{2}, time.Millisecond)
-	c.put("next", []byte{3}, time.Millisecond)
+	c.put("dear", []byte{1}, nil, 40*time.Millisecond)
+	c.put("cheap", []byte{2}, nil, time.Millisecond)
+	c.put("next", []byte{3}, nil, time.Millisecond)
 	if !c.has("dear") || c.has("cheap") || !c.has("next") {
 		t.Fatalf("dear=%v cheap=%v next=%v; want the cheap entry evicted",
 			c.has("dear"), c.has("cheap"), c.has("next"))
@@ -132,16 +134,16 @@ func TestEvictsCheapBeforeOlderExpensive(t *testing.T) {
 // to the current L plus its cost, not only its recency.
 func TestHitRefreshesPriority(t *testing.T) {
 	c := NewPointCache("").Bound(3, 0)
-	c.put("a", []byte{1}, 10)
-	c.put("b", []byte{2}, 12)
-	c.put("f1", []byte{3}, 8)
-	c.put("f2", []byte{4}, 8) // evicts f1 (priority 8), so L = 8
-	c.put("f3", []byte{5}, 8) // evicts f2 (priority 8); f3 gets 8+8 = 16
+	c.put("a", []byte{1}, nil, 10)
+	c.put("b", []byte{2}, nil, 12)
+	c.put("f1", []byte{3}, nil, 8)
+	c.put("f2", []byte{4}, nil, 8) // evicts f1 (priority 8), so L = 8
+	c.put("f3", []byte{5}, nil, 8) // evicts f2 (priority 8); f3 gets 8+8 = 16
 	// a 10, b 12, f3 16; the hit lifts a to 8+10 = 18.
 	if _, ok := c.lookup("a"); !ok {
 		t.Fatal("a missing")
 	}
-	c.put("c", []byte{6}, 1) // the lowest priority is now b's 12
+	c.put("c", []byte{6}, nil, 1) // the lowest priority is now b's 12
 	if !c.has("a") || c.has("b") {
 		t.Fatalf("a=%v b=%v; the hit must have refreshed a's priority past b's",
 			c.has("a"), c.has("b"))
@@ -153,9 +155,9 @@ func TestHitRefreshesPriority(t *testing.T) {
 // forever against a stream of cheap ones.
 func TestUnusedExpensiveEntryAgesOut(t *testing.T) {
 	c := NewPointCache("").Bound(2, 0)
-	c.put("dear", []byte{1}, 100)
+	c.put("dear", []byte{1}, nil, 100)
 	for i := 0; i < 400; i++ {
-		c.put(fmt.Sprint("cheap", i), []byte{2}, 1)
+		c.put(fmt.Sprint("cheap", i), []byte{2}, nil, 1)
 		if c.has("dear") {
 			continue
 		}
@@ -175,7 +177,7 @@ func TestUnusedExpensiveEntryAgesOut(t *testing.T) {
 func TestBoundsHoldUnderMixedCosts(t *testing.T) {
 	c := NewPointCache("").Bound(5, 500)
 	for i := 0; i < 300; i++ {
-		c.put(fmt.Sprint("k", i%40), make([]byte, 1+i*37%150), time.Duration(i*7919%1000))
+		c.put(fmt.Sprint("k", i%40), make([]byte, 1+i*37%150), nil, time.Duration(i*7919%1000))
 		if i%3 == 0 {
 			c.lookup(fmt.Sprint("k", i*13%40))
 		}
@@ -281,10 +283,10 @@ func FuzzPointCacheBound(f *testing.F) {
 			switch op % 3 {
 			case 0:
 				size, cost := int64(a%64), time.Duration(b%16)
-				c.put(key, make([]byte, size), cost)
+				c.put(key, make([]byte, size), nil, cost)
 				ref.put(key, size, cost)
 			case 1:
-				c.fetch(key)
+				c.fetch(key, nil)
 				ref.fetch(key)
 			case 2:
 				maxEntries, maxBytes := int(a%6), int64(b%4)*48
@@ -319,14 +321,14 @@ func BenchmarkPointCacheChurn(b *testing.B) {
 			blob := make([]byte, 128)
 			c := NewPointCache("").Bound(n, 0)
 			for i := 0; i < n; i++ {
-				c.put(keys[i], blob, time.Duration(i*7919%4000)*time.Microsecond)
+				c.put(keys[i], blob, nil, time.Duration(i*7919%4000)*time.Microsecond)
 			}
 			ev0 := c.Evictions()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := (n + i) % len(keys)
-				c.put(keys[k], blob, time.Duration(k*7919%4000)*time.Microsecond)
+				c.put(keys[k], blob, nil, time.Duration(k*7919%4000)*time.Microsecond)
 			}
 			b.ReportMetric(float64(c.Evictions()-ev0)/float64(b.N), "evictions/op")
 		})

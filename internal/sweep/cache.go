@@ -4,8 +4,8 @@
 // seed, scale, parameter set and code produce byte-identical rows (the
 // property the golden corpus pins). That makes each point's result
 // content-addressable — Key hashes a canonical encoding of everything
-// the point depends on, and PointCache memoizes the gob-encoded row
-// under that key, in process and optionally on disk. Repeated
+// the point depends on, and PointCache memoizes the row under that key,
+// in process and optionally on disk as its gob encoding. Repeated
 // invocations (re-rendering figures, iterating on one experiment while
 // the rest are untouched, CI re-runs at a pinned code version) then
 // skip the simulation entirely.
@@ -23,7 +23,6 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -40,67 +39,117 @@ import (
 // channels) panic: silently skipping a part would alias distinct
 // configurations to one key.
 func Key(parts ...any) string {
-	h := sha256.New()
+	var buf [2048]byte // a figure point's encoding fits; longer ones grow
+	b := buf[:0]
 	for _, p := range parts {
-		writeCanon(h, reflect.ValueOf(p))
-		h.Write([]byte{0x1f})
+		b = append(appendCanon(b, reflect.ValueOf(p)), 0x1f)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
-// writeCanon encodes v deterministically. Every scalar is prefixed with
-// a kind tag and structs with their full type name, so values of
-// different types never collide ("1" as int vs. uint vs. "1" the
-// string), and reordering or renaming struct fields changes the key.
-func writeCanon(w io.Writer, v reflect.Value) {
+// appendCanon appends v's canonical encoding to b. Every scalar is
+// prefixed with a kind tag and structs with their full type name, so
+// values of different types never collide ("1" as int vs. uint vs. "1"
+// the string), and reordering or renaming struct fields changes the key.
+// The bytes must never change: they name every persisted <key>.gob, and
+// the tests pin them against a fmt-based reference encoder.
+func appendCanon(b []byte, v reflect.Value) []byte {
 	if !v.IsValid() {
-		io.WriteString(w, "nil")
-		return
+		return append(b, "nil"...)
 	}
 	switch v.Kind() {
 	case reflect.Pointer, reflect.Interface:
 		if v.IsNil() {
-			io.WriteString(w, "nil")
-			return
+			return append(b, "nil"...)
 		}
-		writeCanon(w, v.Elem())
+		return appendCanon(b, v.Elem())
 	case reflect.Bool:
-		fmt.Fprintf(w, "b%t", v.Bool())
+		return strconv.AppendBool(append(b, 'b'), v.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		fmt.Fprintf(w, "i%d", v.Int())
+		return strconv.AppendInt(append(b, 'i'), v.Int(), 10)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		fmt.Fprintf(w, "u%d", v.Uint())
+		return strconv.AppendUint(append(b, 'u'), v.Uint(), 10)
 	case reflect.Float32, reflect.Float64:
-		io.WriteString(w, "f")
-		io.WriteString(w, strconv.FormatFloat(v.Float(), 'g', -1, 64))
+		return strconv.AppendFloat(append(b, 'f'), v.Float(), 'g', -1, 64)
 	case reflect.String:
 		// Length-prefixed so adjacent strings can't run together.
-		fmt.Fprintf(w, "s%d:%s", v.Len(), v.String())
+		b = strconv.AppendInt(append(b, 's'), int64(v.Len()), 10)
+		return append(append(b, ':'), v.String()...)
 	case reflect.Slice, reflect.Array:
-		fmt.Fprintf(w, "[%d:", v.Len())
+		b = strconv.AppendInt(append(b, '['), int64(v.Len()), 10)
+		b = append(b, ':')
 		for i := 0; i < v.Len(); i++ {
-			writeCanon(w, v.Index(i))
-			io.WriteString(w, ",")
+			b = append(appendCanon(b, v.Index(i)), ',')
 		}
-		io.WriteString(w, "]")
+		return append(b, ']')
 	case reflect.Struct:
-		t := v.Type()
-		fmt.Fprintf(w, "{%s", t.String())
-		for i := 0; i < t.NumField(); i++ {
-			fmt.Fprintf(w, ";%s=", t.Field(i).Name)
-			writeCanon(w, v.Field(i))
+		st := describe(v.Type())
+		b = append(append(b, '{'), st.name...)
+		for i, name := range st.fields {
+			b = append(append(append(b, ';'), name...), '=')
+			b = appendCanon(b, v.Field(i))
 		}
-		io.WriteString(w, "}")
-	default:
-		panic("sweep: key part of unsupported kind " + v.Kind().String())
+		return append(b, '}')
 	}
+	panic("sweep: key part of unsupported kind " + v.Kind().String())
+}
+
+// structInfo is what Key and the plain-row check read of a struct type.
+// It is kept per type, because reflect allocates on every Type.Field.
+type structInfo struct {
+	name   string   // the full type name, t.String()
+	fields []string // field names in declaration order
+	plain  bool     // see plain
+}
+
+var structInfos sync.Map // reflect.Type -> *structInfo
+
+// describe returns struct type t's structInfo, reading reflect on the
+// first call for t.
+func describe(t reflect.Type) *structInfo {
+	if st, ok := structInfos.Load(t); ok {
+		return st.(*structInfo)
+	}
+	st := &structInfo{name: t.String(), fields: make([]string, t.NumField()), plain: true}
+	for i := range st.fields {
+		f := t.Field(i)
+		st.fields[i] = f.Name
+		st.plain = st.plain && f.IsExported() && plain(f.Type)
+	}
+	got, _ := structInfos.LoadOrStore(t, st)
+	return got.(*structInfo)
+}
+
+// plain reports whether t is a plain value type: bools, numbers,
+// strings, and arrays or structs of those with every field exported. A
+// copy of a plain value shares no memory with the original, and a gob
+// round trip returns the value it was given (bar the sign of a negative
+// zero in a struct field, which gob does not send), so the memo can hand
+// one stored row to every hit.
+func plain(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.String,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return plain(t.Elem())
+	case reflect.Struct:
+		return describe(t).plain
+	}
+	return false
 }
 
 // PointCache memoizes sweep-point results by content-addressed key. An
 // in-process map serves hits across the figures of one invocation; with
-// a directory it also persists each result as <dir>/<key>.gob, so later
-// invocations at the same configuration and code version skip the
-// simulation. Safe for concurrent use by parallel sweep workers.
+// a directory it also persists each result's gob encoding as
+// <dir>/<key>.gob, so later invocations at the same configuration and
+// code version skip the simulation. Safe for concurrent use by parallel
+// sweep workers.
 //
 // The in-process memo is optionally bounded (see Bound), so a
 // long-running server can share one cache across an unbounded job
@@ -131,10 +180,12 @@ type PointCache struct {
 	saved      time.Duration // summed cost of every hit
 }
 
-// memoEntry is one memoized result.
+// memoEntry is one memoized result: the row every memo hit returns,
+// and its gob encoding, which the byte bound counts and the disk holds.
 type memoEntry struct {
 	key  string
 	blob []byte
+	row  any           // the plain value blob encodes (see plain)
 	cost time.Duration // host time that produced this copy of blob
 	prio time.Duration // L + cost at the last use
 	seq  uint64        // use sequence number of the last use
@@ -274,10 +325,10 @@ func (c *PointCache) evict() {
 	}
 }
 
-// insert records key -> blob, produced at the given cost, in the memo
-// (replacing any existing entry), makes it the newest entry, and
+// insert records key -> (blob, row), produced at the given cost, in the
+// memo (replacing any existing entry), makes it the newest entry, and
 // enforces the caps. Callers hold c.mu.
-func (c *PointCache) insert(key string, blob []byte, cost time.Duration) {
+func (c *PointCache) insert(key string, blob []byte, row any, cost time.Duration) {
 	e, ok := c.memo[key]
 	if !ok {
 		e = &memoEntry{key: key, idx: len(c.queue)}
@@ -285,22 +336,23 @@ func (c *PointCache) insert(key string, blob []byte, cost time.Duration) {
 		c.queue = append(c.queue, e) // use sifts it into place
 	}
 	c.bytes += int64(len(blob)) - int64(len(e.blob))
-	e.blob, e.cost = blob, cost
+	e.blob, e.row, e.cost = blob, row, cost
 	c.use(e)
 	c.evict()
 }
 
-// fetch returns the stored encoding for key, consulting the memo map
-// first and the persistence directory second (promoting disk hits into
-// the memo, at the cost of the file read). saved is the recorded cost
-// of a memo hit's entry, and 0 for a disk hit.
-func (c *PointCache) fetch(key string) (blob []byte, saved time.Duration, ok bool) {
+// fetch returns the stored row for key, consulting the memo map first
+// and the persistence directory second. A file is decoded once, by
+// decode, and promoted into the memo with its row at the cost of the
+// file read; a file decode rejects is a miss. saved is the recorded
+// cost of a memo hit's entry, and 0 for a disk hit.
+func (c *PointCache) fetch(key string, decode func([]byte) (any, bool)) (row any, saved time.Duration, ok bool) {
 	c.mu.Lock()
 	if e, ok := c.memo[key]; ok {
-		blob, saved = e.blob, e.cost
+		row, saved = e.row, e.cost
 		c.use(e)
 		c.mu.Unlock()
-		return blob, saved, true
+		return row, saved, true
 	}
 	c.mu.Unlock()
 	if c.dir == "" {
@@ -311,20 +363,25 @@ func (c *PointCache) fetch(key string) (blob []byte, saved time.Duration, ok boo
 	if err != nil {
 		return nil, 0, false
 	}
+	cost := time.Since(t0)
+	if row, ok = decode(blob); !ok {
+		return nil, 0, false
+	}
 	c.mu.Lock()
-	c.insert(key, blob, time.Since(t0))
+	c.insert(key, blob, row, cost)
 	c.mu.Unlock()
-	return blob, 0, true
+	return row, 0, true
 }
 
-// put records the encoding for key, produced at the given cost. Disk
-// writes go through a temp file and rename, so a crashed or concurrent
-// run never leaves a half-written entry (a corrupted entry would be
-// recomputed anyway, see CachedRun). Persistence errors are deliberately swallowed: the cache
-// is an accelerator, never a correctness dependency.
-func (c *PointCache) put(key string, blob []byte, cost time.Duration) {
+// put records the row and its encoding for key, produced at the given
+// cost. Disk writes go through a temp file and rename, so a crashed or
+// concurrent run never leaves a half-written entry (a corrupted entry
+// would be recomputed anyway, see CachedRun). Persistence errors are
+// deliberately swallowed: the cache is an accelerator, never a
+// correctness dependency.
+func (c *PointCache) put(key string, blob []byte, row any, cost time.Duration) {
 	c.mu.Lock()
-	c.insert(key, blob, cost)
+	c.insert(key, blob, row, cost)
 	c.mu.Unlock()
 	if c.dir == "" {
 		return
@@ -361,11 +418,12 @@ func (c *PointCache) count(hit bool, saved time.Duration) {
 }
 
 // CachedRun is Run with per-point memoization: before computing point
-// i, the cache is consulted at key(i), and a decodable hit is returned
-// without running fn. Misses — including entries that fail to decode,
-// e.g. a truncated or corrupted cache file — run fn and store its
-// gob-encoded result (T must therefore have exported fields). A nil
-// cache degrades to plain Run.
+// i, the cache is consulted at key(i), and a hit is returned without
+// running fn. A memo hit returns the stored row itself, and a disk hit
+// decodes its file once. Misses — including files that fail to decode,
+// e.g. a truncated or corrupted cache file — run fn and store its row
+// and gob encoding. T must be a plain value type (see plain), or
+// CachedRun panics naming it. A nil cache degrades to plain Run.
 func CachedRun[T any](c *PointCache, parallel, n int, key func(i int) string, fn func(i int) T) []T {
 	out, _ := CachedRunCtx(context.Background(), c, parallel, n, key, fn)
 	return out
@@ -378,11 +436,19 @@ func CachedRunCtx[T any](ctx context.Context, c *PointCache, parallel, n int, ke
 	if c == nil {
 		return RunCtx(ctx, parallel, n, fn)
 	}
+	if t := reflect.TypeFor[T](); !plain(t) {
+		panic(fmt.Sprintf("sweep: point result %v not cacheable: memo hits share one stored row, "+
+			"so it must be bools, numbers, strings, and arrays or structs of those with exported fields", t))
+	}
+	decode := func(blob []byte) (any, bool) {
+		var out T
+		err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&out)
+		return out, err == nil
+	}
 	return RunCtx(ctx, parallel, n, func(i int) T {
 		k := key(i)
-		if blob, saved, ok := c.fetch(k); ok {
-			var out T
-			if gob.NewDecoder(bytes.NewReader(blob)).Decode(&out) == nil {
+		if row, saved, ok := c.fetch(k, decode); ok {
+			if out, ok := row.(T); ok {
 				c.count(true, saved)
 				return out
 			}
@@ -395,7 +461,7 @@ func CachedRunCtx[T any](ctx context.Context, c *PointCache, parallel, n int, ke
 		if err := gob.NewEncoder(&buf).Encode(&out); err != nil {
 			panic(fmt.Sprintf("sweep: point result %T not cacheable: %v", out, err))
 		}
-		c.put(k, buf.Bytes(), cost)
+		c.put(k, buf.Bytes(), out, cost)
 		return out
 	})
 }

@@ -1,8 +1,18 @@
 package sweep
 
 import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -43,6 +53,140 @@ func TestKeyDeterministic(t *testing.T) {
 	}
 }
 
+// refKey is Key over the reference encoder below: the fmt-based walk
+// the point cache first shipped with. Every persisted <key>.gob is named
+// by its bytes, so Key must reproduce them exactly.
+func refKey(parts ...any) string {
+	h := sha256.New()
+	for _, p := range parts {
+		writeCanon(h, reflect.ValueOf(p))
+		h.Write([]byte{0x1f})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// writeCanon is the reference canonical encoding (see appendCanon).
+func writeCanon(w io.Writer, v reflect.Value) {
+	if !v.IsValid() {
+		io.WriteString(w, "nil")
+		return
+	}
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			io.WriteString(w, "nil")
+			return
+		}
+		writeCanon(w, v.Elem())
+	case reflect.Bool:
+		fmt.Fprintf(w, "b%t", v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		fmt.Fprintf(w, "i%d", v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		fmt.Fprintf(w, "u%d", v.Uint())
+	case reflect.Float32, reflect.Float64:
+		io.WriteString(w, "f")
+		io.WriteString(w, strconv.FormatFloat(v.Float(), 'g', -1, 64))
+	case reflect.String:
+		fmt.Fprintf(w, "s%d:%s", v.Len(), v.String())
+	case reflect.Slice, reflect.Array:
+		fmt.Fprintf(w, "[%d:", v.Len())
+		for i := 0; i < v.Len(); i++ {
+			writeCanon(w, v.Index(i))
+			io.WriteString(w, ",")
+		}
+		io.WriteString(w, "]")
+	case reflect.Struct:
+		t := v.Type()
+		fmt.Fprintf(w, "{%s", t.String())
+		for i := 0; i < t.NumField(); i++ {
+			fmt.Fprintf(w, ";%s=", t.Field(i).Name)
+			writeCanon(w, v.Field(i))
+		}
+		io.WriteString(w, "}")
+	default:
+		panic("sweep: key part of unsupported kind " + v.Kind().String())
+	}
+}
+
+// canonLeaf and canonTree cover every kind the encoder accepts: each
+// integer and float width, uintptr, bools, strings, arrays, slices,
+// nil and non-nil pointers and interfaces, nested and unexported fields.
+type canonLeaf struct {
+	S   string
+	F32 float32
+	Tag [2]string
+	val any
+}
+
+type canonTree struct {
+	I    int
+	I8   int8
+	I16  int16
+	I32  int32
+	I64  int64
+	U    uint
+	U8   uint8
+	U16  uint16
+	U32  uint32
+	U64  uint64
+	UP   uintptr
+	F64  float64
+	B    bool
+	Leaf canonLeaf
+	Nil  *canonLeaf
+	Ptr  *canonLeaf
+	List []canonLeaf
+	Any  []any
+	next *canonTree
+}
+
+// FuzzKeyCanonical checks Key against the reference encoder, byte for
+// byte on the canonical encoding and then on the hash, over values
+// built from the fuzzed scalars. The seeds cover NaN, signed zeros,
+// infinities, strings holding the encoding's own separators, and an
+// encoding longer than Key's stack buffer.
+func FuzzKeyCanonical(f *testing.F) {
+	f.Add(int64(0), uint64(0), 0.0, "", false, uint8(0))
+	f.Add(int64(-1), uint64(math.MaxUint64), math.NaN(), "a\x1fb", true, uint8(1))
+	f.Add(int64(math.MinInt64), uint64(1<<63), math.Copysign(0, -1), "s3:abc,]", false, uint8(2))
+	f.Add(int64(math.MaxInt64), uint64(255), math.Inf(1), "{x;y=}:,", true, uint8(3))
+	f.Add(int64(1<<40+7), uint64(65535), math.Inf(-1), ",,::\x1f\x1f", false, uint8(7))
+	f.Add(int64(-129), uint64(1<<32), math.SmallestNonzeroFloat64, "nil", true, uint8(5))
+	f.Add(int64(32768), uint64(4294967295), 1e21, "\xff\xfe", false, uint8(6))
+	f.Add(int64(9), uint64(9), 0.1, strings.Repeat("long,", 600), true, uint8(4)) // past Key's stack buffer
+	f.Fuzz(func(t *testing.T, i int64, u uint64, x float64, s string, b bool, shape uint8) {
+		leaf := canonLeaf{S: s, F32: float32(x), Tag: [2]string{s[:len(s)/2], ":"}, val: i}
+		tree := canonTree{
+			I: int(i), I8: int8(i), I16: int16(i), I32: int32(i), I64: i,
+			U: uint(u), U8: uint8(u), U16: uint16(u), U32: uint32(u), U64: u, UP: uintptr(u),
+			F64: x, B: b, Leaf: leaf,
+			Any: []any{nil, u, s, float32(x), (*canonTree)(nil), []string(nil)},
+		}
+		if shape&1 != 0 {
+			tree.Ptr = &leaf
+		}
+		for range shape % 4 {
+			tree.List = append(tree.List, leaf)
+		}
+		if shape&4 != 0 {
+			inner := tree
+			tree.next = &inner
+		}
+		parts := []any{s, i, u, x, b, tree, &tree, [3]any{leaf, nil, shape}, []canonLeaf(nil)}
+		for _, p := range parts {
+			var want bytes.Buffer
+			writeCanon(&want, reflect.ValueOf(p))
+			if got := appendCanon(nil, reflect.ValueOf(p)); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("canonical bytes of %#v:\n got %q\nwant %q", p, got, want.Bytes())
+			}
+		}
+		if got, want := Key(parts...), refKey(parts...); got != want {
+			t.Fatalf("Key = %s, reference %s", got, want)
+		}
+	})
+}
+
 // TestKeyUnsupportedKindPanics checks that a part the canonical encoder
 // cannot hash fails loudly instead of silently aliasing configurations.
 func TestKeyUnsupportedKindPanics(t *testing.T) {
@@ -79,9 +223,62 @@ func TestCachedRunMemo(t *testing.T) {
 	}
 }
 
+// TestMemoHitReturnsStoredRow checks that a memo hit hands back the
+// row fn computed, not a decoding of its blob: a gob round trip would
+// drop the sign of a negative zero in a struct field.
+func TestMemoHitReturnsStoredRow(t *testing.T) {
+	c := NewPointCache("")
+	key := func(int) string { return Key("stored") }
+	fn := func(int) row { return row{F: math.Copysign(0, -1)} }
+	CachedRun(c, 1, 1, key, fn)
+	out := CachedRun(c, 1, 1, key, func(int) row {
+		t.Fatal("warm lookup ran fn")
+		return row{}
+	})
+	if !math.Signbit(out[0].F) {
+		t.Fatalf("memo hit returned %+v, not the stored row with F = -0", out[0])
+	}
+}
+
+// TestCachedRunRejectsNonPlainRows checks that a row type a memo hit
+// could not share (it holds memory the caller could mutate, or a field
+// gob drops) panics naming the type, before any point runs.
+func TestCachedRunRejectsNonPlainRows(t *testing.T) {
+	type sliceRow struct{ Xs []float64 }
+	type ptrRow struct{ P *row }
+	type hiddenRow struct{ N, n int }
+	type nestedRow struct {
+		R    row
+		Tags [2]map[string]int
+	}
+	c := NewPointCache("")
+	key := func(int) string { return "k" }
+	for name, run := range map[string]func(){
+		"sweep.sliceRow":  func() { CachedRun(c, 1, 1, key, func(int) sliceRow { return sliceRow{} }) },
+		"sweep.ptrRow":    func() { CachedRun(c, 1, 1, key, func(int) ptrRow { return ptrRow{} }) },
+		"sweep.hiddenRow": func() { CachedRun(c, 1, 1, key, func(int) hiddenRow { return hiddenRow{} }) },
+		"sweep.nestedRow": func() { CachedRun(c, 1, 1, key, func(int) nestedRow { return nestedRow{} }) },
+		"[]int":           func() { CachedRun(c, 1, 1, key, func(int) []int { return nil }) },
+		"interface {}":    func() { CachedRun(c, 1, 1, key, func(int) any { return 1 }) },
+	} {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			run()
+			return
+		}()
+		if !strings.Contains(msg, "point result "+name+" not cacheable") {
+			t.Errorf("row type %s: panic %q, want one naming the type", name, msg)
+		}
+	}
+	if c.Len() != 0 {
+		t.Errorf("%d memo entries after rejected sweeps, want 0", c.Len())
+	}
+}
+
 // TestCachedRunPersists checks the disk path: a fresh PointCache over
 // the same directory serves every point without recomputation — the
-// cross-invocation reuse ioatbench -pointcache relies on.
+// cross-invocation reuse ioatbench -pointcache relies on — and keeps
+// each decoded row, so the next sweep hits its memo.
 func TestCachedRunPersists(t *testing.T) {
 	dir := t.TempDir()
 	var calls atomic.Int64
@@ -91,13 +288,18 @@ func TestCachedRunPersists(t *testing.T) {
 		return row{N: i, D: int64(i) * 1000}
 	}
 	first := CachedRun(NewPointCache(dir), 1, 3, key, fn)
-	second := CachedRun(NewPointCache(dir), 1, 3, key, fn)
+	fresh := NewPointCache(dir)
+	second := CachedRun(fresh, 1, 3, key, fn)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	third := CachedRun(fresh, 1, 3, key, fn)
 	if calls.Load() != 3 {
-		t.Fatalf("fn ran %d times, want 3 (second cache must hit the files)", calls.Load())
+		t.Fatalf("fn ran %d times, want 3 (second cache must hit the files, then its memo)", calls.Load())
 	}
 	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("row %d: disk %+v != computed %+v", i, second[i], first[i])
+		if first[i] != second[i] || first[i] != third[i] {
+			t.Fatalf("row %d: disk %+v, memo %+v, computed %+v", i, second[i], third[i], first[i])
 		}
 	}
 }
@@ -167,6 +369,24 @@ func TestCachedRunNil(t *testing.T) {
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d", i, v)
+		}
+	}
+}
+
+// BenchmarkCachedRunHit is the benchmark ladder's sweep.cache_hit_ns
+// rung: a one-point sweep answered from a warm memo.
+func BenchmarkCachedRunHit(b *testing.B) {
+	type cachedRow struct{ Mbps, CPURecv, CPUSend float64 }
+	c := NewPointCache("")
+	key := func(int) string { return "point" }
+	fn := func(int) cachedRow { return cachedRow{940.5, 0.31, 0.42} }
+	CachedRun(c, 1, 1, key, fn)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CachedRunCtx(ctx, c, 1, 1, key, fn); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
