@@ -84,14 +84,16 @@ trace-smoke: build
 	@echo "trace-smoke OK"
 
 # Hot-path microbenchmarks: event core, context resume cost (goroutine
-# handoff vs continuation), cache model, end-to-end packet path, and
-# the point-cache key and memo hit (the benchmark ladder's sweep rungs).
+# handoff vs continuation), cache model, end-to-end packet path, the
+# point-cache key and memo hit (the benchmark ladder's sweep rungs), and
+# the key every sweep point builds (BenchmarkPointKey).
 # allocs/op must be 0 on every steady-state simulation path.
 sim-bench:
 	$(GO) test -bench='BenchmarkSchedule|BenchmarkRunHotLoop|BenchmarkProcResume|BenchmarkTaskResume' -benchmem -run='^$$' ./internal/sim/
 	$(GO) test -bench='BenchmarkAccessRange|BenchmarkAccessLines|BenchmarkAccessEach|BenchmarkInvalidate|BenchmarkInstall' -benchmem -run='^$$' ./internal/mem/
 	$(GO) test -bench='BenchmarkSteadyStatePacketPath' -benchmem -run='^$$' ./internal/tcp/
 	$(GO) test -bench='BenchmarkKey$$|BenchmarkCachedRunHit$$' -benchmem -run='^$$' ./internal/sweep/
+	$(GO) test -bench='BenchmarkPointKey$$' -benchmem -run='^$$' ./internal/bench/
 
 # CPU + allocation profiles of the heaviest workload (the fig10 app-level
 # sweep) at benchmark scale; inspect with `go tool pprof`.

@@ -47,39 +47,20 @@ import (
 	"ioatsim/internal/trace"
 )
 
-// jsonResult is the machine-readable form of one experiment.
-type jsonResult struct {
-	ID      string    `json:"id"`
-	Title   string    `json:"title"`
-	XLabel  string    `json:"xlabel"`
-	Columns []string  `json:"columns"`
-	Rows    []jsonRow `json:"rows"`
-	Notes   []string  `json:"notes,omitempty"`
-	Millis  float64   `json:"wall_ms"`
-}
-
-// jsonRow is one table row: the x value, its label, and the column
-// values in column order.
-type jsonRow struct {
-	X      float64   `json:"x"`
-	Label  string    `json:"label,omitempty"`
-	Values []float64 `json:"values"`
-}
-
 // jsonReport is the top-level -json document.
 type jsonReport struct {
-	Scale       float64      `json:"scale"`
-	Seed        uint64       `json:"seed"`
-	Parallel    int          `json:"parallel"`
-	Workers     int          `json:"workers"`
-	GoMaxProcs  int          `json:"go_maxprocs"`
-	NumCPU      int          `json:"num_cpu"`
-	Results     []jsonResult `json:"results"`
-	WallSeconds float64      `json:"wall_s"`
-	CPUSeconds  float64      `json:"experiment_s"`
-	Speedup     float64      `json:"speedup"`
-	Events      uint64       `json:"events"`
-	EventsPerS  float64      `json:"events_per_s"`
+	Scale       float64            `json:"scale"`
+	Seed        uint64             `json:"seed"`
+	Parallel    int                `json:"parallel"`
+	Workers     int                `json:"workers"`
+	GoMaxProcs  int                `json:"go_maxprocs"`
+	NumCPU      int                `json:"num_cpu"`
+	Results     []bench.ResultJSON `json:"results"`
+	WallSeconds float64            `json:"wall_s"`
+	CPUSeconds  float64            `json:"experiment_s"`
+	Speedup     float64            `json:"speedup"`
+	Events      uint64             `json:"events"`
+	EventsPerS  float64            `json:"events_per_s"`
 	// PeakPending is the deepest scheduler pending-event set any
 	// simulation reached — the depth the scheduler's heap held.
 	PeakPending uint64 `json:"peak_pending"`
@@ -326,23 +307,7 @@ func main() {
 			CacheMisses: cacheMisses,
 		}
 		for _, r := range results {
-			s := r.res.Series
-			jr := jsonResult{
-				ID:      r.res.ID,
-				Title:   r.res.Title,
-				XLabel:  s.XLabel,
-				Columns: s.Columns,
-				Notes:   r.res.Notes,
-				Millis:  float64(r.elapsed.Microseconds()) / 1e3,
-			}
-			for _, p := range s.Points {
-				row := jsonRow{X: p.X, Label: p.Label}
-				for _, c := range s.Columns {
-					row.Values = append(row.Values, p.Values[c])
-				}
-				jr.Rows = append(jr.Rows, row)
-			}
-			report.Results = append(report.Results, jr)
+			report.Results = append(report.Results, r.res.JSON(r.elapsed))
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

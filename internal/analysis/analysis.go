@@ -13,9 +13,8 @@
 //     must be dominated by a nil check (the "disabled = one nil
 //     compare" guarantee);
 //   - cachekey: every exported bench.Config field must be consumed by
-//     Config.key or listed in the exclusion set, and every cost.Params
-//     field must stay canonically encodable (the PR 6 reflection gate
-//     tests are the runtime counterpart).
+//     Config.key or listed in the exclusion set (the reflection gate
+//     test TestPointKeyConfigSensitivity is the runtime counterpart).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is self-contained on the standard

@@ -30,10 +30,6 @@ func TestCacheKeyNoKeyMethodFixture(t *testing.T) {
 	RunFixture(t, CacheKey, "testdata/src/cachekey_nokey", ModulePath+"/internal/bench")
 }
 
-func TestCacheKeyParamsFixture(t *testing.T) {
-	RunFixture(t, CacheKey, "testdata/src/cachekey_cost", ModulePath+"/internal/cost")
-}
-
 // TestAllowAudit checks the suppression grammar's own diagnostics:
 // malformed comments are always findings; an allow that suppresses
 // nothing is reported only when the full suite runs (checkUnused).

@@ -6,25 +6,19 @@ import (
 	"sort"
 )
 
-// CacheKey turns the point-cache reflection gate tests into a
-// compile-time diagnostic. Two contracts:
-//
-//   - bench.Config: every exported field must either be consumed by
-//     Config.key (a selector on the receiver inside the method body) or
-//     appear in CacheKeyExclude with a recorded justification. A new
-//     field that silently stays out of the key makes distinct
-//     configurations collide in the point cache — the worst kind of
-//     wrong-answer bug.
-//   - cost.Params: every exported field must be canonically encodable
-//     by sweep.Key's reflection walk (figures pass the whole *Params as
-//     a key part, so fields are consumed wholesale). A map, func, chan
-//     or interface field would panic the encoder or hash
-//     nondeterministically.
+// CacheKey turns the point-cache reflection gate test into a
+// compile-time diagnostic: every exported bench.Config field must
+// either be consumed by Config.key (a selector on the receiver inside
+// the method body) or appear in CacheKeyExclude with a recorded
+// justification. A new field that silently stays out of the key makes
+// distinct configurations collide in the point cache — the worst kind
+// of wrong-answer bug. The rest of a point's key is its runner id and
+// index; everything else a point reads is code, which cacheVersion
+// covers.
 var CacheKey = &Analyzer{
 	Name: "cachekey",
 	Doc: "require every exported bench.Config field to be consumed by " +
-		"Config.key or explicitly excluded, and every cost.Params field to " +
-		"stay canonically encodable (the PointCache reflection gate, made structural)",
+		"Config.key or explicitly excluded (the PointCache reflection gate, made structural)",
 	Run: runCacheKey,
 }
 
@@ -43,11 +37,8 @@ var CacheKeyExclude = map[string]string{
 }
 
 func runCacheKey(pass *Pass) error {
-	switch pass.Pkg.Path {
-	case ModulePath + "/internal/bench":
+	if pass.Pkg.Path == ModulePath+"/internal/bench" {
 		checkConfigKey(pass)
-	case ModulePath + "/internal/cost":
-		checkParamsEncodable(pass)
 	}
 	return nil
 }
@@ -139,71 +130,6 @@ func keyConsumedFields(pass *Pass) (map[string]bool, bool) {
 		}
 	}
 	return nil, false
-}
-
-// checkParamsEncodable verifies every exported cost.Params field holds
-// a type sweep.Key's canonical encoder supports.
-func checkParamsEncodable(pass *Pass) {
-	paramsDecl := findStruct(pass, "Params")
-	if paramsDecl == nil {
-		return
-	}
-	for _, field := range paramsDecl.Fields.List {
-		for _, name := range field.Names {
-			if !name.IsExported() {
-				continue
-			}
-			t := pass.Pkg.Info.TypeOf(field.Type)
-			if bad := unencodable(t, map[types.Type]bool{}); bad != "" {
-				pass.Reportf(name.Pos(),
-					"Params.%s contains %s, which the point-cache canonical encoder cannot hash "+
-						"deterministically (sweep.Key panics on it): use scalars, strings, structs or slices",
-					name.Name, bad)
-			}
-		}
-	}
-}
-
-// unencodable returns a description of the first sub-type the canonical
-// encoder rejects, or "".
-func unencodable(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
-		if u.Kind() == types.UnsafePointer {
-			return "an unsafe.Pointer"
-		}
-		return ""
-	case *types.Map:
-		return "a map (iteration order is nondeterministic)"
-	case *types.Signature:
-		return "a func value"
-	case *types.Chan:
-		return "a channel"
-	case *types.Interface:
-		return "an interface (dynamic type is not part of the hash)"
-	case *types.Pointer:
-		return unencodable(u.Elem(), seen)
-	case *types.Slice:
-		return unencodable(u.Elem(), seen)
-	case *types.Array:
-		return unencodable(u.Elem(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			f := u.Field(i)
-			if !f.Exported() {
-				continue // the reflection walk reads exported fields only
-			}
-			if bad := unencodable(f.Type(), seen); bad != "" {
-				return bad
-			}
-		}
-		return ""
-	}
-	return ""
 }
 
 // findStruct returns the AST struct type declared under the given name.

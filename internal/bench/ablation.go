@@ -20,17 +20,11 @@ func AblRSS(cfg Config) *Result {
 	series := stats.NewSeries("Ablation: Multiple Receive Queues (MTU 576)", "Ports",
 		"I/OAT Mbps", "I/OAT-FULL Mbps", "I/OAT core0%", "I/OAT-FULL core0%")
 	type rssRow struct{ LinuxMbps, FullMbps, LinuxCore0, FullCore0 float64 }
-	params := func() *cost.Params {
-		p := cfg.params()
-		p.MTU = 576
-		return p
-	}
-	rows := points(cfg, 6, func(i int) string {
-		return cfg.key("ablrss", i+1, params())
-	}, func(i int) rssRow {
+	rows := points(cfg, "ablrss", 6, func(i int) rssRow {
 		ports := i + 1
 		run := func(feat ioat.Features) (float64, float64) {
-			p := params()
+			p := cfg.params()
+			p.MTU = 576
 			core0 := 0.0
 			res := runMicroWith(p, feat, cfg, func(a, b *host.Node) []stream {
 				var ss []stream
@@ -63,15 +57,9 @@ func AblPin(cfg Config) *Result {
 		"CPU copy us", "DMA CPU cost us", "DMA wins")
 	mults := []int{0, 1, 2, 4, 8, 16, 32}
 	type pinRow struct{ CPUCopy, DMACPU time.Duration }
-	params := func(i int) *cost.Params {
+	rows := points(cfg, "ablpin", len(mults), func(i int) pinRow {
 		p := cfg.params()
 		p.PinPerPage = time.Duration(mults[i]) * 150 * time.Nanosecond
-		return p
-	}
-	rows := points(cfg, len(mults), func(i int) string {
-		return cfg.key("ablpin", mults[i], params(i))
-	}, func(i int) pinRow {
-		p := params(i)
 		cl, node, _ := host.Testbed1(p, ioat.Linux(), cfg.Seed, cfg.hostOpts()...)
 		defer cl.Close()
 		var r pinRow
@@ -115,16 +103,11 @@ func AblCoal(cfg Config) *Result {
 		"light-load CPU%", "heavy-load CPU%", "light Mbps", "heavy Mbps")
 	budgets := []int{1, 2, 4, 8, 16, 32}
 	type coalRow struct{ Light, Heavy microResult }
-	params := func(i int) *cost.Params {
-		p := cfg.params()
-		p.CoalesceFrames = budgets[i]
-		return p
-	}
-	rows := points(cfg, len(budgets), func(i int) string {
-		return cfg.key("ablcoal", budgets[i], params(i))
-	}, func(i int) coalRow {
+	rows := points(cfg, "ablcoal", len(budgets), func(i int) coalRow {
 		run := func(ports int) microResult {
-			return runMicro(params(i), ioat.None(), cfg, portStreams(ports, 64*cost.KB, false))
+			p := cfg.params()
+			p.CoalesceFrames = budgets[i]
+			return runMicro(p, ioat.None(), cfg, portStreams(ports, 64*cost.KB, false))
 		}
 		return coalRow{Light: run(1), Heavy: run(6)}
 	})

@@ -61,10 +61,10 @@ type Config struct {
 	Obs host.Observability
 
 	// Cache, when non-nil, memoizes each sweep point's result under its
-	// content-addressed key (sweep.Key over the code version, figure,
-	// point parameters, Seed and Scale), so repeated runs at an identical
-	// configuration skip the simulation. Tables are byte-identical with
-	// or without it — the golden tests pin that.
+	// content-addressed key (Config.key: the code version, runner,
+	// point index, Seed, Scale, Fault and Costs), so repeated runs at an
+	// identical configuration skip the simulation. Tables are
+	// byte-identical with or without it — the golden tests pin that.
 	Cache *sweep.PointCache
 
 	// Ctx, when non-nil, bounds the experiment's lifetime: once it is
@@ -166,6 +166,52 @@ func (r *Result) String() string {
 	out := r.Series.Table()
 	for _, n := range r.Notes {
 		out += "note: " + n + "\n"
+	}
+	return out
+}
+
+// ResultJSON is one finished experiment in wire form: what ioatd
+// streams and ioatbench -json prints. Table is the rendered text table
+// plus notes, byte-identical to Result.String (the golden parity tests
+// pin it).
+type ResultJSON struct {
+	ID      string    `json:"id"`
+	Title   string    `json:"title"`
+	XLabel  string    `json:"xlabel"`
+	Columns []string  `json:"columns"`
+	Rows    []RowJSON `json:"rows"`
+	Notes   []string  `json:"notes,omitempty"`
+	Table   string    `json:"table"`
+	WallMS  float64   `json:"wall_ms"`
+}
+
+// RowJSON is one table row: x value, optional label, and the column
+// values in column order.
+type RowJSON struct {
+	X      float64   `json:"x"`
+	Label  string    `json:"label,omitempty"`
+	Values []float64 `json:"values"`
+}
+
+// JSON returns the result in wire form; wall is the host time its run
+// took.
+func (r *Result) JSON(wall time.Duration) ResultJSON {
+	s := r.Series
+	out := ResultJSON{
+		ID:      r.ID,
+		Title:   r.Title,
+		XLabel:  s.XLabel,
+		Columns: s.Columns,
+		Notes:   r.Notes,
+		Table:   r.String(),
+		WallMS:  float64(wall.Microseconds()) / 1e3,
+	}
+	for _, p := range s.Points {
+		row := RowJSON{X: p.X, Label: p.Label}
+		for _, c := range s.Columns {
+			row.Values = append(row.Values, p.Values[c])
+		}
+		out.Rows = append(out.Rows, row)
 	}
 	return out
 }
@@ -338,9 +384,9 @@ func runMicroWith(p *cost.Params, feat ioat.Features, cfg Config,
 
 // cacheVersion tags every point-cache key with the simulation code
 // revision. Cached rows are only valid against the code that produced
-// them — the key hashes configurations, not model code — so bump this
-// whenever a change alters any experiment's output (a golden-corpus
-// diff is the signal).
+// them — the key hashes configurations, not model code or a runner's
+// own constants — so bump this whenever a change alters any
+// experiment's output (a golden-corpus diff is the signal).
 const cacheVersion = "ioatsim-v6"
 
 // goldenDigest is the SHA-256 over the sorted names and contents of
@@ -350,28 +396,31 @@ const cacheVersion = "ioatsim-v6"
 // restarted ioatd -pointcache never serves rows of older code as hits.
 const goldenDigest = "1b8fde99c94d351e6ddb3f3c845e66e34b61c215ca9958b099fb04e568e7598d"
 
-// key builds the content-addressed identity of one sweep point from the
-// code version, the figure/point discriminators (which must include the
-// point's cost.Params when the figure adjusts them), and the config
-// fields that reach the tables: Seed, Scale, the fault plan (a nil
-// plan and the benign zero plan hash apart, but both produce the golden
-// tables — the differential test pins that) and the cost overrides.
-// Parallel, Check, Strict, Obs, Cache and Ctx are deliberately
-// excluded — they change how a run executes or what it records, never
-// what the tables say (the parallel and golden tests pin that
-// property).
-func (c Config) key(kind string, parts ...any) string {
-	return sweep.Key(cacheVersion, kind, c.Seed, c.Scale, c.Fault, c.Costs, parts)
+// key builds the content-addressed identity of point i of runner id
+// from the code version and the config fields that reach the tables:
+// Seed, Scale, the fault plan (a nil plan and the benign zero plan hash
+// apart, but both produce the golden tables — the differential test
+// pins that) and the cost overrides. Everything else a point reads is
+// a constant of its runner's code (the swept values, per-point
+// cost.Params adjustments), so the index names it and cacheVersion
+// covers it, as it covers the model code. Parallel, Check, Strict, Obs,
+// Cache and Ctx are deliberately excluded — they change how a run
+// executes or what it records, never what the tables say (the parallel
+// and golden tests pin that property).
+func (c Config) key(id string, i int) string {
+	return sweep.Key(cacheVersion, id, c.Seed, c.Scale, c.Fault, c.Costs, i)
 }
 
-// points runs fn for every point index of a figure, concurrently up to
-// cfg.Parallel workers, and returns the rows in point order. fn must
-// build all of its own state (cluster, cost.Params) per call. key gives
-// each point's cache identity (see Config.key); with cfg.Cache unset it
-// is never called. A cancelled cfg.Ctx aborts the sweep between points
+// points runs fn for every point index of runner id, concurrently up
+// to cfg.Parallel workers, and returns the rows in point order. fn must
+// build all of its own state (cluster, cost.Params) per call, from cfg,
+// i and constants of its runner's code. With cfg.Cache set, point i is
+// memoized under cfg.key(id, i), so id must name one sweep only (the
+// runner's own id). A cancelled cfg.Ctx aborts the sweep between points
 // and unwinds the runner with a panic RunContext converts back into an
 // error.
-func points[T any](cfg Config, n int, key func(i int) string, fn func(i int) T) []T {
+func points[T any](cfg Config, id string, n int, fn func(i int) T) []T {
+	key := func(i int) string { return cfg.key(id, i) }
 	out, err := sweep.CachedRunCtx(cfg.context(), cfg.Cache, cfg.Parallel, n, key, fn)
 	if err != nil {
 		panic(canceled{err})

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"testing"
 
-	"ioatsim/internal/cost"
 	"ioatsim/internal/fault"
 	"ioatsim/internal/host"
 	"ioatsim/internal/sweep"
@@ -98,34 +97,17 @@ func TestPointKeyConfigSensitivity(t *testing.T) {
 	}
 }
 
-// TestPointKeyParamSensitivity flips every cost.Params field and checks
-// the key moves: a sweep that adjusts any cost parameter must never
-// collide with a cached row from a different parameter set.
-func TestPointKeyParamSensitivity(t *testing.T) {
-	k0 := sweep.Key(cost.Default())
-	rt := reflect.TypeOf(cost.Params{})
-	for i := 0; i < rt.NumField(); i++ {
-		name := rt.Field(i).Name
-		p := *cost.Default()
-		f := reflect.ValueOf(&p).Elem().Field(i)
-		switch f.Kind() {
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			f.SetInt(f.Int() + 1)
-		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			f.SetUint(f.Uint() + 1)
-		case reflect.Float32, reflect.Float64:
-			f.SetFloat(f.Float() + 0.125)
-		case reflect.Bool:
-			f.SetBool(!f.Bool())
-		case reflect.String:
-			f.SetString(f.String() + "x")
-		default:
-			t.Fatalf("cost.Params.%s has kind %s: teach this test to perturb it (and confirm sweep.Key canonicalizes it)",
-				name, f.Kind())
-		}
-		if sweep.Key(&p) == k0 {
-			t.Errorf("flipping cost.Params.%s does not change the key", name)
-		}
+// keySink keeps BenchmarkPointKey's result live.
+var keySink string
+
+// BenchmarkPointKey times one sweep point's cache key as points builds
+// it: the code version, runner id and index, and the config's Seed,
+// Scale, Fault and Costs.
+func BenchmarkPointKey(b *testing.B) {
+	cfg := Config{Seed: 1, Scale: 0.25}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keySink = cfg.key("fig3a", i%6)
 	}
 }
 

@@ -22,9 +22,7 @@ func Ext3Tier(cfg Config) *Result {
 		"non-I/OAT TPS", "I/OAT TPS", "TPS benefit%", "app CPU%", "db CPU%")
 	queryCounts := []int{1, 3, 5}
 	type tierRow struct{ Plain, Accel datacenter.ThreeTierMetrics }
-	rows := points(cfg, len(queryCounts), func(i int) string {
-		return cfg.key("ext3tier", queryCounts[i], cfg.params())
-	}, func(i int) tierRow {
+	rows := points(cfg, "ext3tier", len(queryCounts), func(i int) tierRow {
 		run := func(feat ioat.Features) datacenter.ThreeTierMetrics {
 			o := datacenter.ThreeTierOptions{Options: dcOptions(cfg, feat)}
 			o.QueriesPerRequest = queryCounts[i]
@@ -50,9 +48,7 @@ func ExtIPC(cfg Config) *Result {
 		"CPU-copy MB/s", "engine MB/s", "CPU-copy cpu%", "engine cpu%")
 	sizes := []int{4 * cost.KB, 16 * cost.KB, 64 * cost.KB}
 	type ipcRow struct{ CPUMBps, EngMBps, CPUUtil, EngUtil float64 }
-	rows := points(cfg, len(sizes), func(i int) string {
-		return cfg.key("extipc", sizes[i], cfg.params())
-	}, func(i int) ipcRow {
+	rows := points(cfg, "extipc", len(sizes), func(i int) ipcRow {
 		size := sizes[i]
 		run := func(mode ipc.Mode) (float64, float64) {
 			cl := host.NewCluster(cfg.params(), cfg.Seed, cfg.hostOpts()...)

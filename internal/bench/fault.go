@@ -65,9 +65,7 @@ func FaultLoss(cfg Config) *Result {
 	series := stats.NewSeries("Loss sweep: goodput under faults", "Loss%",
 		"non-I/OAT Mbps", "I/OAT Mbps", "non-I/OAT CPU%", "I/OAT CPU%",
 		"non-I/OAT retx", "I/OAT retx")
-	rows := points(cfg, len(faultLossRates), func(i int) string {
-		return cfg.key("fault_loss", faultLossRates[i], cfg.params())
-	}, func(i int) faultRow {
+	rows := points(cfg, "fault_loss", len(faultLossRates), func(i int) faultRow {
 		return faultPoint(cfg, faultLossRates[i])
 	})
 	for i, r := range rows {

@@ -35,9 +35,7 @@ func pvfsSweep(cfg Config, iods int, write bool, id, title, note string) *Result
 	series := stats.NewSeries(title, "Clients",
 		"non-I/OAT MB/s", "I/OAT MB/s", "tput benefit%",
 		"non-I/OAT "+cpuCol+" CPU%", "I/OAT "+cpuCol+" CPU%", "rel CPU benefit%")
-	rows := points(cfg, 6, func(i int) string {
-		return cfg.key(id, i+1, iods, write, cfg.params())
-	}, func(i int) pvfsPair {
+	rows := points(cfg, id, 6, func(i int) pvfsPair {
 		run := func(feat ioat.Features) pvfs.Metrics {
 			o := pvfsOptions(cfg, feat)
 			o.IODs = iods
@@ -92,9 +90,7 @@ func Fig12(cfg Config) *Result {
 	series := stats.NewSeries("Fig 12: Multi-Stream PVFS Read", "Clients",
 		"non-I/OAT MB/s", "I/OAT MB/s", "non-I/OAT client CPU%", "I/OAT client CPU%")
 	clientCounts := []int{1, 2, 4, 8, 16, 32, 64}
-	rows := points(cfg, len(clientCounts), func(i int) string {
-		return cfg.key("fig12", clientCounts[i], cfg.params())
-	}, func(i int) pvfsPair {
+	rows := points(cfg, "fig12", len(clientCounts), func(i int) pvfsPair {
 		run := func(feat ioat.Features) pvfs.Metrics {
 			o := pvfsOptions(cfg, feat)
 			o.IODs = 6

@@ -78,9 +78,7 @@ func Fig6(cfg Config) *Result {
 	for size := 1 * cost.KB; size <= 64*cost.KB; size *= 2 {
 		sizes = append(sizes, size)
 	}
-	rows := points(cfg, len(sizes), func(i int) string {
-		return cfg.key("fig6", sizes[i], cfg.params())
-	}, func(i int) fig6Row {
+	rows := points(cfg, "fig6", len(sizes), func(i int) fig6Row {
 		return fig6Point(cfg, sizes[i])
 	})
 

@@ -16,7 +16,7 @@ type fig7Row struct {
 // non-I/OAT, I/OAT-DMA (copy engine only) and I/OAT-SPLIT (copy engine +
 // split headers). Four streams over four ports (two dual-port adapters),
 // as in the paper.
-func fig7Run(cfg Config, p *cost.Params, msg int) (plain, dmaOnly, split microResult) {
+func fig7Run(cfg Config, p *cost.Params, msg int) fig7Row {
 	build := func(a, b *host.Node) []stream {
 		var ss []stream
 		for i := 0; i < 4; i++ {
@@ -24,10 +24,11 @@ func fig7Run(cfg Config, p *cost.Params, msg int) (plain, dmaOnly, split microRe
 		}
 		return ss
 	}
-	plain = runMicro(p.Clone(), ioat.None(), cfg, build)
-	dmaOnly = runMicro(p.Clone(), ioat.DMAOnly(), cfg, build)
-	split = runMicro(p.Clone(), ioat.Linux(), cfg, build)
-	return plain, dmaOnly, split
+	return fig7Row{
+		Plain:   runMicro(p.Clone(), ioat.None(), cfg, build),
+		DMAOnly: runMicro(p.Clone(), ioat.DMAOnly(), cfg, build),
+		Split:   runMicro(p.Clone(), ioat.Linux(), cfg, build),
+	}
 }
 
 // Fig7a reproduces Figure 7a: for 16K-128K messages, the DMA engine cuts
@@ -38,11 +39,8 @@ func Fig7a(cfg Config) *Result {
 		"non-I/OAT Mbps", "I/OAT-DMA Mbps", "I/OAT-SPLIT Mbps",
 		"DMA CPU benefit%", "Split CPU benefit%")
 	msgs := []int{16 * cost.KB, 32 * cost.KB, 64 * cost.KB, 128 * cost.KB}
-	rows := points(cfg, len(msgs), func(i int) string {
-		return cfg.key("fig7a", msgs[i], cfg.params())
-	}, func(i int) fig7Row {
-		plain, dmaOnly, split := fig7Run(cfg, cfg.params(), msgs[i])
-		return fig7Row{plain, dmaOnly, split}
+	rows := points(cfg, "fig7a", len(msgs), func(i int) fig7Row {
+		return fig7Run(cfg, cfg.params(), msgs[i])
 	})
 	for i, r := range rows {
 		msg := msgs[i]
@@ -64,16 +62,10 @@ func Fig7b(cfg Config) *Result {
 		"non-I/OAT Mbps", "I/OAT-DMA Mbps", "I/OAT-SPLIT Mbps",
 		"DMA tput benefit%", "Split tput benefit%")
 	msgs := []int{cost.MB, 2 * cost.MB, 4 * cost.MB, 8 * cost.MB}
-	params := func() *cost.Params {
+	rows := points(cfg, "fig7b", len(msgs), func(i int) fig7Row {
 		p := cfg.params()
 		p.SockBuf = cost.MB // large-message runs need deep socket buffers
-		return p
-	}
-	rows := points(cfg, len(msgs), func(i int) string {
-		return cfg.key("fig7b", msgs[i], params())
-	}, func(i int) fig7Row {
-		plain, dmaOnly, split := fig7Run(cfg, params(), msgs[i])
-		return fig7Row{plain, dmaOnly, split}
+		return fig7Run(cfg, p, msgs[i])
 	})
 	for i, r := range rows {
 		msg := msgs[i]

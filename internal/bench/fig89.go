@@ -40,9 +40,7 @@ func Fig8a(cfg Config) *Result {
 	series := stats.NewSeries("Fig 8a: Single-File Traces", "Trace",
 		"non-I/OAT TPS", "I/OAT TPS", "TPS benefit%", "proxyCPU-non%", "proxyCPU-ioat%")
 	sizes := []int{2 * cost.KB, 4 * cost.KB, 6 * cost.KB, 8 * cost.KB, 10 * cost.KB}
-	rows := points(cfg, len(sizes), func(i int) string {
-		return cfg.key("fig8a", sizes[i], cfg.params())
-	}, func(i int) dcPair {
+	rows := points(cfg, "fig8a", len(sizes), func(i int) dcPair {
 		run := func(feat ioat.Features) datacenter.Metrics {
 			o := dcOptions(cfg, feat)
 			o.FileCount = 1
@@ -66,9 +64,7 @@ func Fig8b(cfg Config) *Result {
 	series := stats.NewSeries("Fig 8b: Zipf Traces", "Alpha",
 		"non-I/OAT TPS", "I/OAT TPS", "TPS benefit%")
 	alphas := []float64{0.95, 0.9, 0.75, 0.5}
-	rows := points(cfg, len(alphas), func(i int) string {
-		return cfg.key("fig8b", alphas[i], cfg.params())
-	}, func(i int) dcPair {
+	rows := points(cfg, "fig8b", len(alphas), func(i int) dcPair {
 		run := func(feat ioat.Features) datacenter.Metrics {
 			o := dcOptions(cfg, feat)
 			o.FileCount = 1000
@@ -94,9 +90,7 @@ func Fig9(cfg Config) *Result {
 	series := stats.NewSeries("Fig 9: Emulated Clients (16K file)", "Threads",
 		"non-I/OAT TPS", "I/OAT TPS", "non-I/OAT CPU%", "I/OAT CPU%", "TPS benefit%")
 	threadCounts := []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
-	rows := points(cfg, len(threadCounts), func(i int) string {
-		return cfg.key("fig9", threadCounts[i], cfg.params())
-	}, func(i int) dcPair {
+	rows := points(cfg, "fig9", len(threadCounts), func(i int) dcPair {
 		run := func(feat ioat.Features) datacenter.Metrics {
 			o := dcOptions(cfg, feat)
 			o.FileCount = 1

@@ -44,9 +44,7 @@ func portStreams(ports, msg int, bidir bool) func(a, b *host.Node) []stream {
 func Fig3a(cfg Config) *Result {
 	series := stats.NewSeries("Fig 3a: Bandwidth", "Ports",
 		"non-I/OAT Mbps", "I/OAT Mbps", "non-I/OAT CPU%", "I/OAT CPU%", "rel CPU benefit%")
-	rows := points(cfg, 6, func(i int) string {
-		return cfg.key("fig3a", i+1, cfg.params())
-	}, func(i int) pair {
+	rows := points(cfg, "fig3a", 6, func(i int) pair {
 		return measurePair(cfg.params, cfg, portStreams(i+1, 64*cost.KB, false))
 	})
 	for i, r := range rows {
@@ -63,9 +61,7 @@ func Fig3a(cfg Config) *Result {
 func Fig3b(cfg Config) *Result {
 	series := stats.NewSeries("Fig 3b: Bi-directional Bandwidth", "Ports",
 		"non-I/OAT Mbps", "I/OAT Mbps", "non-I/OAT CPU%", "I/OAT CPU%", "rel CPU benefit%")
-	rows := points(cfg, 6, func(i int) string {
-		return cfg.key("fig3b", i+1, cfg.params())
-	}, func(i int) pair {
+	rows := points(cfg, "fig3b", 6, func(i int) pair {
 		return measurePair(cfg.params, cfg, portStreams(i+1, 64*cost.KB, true))
 	})
 	for i, r := range rows {
@@ -84,9 +80,7 @@ func Fig4(cfg Config) *Result {
 	series := stats.NewSeries("Fig 4: Multi-Stream Bandwidth", "Threads",
 		"non-I/OAT Mbps", "I/OAT Mbps", "non-I/OAT CPU%", "I/OAT CPU%", "rel CPU benefit%")
 	threadCounts := []int{1, 2, 4, 6, 8, 10, 12}
-	rows := points(cfg, len(threadCounts), func(i int) string {
-		return cfg.key("fig4", threadCounts[i], cfg.params())
-	}, func(i int) pair {
+	rows := points(cfg, "fig4", len(threadCounts), func(i int) pair {
 		threads := threadCounts[i]
 		return measurePair(cfg.params, cfg, func(a, b *host.Node) []stream {
 			var ss []stream
@@ -105,16 +99,11 @@ func Fig4(cfg Config) *Result {
 		Notes: []string{"paper: at 12 threads CPU 76% vs 52% (~32% relative); non-I/OAT throughput degrades"}}
 }
 
-// socketCase is one of Figure 5's cumulative sender-side optimizations.
-type socketCase struct {
-	name string
-	p    func() *cost.Params
-}
-
-// socketCases builds the paper's Case 1..5 parameter sets on top of the
-// given base: default, +1 MB socket buffers, +TSO, +jumbo frames
-// (MTU 2048), +interrupt coalescing.
-func socketCases(base func() *cost.Params) []socketCase {
+// socketCases builds the paper's Case 1..5 parameter sets, Figure 5's
+// cumulative sender-side optimizations, on top of the given base:
+// default, +1 MB socket buffers, +TSO, +jumbo frames (MTU 2048),
+// +interrupt coalescing.
+func socketCases(base func() *cost.Params) []func() *cost.Params {
 	c1 := func() *cost.Params {
 		p := base()
 		p.SockBuf = 64 * cost.KB
@@ -125,13 +114,7 @@ func socketCases(base func() *cost.Params) []socketCase {
 	c3 := func() *cost.Params { p := c2(); p.TSO = true; return p }
 	c4 := func() *cost.Params { p := c3(); p.MTU = 2048; return p }
 	c5 := func() *cost.Params { p := c4(); p.CoalesceFrames = 16; return p }
-	return []socketCase{
-		{"Case 1 (default)", c1},
-		{"Case 2 (+1M sockbuf)", c2},
-		{"Case 3 (+TSO)", c3},
-		{"Case 4 (+jumbo)", c4},
-		{"Case 5 (+coalescing)", c5},
-	}
+	return []func() *cost.Params{c1, c2, c3, c4, c5}
 }
 
 // Fig5a reproduces Figure 5a: unidirectional bandwidth under the
@@ -152,10 +135,8 @@ func fig5(cfg Config, bidir bool, id, title, note string) *Result {
 	series := stats.NewSeries(title, "Case",
 		"non-I/OAT Mbps", "I/OAT Mbps", "non-I/OAT CPU%", "I/OAT CPU%", "rel CPU benefit%")
 	cases := socketCases(cfg.params)
-	rows := points(cfg, len(cases), func(i int) string {
-		return cfg.key("fig5", bidir, i+1, cases[i].p())
-	}, func(i int) pair {
-		return measurePair(cases[i].p, cfg, portStreams(6, 64*cost.KB, bidir))
+	rows := points(cfg, id, len(cases), func(i int) pair {
+		return measurePair(cases[i], cfg, portStreams(6, 64*cost.KB, bidir))
 	})
 	for i, r := range rows {
 		series.Add(float64(i+1), fmt.Sprintf("Case %d", i+1),

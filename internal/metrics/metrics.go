@@ -149,33 +149,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // ---- instruments ----
 
-// Counter is a push-style monotone counter; the sampler emits its
-// per-second rate.
-type Counter struct{ v int64 }
-
-// Add increases the counter (d >= 0).
-func (c *Counter) Add(d int64) {
-	if d < 0 {
-		panic("metrics: negative counter increment")
-	}
-	c.v += d
-}
-
-// Value returns the cumulative count.
-func (c *Counter) Value() int64 { return c.v }
-
-// Gauge is a push-style instantaneous value; the sampler emits it as-is.
-type Gauge struct{ v float64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
 // TimeWeighted is a gauge integrated over virtual time: Set records a
 // piecewise-constant value, and each sampler tick emits the
 // time-weighted mean over the elapsed window (queue depths and backlogs

@@ -67,21 +67,6 @@ func (sc *Scope) RatioFunc(name string, num, den func() float64) {
 	})
 }
 
-// Counter registers a push-style counter; the sampler emits its
-// per-second rate each tick.
-func (sc *Scope) Counter(name string) *Counter {
-	c := &Counter{}
-	sc.CounterFunc(name, func() float64 { return float64(c.v) })
-	return c
-}
-
-// Gauge registers a push-style gauge sampled as-is each tick.
-func (sc *Scope) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	sc.GaugeFunc(name, func() float64 { return g.v })
-	return g
-}
-
 // TimeWeighted registers a time-weighted gauge; the sampler emits the
 // window mean each tick.
 func (sc *Scope) TimeWeighted(name string) *TimeWeighted {

@@ -1,5 +1,5 @@
 // Package rng provides a small, deterministic random-number generator and
-// the distributions the workloads need (uniform, exponential, Zipf).
+// the distributions the workloads need (uniform and Zipf).
 //
 // The generator is xoshiro256**, seeded through splitmix64, so identical
 // seeds produce identical streams on every platform — a requirement for
@@ -66,36 +66,6 @@ func (r *Rand) Intn(n int) int {
 		panic("rng: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Exp returns an exponentially distributed value with the given mean.
-func (r *Rand) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
-// Normal returns a normally distributed value (Box-Muller).
-func (r *Rand) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
 }
 
 // Zipf draws ranks in [0, n) with P(i) proportional to 1/(i+1)^alpha,

@@ -77,56 +77,6 @@ func TestIntnCoverage(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(3)
-	const mean = 250.0
-	sum := 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.Exp(mean)
-		if v < 0 {
-			t.Fatalf("Exp returned negative %v", v)
-		}
-		sum += v
-	}
-	got := sum / n
-	if math.Abs(got-mean)/mean > 0.02 {
-		t.Fatalf("Exp mean = %v, want ~%v", got, mean)
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	r := New(5)
-	const mean, sd = 10.0, 2.0
-	sum, sumsq := 0.0, 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.Normal(mean, sd)
-		sum += v
-		sumsq += v * v
-	}
-	m := sum / n
-	variance := sumsq/n - m*m
-	if math.Abs(m-mean) > 0.05 {
-		t.Fatalf("Normal mean = %v, want ~%v", m, mean)
-	}
-	if math.Abs(math.Sqrt(variance)-sd) > 0.05 {
-		t.Fatalf("Normal sd = %v, want ~%v", math.Sqrt(variance), sd)
-	}
-}
-
-func TestPerm(t *testing.T) {
-	r := New(11)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("bad permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestZipfProbabilities(t *testing.T) {
 	r := New(21)
 	z := NewZipf(r, 100, 0.95)

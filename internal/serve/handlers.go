@@ -49,15 +49,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// maxRequestBytes bounds a job submission's body. The largest
+// legitimate request (every runner, plus an override of every numeric
+// cost.Params field) is a few KB.
+const maxRequestBytes = 1 << 20
+
 // handleSubmit admits a job. The admission outcomes map to:
-// invalid request -> 400, draining -> 503, queue full -> 429 with a
-// Retry-After estimate. Detached submissions (the default) answer 202
-// with the job's status; ?stream=1 keeps the connection open and
-// streams the job's results as NDJSON, and an early disconnect cancels
-// the job.
+// body over maxRequestBytes -> 413, invalid request -> 400, draining
+// -> 503, queue full -> 429 with a Retry-After estimate. Detached
+// submissions (the default) answer 202 with the job's status;
+// ?stream=1 keeps the connection open and streams the job's results as
+// NDJSON, and an early disconnect cancels the job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := bench.DecodeRequest(r.Body)
-	if err != nil {
+	req, err := bench.DecodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		return
+	case err != nil:
 		httpError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}

@@ -26,61 +26,17 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// ResultJSON is one completed experiment in wire form. Table is the
-// rendered text table plus notes — byte-identical to the CLI's output
-// for the same configuration, which the golden parity tests pin.
-type ResultJSON struct {
-	ID      string    `json:"id"`
-	Title   string    `json:"title"`
-	XLabel  string    `json:"xlabel"`
-	Columns []string  `json:"columns"`
-	Rows    []RowJSON `json:"rows"`
-	Notes   []string  `json:"notes,omitempty"`
-	Table   string    `json:"table"`
-	WallMS  float64   `json:"wall_ms"`
-}
-
-// RowJSON is one table row: x value, optional label, and the column
-// values in column order.
-type RowJSON struct {
-	X      float64   `json:"x"`
-	Label  string    `json:"label,omitempty"`
-	Values []float64 `json:"values"`
-}
-
-// resultJSON converts a finished experiment.
-func resultJSON(res *bench.Result, wall time.Duration) ResultJSON {
-	s := res.Series
-	out := ResultJSON{
-		ID:      res.ID,
-		Title:   res.Title,
-		XLabel:  s.XLabel,
-		Columns: s.Columns,
-		Notes:   res.Notes,
-		Table:   res.String(),
-		WallMS:  float64(wall.Microseconds()) / 1e3,
-	}
-	for _, p := range s.Points {
-		row := RowJSON{X: p.X, Label: p.Label}
-		for _, c := range s.Columns {
-			row.Values = append(row.Values, p.Values[c])
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
-}
-
 // StreamRecord is one NDJSON line of a job's result stream: either one
 // completed experiment (Result set) or the terminal record (Done set,
 // with the final state and error). Seq numbers the records of one job
 // from zero.
 type StreamRecord struct {
-	Job    string      `json:"job"`
-	Seq    int         `json:"seq"`
-	Result *ResultJSON `json:"result,omitempty"`
-	Done   bool        `json:"done,omitempty"`
-	State  State       `json:"state,omitempty"`
-	Error  string      `json:"error,omitempty"`
+	Job    string            `json:"job"`
+	Seq    int               `json:"seq"`
+	Result *bench.ResultJSON `json:"result,omitempty"`
+	Done   bool              `json:"done,omitempty"`
+	State  State             `json:"state,omitempty"`
+	Error  string            `json:"error,omitempty"`
 }
 
 // Job is one submitted benchmark run moving through the queue and the
@@ -102,7 +58,7 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	results  []ResultJSON
+	results  []bench.ResultJSON
 	records  []StreamRecord
 	subs     map[chan StreamRecord]struct{}
 	done     chan struct{}
@@ -162,7 +118,7 @@ func (j *Job) start(now time.Time) bool {
 
 // appendResult records one completed experiment and broadcasts it to
 // the stream subscribers.
-func (j *Job) appendResult(res ResultJSON) {
+func (j *Job) appendResult(res bench.ResultJSON) {
 	j.mu.Lock()
 	j.results = append(j.results, res)
 	rec := StreamRecord{Job: j.ID, Seq: len(j.records), Result: &j.results[len(j.results)-1]}
@@ -225,17 +181,17 @@ func (j *Job) Subscribe() (replay []StreamRecord, live <-chan StreamRecord, canc
 // Status is a job's wire form: summary fields always, Results only when
 // the caller asks for the detail view.
 type Status struct {
-	ID       string       `json:"id"`
-	State    State        `json:"state"`
-	Error    string       `json:"error,omitempty"`
-	Runners  []string     `json:"runners"`
-	Seed     uint64       `json:"seed"`
-	Scale    float64      `json:"scale"`
-	Created  time.Time    `json:"created"`
-	Started  *time.Time   `json:"started,omitempty"`
-	Finished *time.Time   `json:"finished,omitempty"`
-	WallMS   float64      `json:"wall_ms,omitempty"`
-	Results  []ResultJSON `json:"results,omitempty"`
+	ID       string             `json:"id"`
+	State    State              `json:"state"`
+	Error    string             `json:"error,omitempty"`
+	Runners  []string           `json:"runners"`
+	Seed     uint64             `json:"seed"`
+	Scale    float64            `json:"scale"`
+	Created  time.Time          `json:"created"`
+	Started  *time.Time         `json:"started,omitempty"`
+	Finished *time.Time         `json:"finished,omitempty"`
+	WallMS   float64            `json:"wall_ms,omitempty"`
+	Results  []bench.ResultJSON `json:"results,omitempty"`
 }
 
 // Status snapshots the job. withResults includes the per-experiment
@@ -268,7 +224,7 @@ func (j *Job) Status(withResults bool) Status {
 		}
 	}
 	if withResults {
-		st.Results = append([]ResultJSON(nil), j.results...)
+		st.Results = append([]bench.ResultJSON(nil), j.results...)
 	}
 	return st
 }

@@ -319,6 +319,22 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyTooLarge pins the request-size cap: a 2 MiB body is
+// refused with 413 once maxRequestBytes are read, and the daemon goes
+// on admitting and running jobs.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	big := `{"runners":["` + strings.Repeat("x", 2<<20) + `"]}`
+	if resp, _ := postJob(t, ts, big); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: %d, want 413", resp.StatusCode)
+	}
+	resp, st := postJob(t, ts, goldenBody("fig6"))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid job after the oversized body: %d, want 202", resp.StatusCode)
+	}
+	waitTerminal(t, s, st.ID, StateDone)
+}
+
 // --- parity and caching (real simulations) ---------------------------
 
 // TestGoldenParity pins the acceptance criterion that a job's rendered

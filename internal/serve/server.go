@@ -257,7 +257,7 @@ func (s *Server) runJob(j *Job) {
 			j.finish(StateCanceled, err.Error())
 			return
 		}
-		j.appendResult(resultJSON(res, time.Since(t0)))
+		j.appendResult(res.JSON(time.Since(t0)))
 	}
 	j.finish(StateDone, "")
 }

@@ -2,7 +2,6 @@ package sweep_test
 
 import (
 	"testing"
-	"time"
 
 	"ioatsim/internal/bench"
 	"ioatsim/internal/cost"
@@ -11,42 +10,35 @@ import (
 )
 
 // pointKey is bench.Config.key at the code version "ioatsim-v6": the
-// parts every figure point hashes, in order.
-func pointKey(kind string, seed uint64, scale float64, plan *fault.Plan, costs []bench.CostOverride, parts ...any) string {
-	return sweep.Key("ioatsim-v6", kind, seed, scale, plan, costs, parts)
+// parts every sweep point hashes, in order, typed as Config.key passes
+// them.
+func pointKey(id string, seed uint64, scale float64, plan *fault.Plan, costs []bench.CostOverride, i int) string {
+	return sweep.Key("ioatsim-v6", id, seed, scale, plan, costs, i)
 }
 
-// TestKeyGolden pins the keys of four real sweep points to the hex the
-// original fmt-based encoder gave them. These keys name the files of
-// every persisted point cache, so a change here orphans them all. A
-// change to a key part's type (a new cost.Params or fault.Plan field)
-// moves these keys on purpose; a change to the encoder must not.
+// TestKeyGolden pins the keys of four real sweep points, each the name
+// of the <key>.gob file its runner writes into a point-cache directory.
+// These keys name the files of every persisted point cache, so a change
+// here orphans them all. A change to a key part's type (a new
+// fault.Plan or CostOverride field) moves these keys on purpose; a
+// change to the encoder must not.
 func TestKeyGolden(t *testing.T) {
-	params := func(costs []bench.CostOverride) *cost.Params {
-		p := cost.Default()
-		if err := bench.ApplyCostOverrides(p, costs); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	pin := params(nil)
-	pin.PinPerPage = 4 * 150 * time.Nanosecond
 	costs := []bench.CostOverride{{Field: "PinPerPage", Value: 300}, {Field: "MTU", Value: 9000}}
 	for _, tc := range []struct {
 		name, key, want string
 	}{
 		{"fig3a point 0 at the golden configuration",
-			pointKey("fig3a", 1, 0.05, nil, nil, 1, params(nil)),
-			"f64a0f7c8a134702746b3076181267386b13b0d223d1360cb76d49b365917583"},
-		{"ablpin at 4x the pin cost",
-			pointKey("ablpin", 1, 0.05, nil, nil, 4, pin),
-			"4138afc644219206adc5bf11f089e7392343b49daf13695941e3243ab5e2a371"},
+			pointKey("fig3a", 1, 0.05, nil, nil, 0),
+			"6d48ec41522998277423838db37d959e2b1c5786302c9d4dbcdba401c5503749"},
+		{"ablpin index 3 (4x the pin cost)",
+			pointKey("ablpin", 1, 0.05, nil, nil, 3),
+			"2d4044dab4c1e12c6c29f03d7e91560334e09e6317265057214dc81f444bc05f"},
 		{"fig3a point 0 under loss=0.01,seed=7",
-			pointKey("fig3a", 1, 0.05, &fault.Plan{Seed: 7, LossRate: 0.01}, nil, 1, params(nil)),
-			"003f80e9c242f742aa33de108ffb7b0a91193a5524d30b61d134d23aa91d09a5"},
+			pointKey("fig3a", 1, 0.05, &fault.Plan{Seed: 7, LossRate: 0.01}, nil, 0),
+			"21ba0c8eac94017fd9e48ccd9f939dd2e5c05de69f952e17f6b10f4a1a56e93b"},
 		{"fig3a point 0 with cost overrides",
-			pointKey("fig3a", 1, 0.05, nil, costs, 1, params(costs)),
-			"e1cc678d7af4bebb01033c19ae0f80930b8bc472da2303925f76a50224d40a8b"},
+			pointKey("fig3a", 1, 0.05, nil, costs, 0),
+			"9fc2dec27c509b0bf3b32c1462c24941cf19fbb44b43ca28f35d926d62dc1cba"},
 	} {
 		if tc.key != tc.want {
 			t.Errorf("%s: key %s, want %s", tc.name, tc.key, tc.want)
@@ -54,8 +46,10 @@ func TestKeyGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkKey is the benchmark ladder's sweep.key_ns rung: one key over
-// the parts a micro-benchmark point hashes, a full cost.Params included.
+// BenchmarkKey mirrors the benchmark ladder's sweep.key_ns rung: one
+// key over a full cost.Params among its parts. No point key has that
+// shape any more; BenchmarkPointKey in internal/bench times the key
+// every sweep point builds.
 func BenchmarkKey(b *testing.B) {
 	p := cost.Default()
 	b.ReportAllocs()
