@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint allocbudget test race golden fuzz-smoke bench-smoke trace-smoke fault-smoke serve-smoke sim-bench profile clean
+.PHONY: all build vet lint allocbudget test race golden fuzz-smoke bench-smoke trace-smoke fault-smoke serve-smoke sim-bench profile loc clean
 
 all: build vet lint test
 
@@ -101,6 +101,15 @@ profile: build
 	$(GO) run ./cmd/ioatbench -scale 0.25 -parallel 0 -run fig10a,fig10b \
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof"
+
+# Added, deleted and net non-test Go lines against BASE (default HEAD),
+# over both modules (the root and benchmark/); _test.go files and
+# testdata/ fixtures are left out. A new file counts once it is
+# committed or added with `git add -N`.
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)*/testdata/*' | \
+		awk '{a += $$1; d += $$2} END {printf "non-test Go lines: +%d -%d, net %+d\n", a, d, a - d}'
 
 clean:
 	$(GO) clean ./...

@@ -73,7 +73,6 @@ var determinismPkgs = map[string]bool{
 	"internal/bench":      true,
 	"internal/datacenter": true,
 	"internal/pvfs":       true,
-	"internal/workload":   true,
 	// Result-export paths: ordering nondeterminism here corrupts
 	// rendered artifacts (trace JSON, metrics CSV) even when the
 	// simulation itself is sound.

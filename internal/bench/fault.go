@@ -25,18 +25,12 @@ type faultRow struct {
 // property across every figure).
 var faultLossRates = []float64{0, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02}
 
-// faultPoint measures one loss rate. The plan seed is derived from the
-// config seed, so the same frames are dropped for both feature sets —
-// the comparison isolates the recovery cost, not the noise.
+// faultPoint measures one loss rate under cfg, which faultConfig built.
+// The plan seed is derived from the config seed, so the same frames are
+// dropped for both feature sets — the comparison isolates the recovery
+// cost, not the noise.
 func faultPoint(cfg Config, rate float64) faultRow {
 	pc := cfg
-	// Recovery runs on absolute timescales (RTO backoff), which do not
-	// shrink with the measurement window. Below a quarter scale the
-	// window is shorter than one timeout cycle and the high-loss rows
-	// read zero, so this figure floors its own scale.
-	if pc.Scale > 0 && pc.Scale < 0.25 {
-		pc.Scale = 0.25
-	}
 	// RTO bounds sized to this fabric's sub-millisecond RTTs: the
 	// defaults (1ms..100ms) are safety margins for unknown networks, and
 	// a 100ms initial timer would eat the whole measurement window.
@@ -54,6 +48,20 @@ func faultPoint(cfg Config, rate float64) faultRow {
 	return row
 }
 
+// faultConfig is the config every fault_loss point runs under, and so
+// the one its points are keyed by: each point replaces the fault plan
+// with its own, and recovery runs on absolute timescales (RTO backoff),
+// which do not shrink with the measurement window. Below a quarter
+// scale the window is shorter than one timeout cycle and the high-loss
+// rows read zero, so this figure floors its own scale.
+func faultConfig(cfg Config) Config {
+	cfg.Fault = nil
+	if cfg.Scale > 0 && cfg.Scale < 0.25 {
+		cfg.Scale = 0.25
+	}
+	return cfg
+}
+
 // FaultLoss is the loss-sweep figure: goodput and receiver CPU of the
 // Fig 3a six-port layout as the per-frame loss rate rises from zero to
 // 2%, traditional sockets vs. the full I/OAT stack. Go-back-N recovery
@@ -65,8 +73,9 @@ func FaultLoss(cfg Config) *Result {
 	series := stats.NewSeries("Loss sweep: goodput under faults", "Loss%",
 		"non-I/OAT Mbps", "I/OAT Mbps", "non-I/OAT CPU%", "I/OAT CPU%",
 		"non-I/OAT retx", "I/OAT retx")
-	rows := points(cfg, "fault_loss", len(faultLossRates), func(i int) faultRow {
-		return faultPoint(cfg, faultLossRates[i])
+	pc := faultConfig(cfg)
+	rows := points(pc, "fault_loss", len(faultLossRates), func(i int) faultRow {
+		return faultPoint(pc, faultLossRates[i])
 	})
 	for i, r := range rows {
 		rate := faultLossRates[i]

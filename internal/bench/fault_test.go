@@ -7,6 +7,7 @@ import (
 	"ioatsim/internal/fault"
 	"ioatsim/internal/host"
 	"ioatsim/internal/ioat"
+	"ioatsim/internal/sweep"
 )
 
 // TestFaultSeedSensitivity pins that the fault plane draws from its own
@@ -57,5 +58,28 @@ func TestFaultLossMonotone(t *testing.T) {
 			}
 			prev = v
 		}
+	}
+}
+
+// TestFaultLossKeysItsOwnConfig pins that fault_loss keys its points by
+// the config they run under. Each point replaces the configured fault
+// plan with its own and floors the scale at 0.25, so a run at another
+// scale below the floor, under a plan, must be answered by the points
+// an earlier run stored.
+func TestFaultLossKeysItsOwnConfig(t *testing.T) {
+	cache := sweep.NewPointCache("")
+	first := FaultLoss(Config{Seed: 1, Scale: 0.05, Cache: cache}).String()
+	h0, m0 := cache.Stats()
+	plan, err := fault.ParseSpec("loss=0.001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := FaultLoss(Config{Seed: 1, Scale: 0.1, Fault: &plan, Cache: cache}).String()
+	h1, m1 := cache.Stats()
+	if second != first {
+		t.Errorf("tables differ:\n%s\nvs\n%s", first, second)
+	}
+	if n := len(faultLossRates); h1-h0 != uint64(n) || m1 != m0 {
+		t.Errorf("second run: %d hits, %d misses; want %d hits, 0 misses", h1-h0, m1-m0, n)
 	}
 }

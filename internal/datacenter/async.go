@@ -1,20 +1,18 @@
 package datacenter
 
 // The tiers' workers as continuation state machines on sim.Task: the
-// web, proxy, forwarding, client, emulated-client, database and
-// application workers. A worker that needs a backend connection dials it
-// on its own task first (tcp.Stack.Dial), then enters its request loop.
-// All continuations are bound once at construction; the per-request loop
-// allocates only the boxed message metadata.
+// web, proxy, client, database and application workers. A worker that
+// needs a backend connection dials it on its own task first
+// (tcp.Stack.Dial), then enters its request loop. All continuations are
+// bound once at construction; the per-request loop allocates only the
+// boxed message metadata.
 
 import (
 	"ioatsim/internal/host"
-	"ioatsim/internal/httpm"
 	"ioatsim/internal/mem"
 	"ioatsim/internal/msg"
 	"ioatsim/internal/sim"
 	"ioatsim/internal/tcp"
-	"ioatsim/internal/workload"
 )
 
 // webWorker serves static content on one connection: read a request,
@@ -23,7 +21,7 @@ type webWorker struct {
 	web  *Tier
 	mc   *msg.Async
 	task *sim.Task
-	req  httpm.Request
+	req  request
 
 	stepGotReq func(msg.Envelope)
 	stepServe  func()
@@ -46,9 +44,9 @@ func startWebWorker(web *Tier, conn *tcp.Conn, name string) {
 func (w *webWorker) loop() { w.mc.Recv(mem.Buffer{}, w.stepGotReq) }
 
 func (w *webWorker) gotReq(env msg.Envelope) {
-	req, ok := env.Meta.(httpm.Request)
+	req, ok := env.Meta.(request)
 	if !ok {
-		panic("httpm: expected a request")
+		panic("datacenter: expected a request")
 	}
 	w.req = req
 	if w.web.Node.CPU.ExecTask(w.task, w.stepServe, w.web.appWork(WebFixedWork)) {
@@ -58,15 +56,17 @@ func (w *webWorker) gotReq(env msg.Envelope) {
 }
 
 func (w *webWorker) serve() {
-	f := w.web.FS.MustOpen(w.req.Path)
+	f := w.web.FS.MustOpen(w.req.path)
 	// Static content goes out sendfile-style: zero copy from the page
 	// cache.
-	w.mc.Send(httpm.Response{Status: 200, Path: w.req.Path}, f.Size(),
-		f.Buf, tcp.SendOptions{ZeroCopy: true}, w.stepLoop)
+	w.mc.Send(response{}, f.Size(), f.Buf, tcp.SendOptions{ZeroCopy: true}, w.stepLoop)
 }
 
-// proxyWorker forwards client requests to the web tier through the
-// content cache (two-tier configuration).
+// proxyWorker serves client requests on one connection: from the
+// content cache when it holds the document, otherwise over a persistent
+// connection to the tier behind the proxy (the web tier, or the
+// application tier of the three-tier layout, whose proxy runs with the
+// cache disabled because dynamic content is uncacheable).
 type proxyWorker struct {
 	proxy   *Tier
 	cache   *contentCache
@@ -75,9 +75,8 @@ type proxyWorker struct {
 	task    *sim.Task
 	buf     mem.Buffer
 
-	req  httpm.Request
-	resp httpm.Response
-	n    int
+	req request
+	n   int
 
 	stepGotReq  func(msg.Envelope)
 	stepRoute   func()
@@ -88,21 +87,24 @@ type proxyWorker struct {
 }
 
 // startProxyWorker starts the worker on a new task (one event), which
-// dials the worker's backend connection to the web tier, then enters the
-// request loop.
-func startProxyWorker(name string, idx int, proxy, web *Tier, cache *contentCache,
-	conn *tcp.Conn, o Options) {
+// dials the worker's backend connection to service on the backend node,
+// then enters the request loop. respBytes is the largest response the
+// worker relays.
+func startProxyWorker(name string, idx int, proxy *Tier, backend *host.Node, service string,
+	cache *contentCache, respBytes int, conn *tcp.Conn) {
 	t := proxy.Node.S.NewTask(name)
 	t.Start(func() {
+		// Each msg.Wrap places a header buffer in the proxy's address
+		// space, so this order fixes the addresses the cache prices.
 		client := msg.Wrap(conn)
-		proxy.Node.Stack.Dial(t, web.Node.Stack, "http", idx%6, idx%6, func(bc *tcp.Conn) {
-			backend := msg.Wrap(bc)
+		proxy.Node.Stack.Dial(t, backend.Stack, service, idx%6, idx%6, func(bc *tcp.Conn) {
+			bconn := msg.Wrap(bc)
 			w := &proxyWorker{
 				proxy: proxy, cache: cache, task: t,
-				buf: proxy.Node.Buf(o.FileSize + httpm.RequestBytes),
+				buf: proxy.Node.Buf(respBytes + requestBytes),
 			}
 			w.client = msg.NewAsync(client, t)
-			w.backend = msg.NewAsync(backend, t)
+			w.backend = msg.NewAsync(bconn, t)
 			w.stepGotReq = w.gotReq
 			w.stepRoute = w.route
 			w.stepReqSent = w.reqSent
@@ -117,9 +119,9 @@ func startProxyWorker(name string, idx int, proxy, web *Tier, cache *contentCach
 func (w *proxyWorker) loop() { w.client.Recv(mem.Buffer{}, w.stepGotReq) }
 
 func (w *proxyWorker) gotReq(env msg.Envelope) {
-	req, ok := env.Meta.(httpm.Request)
+	req, ok := env.Meta.(request)
 	if !ok {
-		panic("httpm: expected a request")
+		panic("datacenter: expected a request")
 	}
 	w.req = req
 	if w.proxy.Node.CPU.ExecTask(w.task, w.stepRoute, w.proxy.appWork(ProxyFixedWork)) {
@@ -129,23 +131,21 @@ func (w *proxyWorker) gotReq(env msg.Envelope) {
 }
 
 func (w *proxyWorker) route() {
-	if cbuf, hit := w.cache.Get(w.req.Path); hit {
-		w.client.Send(httpm.Response{Status: 200, Path: w.req.Path},
-			cbuf.Size, cbuf, tcp.SendOptions{}, w.stepLoop)
+	if cbuf, hit := w.cache.Get(w.req.path); hit {
+		w.client.Send(response{}, cbuf.Size, cbuf, tcp.SendOptions{}, w.stepLoop)
 		return
 	}
-	w.backend.Send(w.req, httpm.RequestBytes, mem.Buffer{}, tcp.SendOptions{}, w.stepReqSent)
+	w.backend.Send(w.req, requestBytes, mem.Buffer{}, tcp.SendOptions{}, w.stepReqSent)
 }
 
 func (w *proxyWorker) reqSent() { w.backend.Recv(w.buf, w.stepGotResp) }
 
 func (w *proxyWorker) gotResp(env msg.Envelope) {
-	resp, ok := env.Meta.(httpm.Response)
-	if !ok {
-		panic("httpm: expected a response")
+	if _, ok := env.Meta.(response); !ok {
+		panic("datacenter: expected a response")
 	}
-	w.resp, w.n = resp, env.Body
-	if cbuf, ok := w.cache.Put(w.req.Path, w.n); ok {
+	w.n = env.Body
+	if cbuf, ok := w.cache.Put(w.req.path, w.n); ok {
 		cost := w.proxy.Node.Mem.CopyCost(w.buf.Addr, cbuf.Addr, w.n)
 		if w.proxy.Node.CPU.ExecTask(w.task, w.stepRespond, cost) {
 			return
@@ -155,125 +155,17 @@ func (w *proxyWorker) gotResp(env msg.Envelope) {
 }
 
 func (w *proxyWorker) respond() {
-	w.client.Send(w.resp, w.n, w.buf, tcp.SendOptions{}, w.stepLoop)
+	w.client.Send(response{}, w.n, w.buf, tcp.SendOptions{}, w.stepLoop)
 }
 
-// fwdWorker is the three-tier proxy worker: like proxyWorker but with no
-// cache (dynamic content is uncacheable).
-type fwdWorker struct {
-	proxy   *Tier
-	client  *msg.Async
-	backend *msg.Async
-	task    *sim.Task
-	buf     mem.Buffer
-
-	req  httpm.Request
-	resp httpm.Response
-	n    int
-
-	stepGotReq  func(msg.Envelope)
-	stepForward func()
-	stepReqSent func()
-	stepGotResp func(msg.Envelope)
-	stepLoop    func()
-}
-
-// startFwdWorker starts the worker on a new task (one event), which
-// dials the worker's backend connection to the application tier, then
-// enters the request loop.
-func startFwdWorker(name string, idx int, proxy *Tier, appNode *host.Node,
-	conn *tcp.Conn, o ThreeTierOptions) {
-	t := proxy.Node.S.NewTask(name)
-	t.Start(func() {
-		proxy.Node.Stack.Dial(t, appNode.Stack, "app", idx%6, idx%6, func(bc *tcp.Conn) {
-			backend := msg.Wrap(bc)
-			w := &fwdWorker{proxy: proxy, task: t,
-				buf: proxy.Node.Buf(o.ResponseBytes + httpm.RequestBytes)}
-			w.client = msg.NewAsync(msg.Wrap(conn), t)
-			w.backend = msg.NewAsync(backend, t)
-			w.stepGotReq = w.gotReq
-			w.stepForward = w.forward
-			w.stepReqSent = w.reqSent
-			w.stepGotResp = w.gotResp
-			w.stepLoop = w.loop
-			w.loop()
-		})
-	})
-}
-
-func (w *fwdWorker) loop() { w.client.Recv(mem.Buffer{}, w.stepGotReq) }
-
-func (w *fwdWorker) gotReq(env msg.Envelope) {
-	req, ok := env.Meta.(httpm.Request)
-	if !ok {
-		panic("httpm: expected a request")
-	}
-	w.req = req
-	if w.proxy.Node.CPU.ExecTask(w.task, w.stepForward, w.proxy.appWork(ProxyFixedWork)) {
-		return
-	}
-	w.forward()
-}
-
-func (w *fwdWorker) forward() {
-	w.backend.Send(w.req, httpm.RequestBytes, mem.Buffer{}, tcp.SendOptions{}, w.stepReqSent)
-}
-
-func (w *fwdWorker) reqSent() { w.backend.Recv(w.buf, w.stepGotResp) }
-
-func (w *fwdWorker) gotResp(env msg.Envelope) {
-	resp, ok := env.Meta.(httpm.Response)
-	if !ok {
-		panic("httpm: expected a response")
-	}
-	w.resp, w.n = resp, env.Body
-	w.client.Send(w.resp, w.n, w.buf, tcp.SendOptions{}, w.stepLoop)
-}
-
-// clientWorker is one closed-loop request thread.
+// clientWorker is one closed-loop request thread. With a tier set it is
+// an emulated proxy client (§5.2.3): before each request it pays the
+// proxy's per-request application work on that tier.
 type clientWorker struct {
-	mc        *msg.Async
-	task      *sim.Task
-	trace     workload.Trace
-	dst       mem.Buffer
-	completed *int64
-
-	stepSent    func()
-	stepGotResp func(msg.Envelope)
-}
-
-func startClientWorker(task *sim.Task, mc *msg.Conn, trace workload.Trace,
-	dst mem.Buffer, completed *int64) {
-	w := &clientWorker{task: task, trace: trace, dst: dst, completed: completed}
-	w.mc = msg.NewAsync(mc, task)
-	w.stepSent = w.sent
-	w.stepGotResp = w.gotResp
-	w.loop()
-}
-
-func (w *clientWorker) loop() {
-	w.mc.Send(httpm.Request{Path: w.trace.Next()}, httpm.RequestBytes,
-		mem.Buffer{}, tcp.SendOptions{}, w.stepSent)
-}
-
-func (w *clientWorker) sent() { w.mc.Recv(w.dst, w.stepGotResp) }
-
-func (w *clientWorker) gotResp(env msg.Envelope) {
-	if _, ok := env.Meta.(httpm.Response); !ok {
-		panic("httpm: expected a response")
-	}
-	*w.completed++
-	w.loop()
-}
-
-// emuWorker is an emulated proxy client (§5.2.3): a client thread that
-// also pays the proxy's per-request application work.
-type emuWorker struct {
-	node      *host.Node
 	tier      *Tier
 	mc        *msg.Async
 	task      *sim.Task
-	trace     workload.Trace
+	tr        trace
 	dst       mem.Buffer
 	completed *int64
 
@@ -282,10 +174,9 @@ type emuWorker struct {
 	stepGotResp func(msg.Envelope)
 }
 
-func startEmuWorker(task *sim.Task, node *host.Node, tier *Tier, mc *msg.Conn,
-	trace workload.Trace, dst mem.Buffer, completed *int64) {
-	w := &emuWorker{node: node, tier: tier, task: task, trace: trace,
-		dst: dst, completed: completed}
+func startClientWorker(task *sim.Task, tier *Tier, mc *msg.Conn, tr trace,
+	dst mem.Buffer, completed *int64) {
+	w := &clientWorker{tier: tier, task: task, tr: tr, dst: dst, completed: completed}
 	w.mc = msg.NewAsync(mc, task)
 	w.stepSend = w.send
 	w.stepSent = w.sent
@@ -293,25 +184,22 @@ func startEmuWorker(task *sim.Task, node *host.Node, tier *Tier, mc *msg.Conn,
 	w.loop()
 }
 
-func (w *emuWorker) loop() {
-	// The emulated client is a proxy worker: it pays the proxy's
-	// per-request application work.
-	if w.node.CPU.ExecTask(w.task, w.stepSend, w.tier.appWork(ProxyFixedWork)) {
+func (w *clientWorker) loop() {
+	if w.tier != nil && w.tier.Node.CPU.ExecTask(w.task, w.stepSend, w.tier.appWork(ProxyFixedWork)) {
 		return
 	}
 	w.send()
 }
 
-func (w *emuWorker) send() {
-	w.mc.Send(httpm.Request{Path: w.trace.Next()}, httpm.RequestBytes,
-		mem.Buffer{}, tcp.SendOptions{}, w.stepSent)
+func (w *clientWorker) send() {
+	w.mc.Send(request{path: w.tr.next()}, requestBytes, mem.Buffer{}, tcp.SendOptions{}, w.stepSent)
 }
 
-func (w *emuWorker) sent() { w.mc.Recv(w.dst, w.stepGotResp) }
+func (w *clientWorker) sent() { w.mc.Recv(w.dst, w.stepGotResp) }
 
-func (w *emuWorker) gotResp(env msg.Envelope) {
-	if _, ok := env.Meta.(httpm.Response); !ok {
-		panic("httpm: expected a response")
+func (w *clientWorker) gotResp(env msg.Envelope) {
+	if _, ok := env.Meta.(response); !ok {
+		panic("datacenter: expected a response")
 	}
 	*w.completed++
 	w.loop()
@@ -377,7 +265,6 @@ type appWorker struct {
 
 	reqNo int
 	q     int
-	req   httpm.Request
 
 	stepGotReq    func(msg.Envelope)
 	stepQueries   func()
@@ -417,11 +304,9 @@ func startAppWorker(name string, idx int, app *Tier, db *host.Node,
 func (w *appWorker) loop() { w.client.Recv(mem.Buffer{}, w.stepGotReq) }
 
 func (w *appWorker) gotReq(env msg.Envelope) {
-	req, ok := env.Meta.(httpm.Request)
-	if !ok {
-		panic("httpm: expected a request")
+	if _, ok := env.Meta.(request); !ok {
+		panic("datacenter: expected a request")
 	}
-	w.req = req
 	w.reqNo++
 	// Script execution: fixed cost plus working-set touches.
 	if w.app.Node.CPU.ExecTask(w.task, w.stepQueries, w.app.appWork(AppScriptWork)) {
@@ -463,6 +348,5 @@ func (w *appWorker) render() {
 }
 
 func (w *appWorker) respond() {
-	w.client.Send(httpm.Response{Status: 200, Path: w.req.Path},
-		w.o.ResponseBytes, w.page, tcp.SendOptions{}, w.stepLoop)
+	w.client.Send(response{}, w.o.ResponseBytes, w.page, tcp.SendOptions{}, w.stepLoop)
 }

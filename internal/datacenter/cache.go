@@ -66,12 +66,6 @@ func (c *contentCache) Put(path string, size int) (mem.Buffer, bool) {
 	return e.buf, true
 }
 
-// Len returns the number of cached documents.
-func (c *contentCache) Len() int { return len(c.entries) }
-
-// Used returns the cached byte total.
-func (c *contentCache) Used() int { return c.used }
-
 func (c *contentCache) unlink(e *cacheEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next

@@ -9,6 +9,7 @@ import (
 	"ioatsim/internal/ioat"
 	"ioatsim/internal/mem"
 	"ioatsim/internal/rng"
+	"ioatsim/internal/sim"
 )
 
 // fastOptions returns a small configuration that still exercises the
@@ -133,8 +134,8 @@ func TestContentCacheLRU(t *testing.T) {
 	if _, hit := c.Get("a"); !hit {
 		t.Fatal("refreshed entry a was evicted")
 	}
-	if c.Used() > 10*cost.KB {
-		t.Fatalf("cache over capacity: %d", c.Used())
+	if c.used > 10*cost.KB {
+		t.Fatalf("cache over capacity: %d", c.used)
 	}
 }
 
@@ -255,5 +256,39 @@ func TestAppWorkAllocatesNothing(t *testing.T) {
 	tier := newTier(cl.Add("n", ioat.None(), 1), rng.New(1))
 	if allocs := testing.AllocsPerRun(20, func() { tier.appWork(WebFixedWork) }); allocs != 0 {
 		t.Fatalf("appWork allocates %v times per request", allocs)
+	}
+}
+
+// TestDataCenterEventCounts pins how many events each kind of run
+// dispatches: the two-tier proxy with and without its content cache
+// and under a Zipf trace, the emulated clients, and the three-tier
+// proxy. The goldens pin tables, and no golden runs the cached
+// two-tier path. The package's tests run one at a time, so the
+// process-wide counter's delta is the run's own.
+func TestDataCenterEventCounts(t *testing.T) {
+	cached := fastOptions(ioat.Linux())
+	cached.CacheBytes = cost.MB
+	zipf := fastOptions(ioat.Linux())
+	zipf.FileCount = 100
+	zipf.Alpha = 0.9
+	emu := fastOptions(ioat.Linux())
+	emu.FileSize = 16 * cost.KB
+	three := ThreeTierOptions{Options: fastOptions(ioat.Linux()), QueriesPerRequest: 2}
+	for _, c := range []struct {
+		name string
+		run  func()
+		want uint64
+	}{
+		{"two-tier", func() { RunTwoTier(fastOptions(ioat.None())) }, 52593},
+		{"two-tier cached", func() { RunTwoTier(cached) }, 47265},
+		{"two-tier zipf", func() { RunTwoTier(zipf) }, 65609},
+		{"emulated", func() { RunEmulated(emu, 8) }, 33133},
+		{"three-tier", func() { RunThreeTier(three) }, 40000},
+	} {
+		e0 := sim.GlobalExecuted()
+		c.run()
+		if got := sim.GlobalExecuted() - e0; got != c.want {
+			t.Errorf("%s: %d events, want %d", c.name, got, c.want)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"ioatsim/internal/msg"
 	"ioatsim/internal/sim"
 	"ioatsim/internal/tcp"
-	"ioatsim/internal/workload"
 )
 
 // RunTwoTier builds and measures the §5.2 configuration: external
@@ -24,18 +23,17 @@ func RunTwoTier(o Options) Metrics {
 
 	proxy := newTier(proxyNode, cl.Rand.Fork())
 	web := newTier(webNode, cl.Rand.Fork())
-	catalog := buildCatalog(cl, web, o)
+	names := buildCatalog(cl, web, o)
 	cache := newContentCache(proxyNode, o.CacheBytes)
 
 	startWebTier(web)
-	startProxyTier(proxy, web, cache, o)
+	startProxyTier(proxy, webNode, "http", cache, o.FileSize)
 
 	var completed int64
 	for ci, cn := range clients {
 		for t := 0; t < o.ThreadsPerClient; t++ {
-			trace := newTrace(cl, catalog, o)
-			launchClient(cn, proxyNode, ci%6, fmt.Sprintf("c%d-%d", ci, t),
-				trace, o.FileSize, &completed)
+			launchClient(cn, proxyNode, 0, ci%6, fmt.Sprintf("c%d-%d", ci, t),
+				nil, newTrace(cl, names, o), o.FileSize, &completed)
 		}
 	}
 
@@ -55,41 +53,16 @@ func RunEmulated(o Options, threads int) Metrics {
 
 	clientTier := newTier(clientNode, cl.Rand.Fork())
 	web := newTier(webNode, cl.Rand.Fork())
-	catalog := buildCatalog(cl, web, o)
+	names := buildCatalog(cl, web, o)
 
 	startWebTier(web)
 
 	var completed int64
 	for t := 0; t < threads; t++ {
-		trace := newTrace(cl, catalog, o)
-		clientNode.CPU.RegisterThread()
-		task := cl.S.NewTask(fmt.Sprintf("emu%d", t))
-		task.Start(func() {
-			clientNode.Stack.Dial(task, webNode.Stack, "http", t%6, t%6, func(conn *tcp.Conn) {
-				startEmuWorker(task, clientNode, clientTier, msg.Wrap(conn),
-					trace, clientNode.Buf(o.FileSize), &completed)
-			})
-		})
+		launchClient(clientNode, webNode, t%6, t%6, fmt.Sprintf("emu%d", t),
+			clientTier, newTrace(cl, names, o), o.FileSize, &completed)
 	}
 	return measure(cl, o, &completed, nil, web, clientTier)
-}
-
-// buildCatalog generates the web tier's content: fixed-size documents,
-// or a uniform size spread when configured.
-func buildCatalog(cl *host.Cluster, web *Tier, o Options) *workload.Catalog {
-	if o.SpreadMax > 0 {
-		return workload.GenerateSpread(web.FS, cl.Rand.Fork(), "doc",
-			o.FileCount, o.SpreadMin, o.SpreadMax)
-	}
-	return workload.GenerateUniform(web.FS, "doc", o.FileCount, o.FileSize)
-}
-
-// newTrace builds a per-thread request trace.
-func newTrace(cl *host.Cluster, catalog *workload.Catalog, o Options) workload.Trace {
-	if o.Alpha > 0 {
-		return workload.NewZipf(cl.Rand.Fork(), catalog.Names, o.Alpha)
-	}
-	return &workload.SingleFile{Path: catalog.Names[0]}
 }
 
 // startWebTier runs the web server's accept loop; each connection gets a
@@ -102,23 +75,27 @@ func startWebTier(web *Tier) {
 }
 
 // startProxyTier runs the proxy's accept loop; each client connection
-// gets a worker holding a persistent backend connection to the web tier.
-func startProxyTier(proxy, web *Tier, cache *contentCache, o Options) {
+// gets a worker holding a persistent connection to service on the
+// backend node, relaying responses of up to respBytes.
+func startProxyTier(proxy *Tier, backend *host.Node, service string, cache *contentCache, respBytes int) {
 	proxy.Node.Stack.Listen("http").Serve("proxy-accept", func(i int, conn *tcp.Conn) {
 		proxy.Node.CPU.RegisterThread()
-		startProxyWorker(fmt.Sprintf("proxy-worker%d", i), i, proxy, web, cache, conn, o)
+		startProxyWorker(fmt.Sprintf("proxy-worker%d", i), i, proxy, backend, service,
+			cache, respBytes, conn)
 	})
 }
 
 // launchClient starts one closed-loop client thread on a client node:
-// it dials the server, then runs the request loop on the same task.
-func launchClient(node, server *host.Node, port int, name string,
-	trace workload.Trace, fileSize int, completed *int64) {
+// it dials the server's HTTP port from localPort, then runs the request
+// loop on the same task. A non-nil tier makes it an emulated proxy
+// client that pays the proxy's work on that tier.
+func launchClient(node, server *host.Node, localPort, port int, name string,
+	tier *Tier, tr trace, respBytes int, completed *int64) {
 	node.CPU.RegisterThread()
 	t := node.S.NewTask(name)
 	t.Start(func() {
-		node.Stack.Dial(t, server.Stack, "http", 0, port, func(conn *tcp.Conn) {
-			startClientWorker(t, msg.Wrap(conn), trace, node.Buf(fileSize), completed)
+		node.Stack.Dial(t, server.Stack, "http", localPort, port, func(conn *tcp.Conn) {
+			startClientWorker(t, tier, msg.Wrap(conn), tr, node.Buf(respBytes), completed)
 		})
 	})
 }

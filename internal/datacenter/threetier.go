@@ -8,7 +8,6 @@ import (
 	"ioatsim/internal/host"
 	"ioatsim/internal/ioat"
 	"ioatsim/internal/mem"
-	"ioatsim/internal/sim"
 	"ioatsim/internal/tcp"
 )
 
@@ -107,40 +106,25 @@ func RunThreeTier(o ThreeTierOptions) ThreeTierMetrics {
 	app := newTier(appNode, cl.Rand.Fork())
 	startDBTier(dbNode)
 	startAppTier(app, dbNode, o)
-
-	// The proxy forwards every request to the app tier (dynamic content
-	// is uncacheable).
-	proxyNode.Stack.Listen("http").Serve("proxy-accept", func(i int, conn *tcp.Conn) {
-		proxyNode.CPU.RegisterThread()
-		startFwdWorker(fmt.Sprintf("proxy-worker%d", i), i, proxy, appNode, conn, o)
-	})
+	// Dynamic content is uncacheable: the proxy's cache is disabled, so
+	// it forwards every request to the app tier.
+	startProxyTier(proxy, appNode, "app", newContentCache(proxyNode, 0), o.ResponseBytes)
 
 	var completed int64
 	for ci, cn := range clients {
 		for t := 0; t < o.ThreadsPerClient; t++ {
-			launchClient(cn, proxyNode, ci%6, fmt.Sprintf("c%d-%d", ci, t),
-				&staticPath{}, o.ResponseBytes, &completed)
+			// Every request names the one script; its popularity does
+			// not matter, because the responses are not cached.
+			launchClient(cn, proxyNode, 0, ci%6, fmt.Sprintf("c%d-%d", ci, t),
+				nil, &singleFile{path: "/app.cgi"}, o.ResponseBytes, &completed)
 		}
 	}
 
-	cl.S.RunUntil(sim.Time(o.Warm))
-	cl.ResetMeters()
-	mark := completed
-	cl.S.RunUntil(sim.Time(o.Warm + o.Meas))
-
-	m := ThreeTierMetrics{}
-	m.Completed = completed - mark
-	m.TPS = float64(m.Completed) / o.Meas.Seconds()
-	m.ProxyCPU = proxyNode.CPU.Utilization()
+	m := ThreeTierMetrics{Metrics: measure(cl, o.Options, &completed, proxy, nil, nil)}
 	m.AppCPU = appNode.CPU.Utilization()
 	m.DBCPU = dbNode.CPU.Utilization()
+	// Verify again: the checker range-checks these two readings, and
+	// measure verified the run before them.
 	cl.MustVerify()
 	return m
 }
-
-// staticPath is the trace for dynamic requests: the path is a script
-// name; popularity does not matter because responses are uncacheable.
-type staticPath struct{}
-
-// Next implements workload.Trace.
-func (s *staticPath) Next() string { return "/app.cgi" }

@@ -123,18 +123,19 @@ func describe(t reflect.Type) *structInfo {
 	return got.(*structInfo)
 }
 
-// plain reports whether t is a plain value type: bools, numbers,
+// plain reports whether t is a plain value type: bools, real numbers,
 // strings, and arrays or structs of those with every field exported. A
-// copy of a plain value shares no memory with the original, and a gob
-// round trip returns the value it was given (bar the sign of a negative
-// zero in a struct field, which gob does not send), so the memo can hand
-// one stored row to every hit.
+// copy of a plain value shares no memory with the original, so the memo
+// can hand one stored row to every hit, and Key can encode it. A gob
+// round trip returns the value it was given, bar the sign of a negative
+// zero in a struct field, which gob does not send; CachedRun writes no
+// file for such a row.
 func plain(t reflect.Type) bool {
 	switch t.Kind() {
 	case reflect.Bool, reflect.String,
 		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		reflect.Float32, reflect.Float64:
 		return true
 	case reflect.Array:
 		return plain(t.Elem())
@@ -327,8 +328,10 @@ func (c *PointCache) evict() {
 
 // insert records key -> (blob, row), produced at the given cost, in the
 // memo (replacing any existing entry), makes it the newest entry, and
-// enforces the caps. Callers hold c.mu.
+// enforces the caps.
 func (c *PointCache) insert(key string, blob []byte, row any, cost time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, ok := c.memo[key]
 	if !ok {
 		e = &memoEntry{key: key, idx: len(c.queue)}
@@ -367,9 +370,7 @@ func (c *PointCache) fetch(key string, decode func([]byte) (any, bool)) (row any
 	if row, ok = decode(blob); !ok {
 		return nil, 0, false
 	}
-	c.mu.Lock()
 	c.insert(key, blob, row, cost)
-	c.mu.Unlock()
 	return row, 0, true
 }
 
@@ -380,9 +381,7 @@ func (c *PointCache) fetch(key string, decode func([]byte) (any, bool)) (row any
 // deliberately swallowed: the cache is an accelerator, never a
 // correctness dependency.
 func (c *PointCache) put(key string, blob []byte, row any, cost time.Duration) {
-	c.mu.Lock()
 	c.insert(key, blob, row, cost)
-	c.mu.Unlock()
 	if c.dir == "" {
 		return
 	}
@@ -422,7 +421,8 @@ func (c *PointCache) count(hit bool, saved time.Duration) {
 // running fn. A memo hit returns the stored row itself, and a disk hit
 // decodes its file once. Misses — including files that fail to decode,
 // e.g. a truncated or corrupted cache file — run fn and store its row
-// and gob encoding. T must be a plain value type (see plain), or
+// and gob encoding, writing a file only if the encoding decodes back to
+// a row with the same Key. T must be a plain value type (see plain), or
 // CachedRun panics naming it. A nil cache degrades to plain Run.
 func CachedRun[T any](c *PointCache, parallel, n int, key func(i int) string, fn func(i int) T) []T {
 	out, _ := CachedRunCtx(context.Background(), c, parallel, n, key, fn)
@@ -460,6 +460,15 @@ func CachedRunCtx[T any](ctx context.Context, c *PointCache, parallel, n int, ke
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&out); err != nil {
 			panic(fmt.Sprintf("sweep: point result %T not cacheable: %v", out, err))
+		}
+		if c.dir != "" {
+			// gob drops the sign of a negative zero in a struct field,
+			// and Key prints -0 and 0 apart: a row whose file would not
+			// read back as itself stays in the memo only.
+			if back, ok := decode(buf.Bytes()); !ok || Key(back) != Key(out) {
+				c.insert(k, buf.Bytes(), out, cost)
+				return out
+			}
 		}
 		c.put(k, buf.Bytes(), out, cost)
 		return out

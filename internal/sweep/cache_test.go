@@ -240,6 +240,28 @@ func TestMemoHitReturnsStoredRow(t *testing.T) {
 	}
 }
 
+// TestNegativeZeroSurvivesDisk checks that a row holding -0 in a struct
+// field, which gob cannot send, keeps its sign through a cache with a
+// directory: the row stays in the memo, no file is written, and a fresh
+// cache over the directory simulates the point again.
+func TestNegativeZeroSurvivesDisk(t *testing.T) {
+	type signRow struct{ V float64 }
+	dir := t.TempDir()
+	key := func(int) string { return Key("negzero") }
+	fn := func(int) signRow { return signRow{V: math.Copysign(0, -1)} }
+	for _, c := range []*PointCache{NewPointCache(dir), NewPointCache(dir)} {
+		if out := CachedRun(c, 1, 1, key, fn); !math.Signbit(out[0].V) {
+			t.Fatalf("disk hit returned %v, want -0", out[0].V)
+		}
+		if _, misses := c.Stats(); misses != 1 {
+			t.Fatalf("%d misses, want 1: the point must be simulated, not read back", misses)
+		}
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.gob")); len(files) != 0 {
+		t.Fatalf("wrote %v for a row gob cannot round-trip", files)
+	}
+}
+
 // TestCachedRunRejectsNonPlainRows checks that a row type a memo hit
 // could not share (it holds memory the caller could mutate, or a field
 // gob drops) panics naming the type, before any point runs.
