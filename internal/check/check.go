@@ -5,11 +5,11 @@
 // event dispatch times never move backwards, utilizations stay inside
 // [0, 1], DMA descriptor chains sum to their transfer lengths.
 //
-// A Checker is installed per simulator via sim.WithProbe (host.WithCheck
-// does the wiring for whole clusters); device constructors discover it
-// with Enabled and hold the resulting pointer. When no checker is
-// installed every probe site reduces to one nil comparison, so the
-// benchmark configurations stay on the allocation-free fast path.
+// A Checker is installed per simulator via sim.WithProbe and handed to
+// each device model through its SetChecker (host.WithCheck does both for
+// whole clusters). When no checker is installed every probe site reduces
+// to one nil comparison, so the benchmark configurations stay on the
+// allocation-free fast path.
 //
 // Violations are recorded, not thrown: a run completes and the harness
 // (host.Cluster.Verify, the golden-corpus test, the fuzz targets) asks
@@ -52,18 +52,6 @@ type Checker struct {
 // handed straight to sim.WithProbe.
 func New() *Checker {
 	return &Checker{ledgers: make(map[string]*Ledger)}
-}
-
-// Enabled returns the Checker installed on the simulator, or nil when
-// the simulator runs unchecked. Device constructors call this once and
-// keep the pointer.
-func Enabled(s *sim.Simulator) *Checker {
-	for _, p := range s.Probes() {
-		if c, ok := p.(*Checker); ok {
-			return c
-		}
-	}
-	return nil
 }
 
 // EventScheduled implements sim.Probe: no event may be scheduled into

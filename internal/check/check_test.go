@@ -8,17 +8,6 @@ import (
 	"ioatsim/internal/sim"
 )
 
-func TestEnabledDiscovery(t *testing.T) {
-	if Enabled(sim.New()) != nil {
-		t.Error("unchecked simulator reported a checker")
-	}
-	c := New()
-	s := sim.New(sim.WithProbe(c))
-	if Enabled(s) != c {
-		t.Error("Enabled did not return the installed checker")
-	}
-}
-
 func TestEventProbes(t *testing.T) {
 	c := New()
 	s := sim.New(sim.WithProbe(c))

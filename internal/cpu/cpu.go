@@ -52,12 +52,16 @@ func New(s *sim.Simulator, p *cost.Params) *CPU {
 		panic("cpu: need at least one core")
 	}
 	return &CPU{S: s, P: p, cores: make([]core, p.Cores),
-		markCoreBusy: make([]time.Duration, p.Cores),
-		chk:          check.Enabled(s)}
+		markCoreBusy: make([]time.Duration, p.Cores)}
 }
 
 // NumCores returns the number of cores.
 func (c *CPU) NumCores() int { return len(c.cores) }
+
+// SetChecker puts the CPU in checked mode: every work item asserts that
+// its core's schedule only moves forward, and every utilization read
+// stays in [0, 1].
+func (c *CPU) SetChecker(chk *check.Checker) { c.chk = chk }
 
 // SetObs attaches the node's observability sinks. Every core-work span
 // and profiler sample flows through enqueue, so this one pointer covers

@@ -41,6 +41,11 @@ type Engine struct {
 	obs *trace.Obs
 }
 
+// SetChecker puts the engine in checked mode: each transfer's bytes
+// enter and leave the "dma:bytes" ledger, and its descriptor chain is
+// audited against the transfer length.
+func (e *Engine) SetChecker(c *check.Checker) { e.chk = c }
+
 // SetObs attaches the owning node's observability sinks; each transfer
 // then records its engine-occupancy span on the node's dma track. (The
 // CPU-side setup cost is charged — and attributed — by the caller.)
@@ -57,7 +62,7 @@ type xfer struct {
 
 // New returns an idle engine.
 func New(s *sim.Simulator, p *cost.Params, m *mem.Model) *Engine {
-	return &Engine{S: s, P: p, Mem: m, chk: check.Enabled(s)}
+	return &Engine{S: s, P: p, Mem: m}
 }
 
 // SetupCost returns the CPU time to program one n-byte transfer: a fixed

@@ -42,28 +42,6 @@ type Node struct {
 	Copier *ioat.Copier
 }
 
-// NewNode builds a machine with nports NIC ports.
-func NewNode(s *sim.Simulator, p *cost.Params, feat ioat.Features, name string, nports int) *Node {
-	m := mem.NewModel(p)
-	m.SetChecker(check.Enabled(s))
-	c := cpu.New(s, p)
-	e := dma.New(s, p, m)
-	n := nic.New(s, p, c, m, e, feat, name, nports)
-	st := tcp.NewStack(s, p, c, m, e, n, feat, name)
-	if o := trace.NewObs(s, name); o != nil {
-		c.SetObs(o)
-		m.SetObs(o)
-		e.SetObs(o)
-		n.SetObs(o) // also wires the ports
-		st.SetObs(o)
-	}
-	return &Node{
-		Name: name, S: s, P: p, Feat: feat,
-		CPU: c, Mem: m, DMA: e, NIC: n, Stack: st,
-		Copier: ioat.NewCopier(c, e, m),
-	}
-}
-
 // Buf allocates a user buffer in the node's address space.
 func (n *Node) Buf(size int) mem.Buffer { return n.Mem.Space.Alloc(size, 0) }
 
@@ -95,7 +73,7 @@ type Cluster struct {
 	Obs Observability
 
 	// scope is this cluster's metrics instrument scope, nil without a
-	// registry.
+	// registry and once Close has reported the event totals.
 	scope *metrics.Scope
 }
 
@@ -123,8 +101,8 @@ func (o Observability) Enabled() bool {
 type Option func(*Cluster)
 
 // WithCheck installs a runtime invariant checker on the cluster's
-// simulator: every device built on it self-registers its probes, and
-// Verify reports the verdict at the end of the run.
+// simulator and hands it to every device the cluster builds; Verify
+// reports the verdict at the end of the run.
 func WithCheck() Option {
 	return func(c *Cluster) { c.Check = check.New() }
 }
@@ -148,8 +126,8 @@ func WithFault(plan fault.Plan) Option {
 	return func(c *Cluster) { c.Fault = fault.NewInjector(plan) }
 }
 
-// WithObservability installs the given observability sinks on the
-// cluster's simulator as additional probes (composing with WithCheck).
+// WithObservability hands the given observability sinks to every node
+// the cluster builds (composing with WithCheck).
 // Sinks may be shared across sequentially-built clusters of one sweep;
 // the tracer and registry are not safe for concurrently-running
 // simulators.
@@ -177,13 +155,7 @@ func NewCluster(p *cost.Params, seed uint64, opts ...Option) *Cluster {
 		simOpts = append(simOpts, sim.WithProbe(c.Check))
 	}
 	if c.Obs.Trace != nil {
-		simOpts = append(simOpts, sim.WithProbe(c.Obs.Trace))
-	}
-	if c.Obs.Profile != nil {
-		simOpts = append(simOpts, sim.WithProbe(c.Obs.Profile))
-	}
-	if c.Obs.Metrics != nil {
-		simOpts = append(simOpts, sim.WithProbe(c.Obs.Metrics))
+		simOpts = append(simOpts, sim.WithProcProbe(c.Obs.Trace))
 	}
 	if c.Fault != nil {
 		if r := c.Fault.Plan().RxRingFrames; r > 0 && r < p.Frames(p.ChunkMax) {
@@ -235,16 +207,51 @@ func (c *Cluster) MustVerify() {
 }
 
 // Close ends a finished simulation: it closes the simulator, so no
-// pending event runs afterwards (sim.Simulator.Close), and hands each
-// node's cache state back for the next cluster to reuse
-// (mem.Cache.Release). Every harness that builds a cluster defers it
-// right after building, so it runs after MustVerify, whose final cache
-// audit needs the live state. The cluster can no longer run afterwards;
+// pending event runs afterwards (sim.Simulator.Close), hands each node's
+// cache state back for the next cluster to reuse (mem.Cache.Release),
+// and adds the simulator's event totals to the metrics registry. The
+// engine cancels no event, so every event scheduled was dispatched or
+// is still pending. Every harness that builds a cluster defers it right
+// after building, so it runs after MustVerify, whose final cache audit
+// needs the live state. The cluster can no longer run afterwards;
 // closing twice does nothing.
 func (c *Cluster) Close() {
 	c.S.Close()
 	for _, n := range c.Nodes {
 		n.Mem.Cache.Release()
+	}
+	if c.scope != nil {
+		ran := c.S.Executed()
+		c.Obs.Metrics.AddEvents(ran+uint64(c.S.Pending()), ran)
+		c.scope = nil
+	}
+}
+
+// newNode builds a machine with nports NIC ports and hands each of its
+// devices the cluster's checker and the node's observability sinks.
+func (c *Cluster) newNode(feat ioat.Features, name string, nports int) *Node {
+	s, p := c.S, c.P
+	m := mem.NewModel(p)
+	m.SetChecker(c.Check)
+	cp := cpu.New(s, p)
+	e := dma.New(s, p, m)
+	n := nic.New(s, p, cp, m, e, feat, name, nports)
+	st := tcp.NewStack(s, p, cp, m, e, n, feat, name)
+	cp.SetChecker(c.Check)
+	e.SetChecker(c.Check)
+	n.SetChecker(c.Check) // also wires the ports
+	st.SetChecker(c.Check)
+	if o := trace.NewObs(s, c.Obs.Trace, c.Obs.Profile, name); o != nil {
+		cp.SetObs(o)
+		m.SetObs(o)
+		e.SetObs(o)
+		n.SetObs(o) // also wires the ports
+		st.SetObs(o)
+	}
+	return &Node{
+		Name: name, S: s, P: p, Feat: feat,
+		CPU: cp, Mem: m, DMA: e, NIC: n, Stack: st,
+		Copier: ioat.NewCopier(cp, e, m),
 	}
 }
 
@@ -253,7 +260,7 @@ func (c *Cluster) Add(name string, feat ioat.Features, nports int) *Node {
 	if _, dup := c.byName[name]; dup {
 		panic(fmt.Sprintf("host: duplicate node %q", name))
 	}
-	n := NewNode(c.S, c.P, feat, name, nports)
+	n := c.newNode(feat, name, nports)
 	if c.Fault != nil {
 		n.CPU.SetFault(c.Fault.Node(name))
 		n.NIC.Fault = c.Fault.NIC(name)

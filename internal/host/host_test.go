@@ -1,6 +1,8 @@
 package host
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -8,8 +10,10 @@ import (
 	"ioatsim/internal/cost"
 	"ioatsim/internal/ioat"
 	"ioatsim/internal/mem"
+	"ioatsim/internal/msg"
 	"ioatsim/internal/sim"
 	"ioatsim/internal/tcp"
+	"ioatsim/internal/trace"
 )
 
 func TestTestbed1Shape(t *testing.T) {
@@ -87,6 +91,47 @@ func TestResetMetersClearsUtilization(t *testing.T) {
 	c.S.Run()
 	if u := b.CPU.Utilization(); u != 0 {
 		t.Fatalf("utilization after reset and idle = %v, want 0", u)
+	}
+}
+
+// TestClusterWiresEveryDevice checks that a cluster hands its checker
+// to every device it builds, each NIC port and a framed connection
+// included, and one observability bundle per node to each device of
+// that node.
+func TestClusterWiresEveryDevice(t *testing.T) {
+	c := NewCluster(cost.Default(), 1, WithCheck(),
+		WithObservability(Observability{Trace: trace.New(64), Profile: trace.NewProfiler()}))
+	defer c.Close()
+	a := c.Add("a", ioat.Full(), 2)
+	b := c.Add("b", ioat.Full(), 2)
+	ca, _ := tcp.Pair(a.Stack, b.Stack, 0, 0)
+	field := func(dev any, name string) uintptr {
+		return reflect.ValueOf(dev).Elem().FieldByName(name).Pointer()
+	}
+	chk := reflect.ValueOf(c.Check).Pointer()
+	if got := field(msg.Wrap(ca), "chk"); got != chk {
+		t.Errorf("msg.Conn checker %#x, want the cluster's %#x", got, chk)
+	}
+	bundles := make([]uintptr, 0, 2)
+	for _, n := range []*Node{a, b} {
+		devs := []any{n.CPU, n.Mem, n.DMA, n.NIC, n.Stack}
+		for _, p := range n.NIC.Ports {
+			devs = append(devs, p)
+		}
+		obs := field(n.CPU, "obs")
+		for _, d := range devs {
+			name := fmt.Sprintf("%s's %T", n.Name, d)
+			if got := field(d, "chk"); got != chk {
+				t.Errorf("%s checker %#x, want the cluster's %#x", name, got, chk)
+			}
+			if got := field(d, "obs"); got == 0 || got != obs {
+				t.Errorf("%s observability bundle %#x, want the node's %#x", name, got, obs)
+			}
+		}
+		bundles = append(bundles, obs)
+	}
+	if bundles[0] == bundles[1] {
+		t.Errorf("both nodes share the observability bundle %#x", bundles[0])
 	}
 }
 

@@ -107,6 +107,11 @@ type Port struct {
 	obs *trace.Obs
 }
 
+// SetChecker puts the port in checked mode: each chunk's payload and
+// wire bytes enter the link ledgers when sent and leave them when
+// delivered or dropped.
+func (p *Port) SetChecker(c *check.Checker) { p.chk = c }
+
 // SetObs attaches the owning node's observability sinks; each chunk then
 // records its wire-occupancy span on the port's link track.
 func (p *Port) SetObs(o *trace.Obs) { p.obs = o }
@@ -116,8 +121,7 @@ func NewPort(s *sim.Simulator, node string, index int, rateBps int64, prop time.
 	if rateBps <= 0 {
 		panic("link: non-positive rate")
 	}
-	return &Port{S: s, Node: node, Index: index, RateBps: rateBps, Prop: prop,
-		chk: check.Enabled(s)}
+	return &Port{S: s, Node: node, Index: index, RateBps: rateBps, Prop: prop}
 }
 
 // serTime returns the serialization time of n wire bytes at the port rate.

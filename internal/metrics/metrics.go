@@ -5,9 +5,8 @@
 //
 // Instruments live in per-cluster Scopes (every simulation point gets
 // its own scope so sweeps don't mix their series); the Registry collects
-// the sampled rows from all scopes and also implements sim.Probe, so it
-// installs through the same hook as the invariant checker and the tracer
-// and counts engine events while doing so.
+// the sampled rows from all scopes, and the engine event totals each
+// cluster reports when it closes.
 //
 // Device models never poll the registry: host registration wires gauge
 // closures over device state (core busy time, port byte counters, DMA
@@ -36,7 +35,7 @@ type Row struct {
 }
 
 // Registry owns the sampled rows of every scope and the engine event
-// counters fed through the probe hooks. Rows are appended under a mutex
+// totals of every cluster built with it. Rows are appended under a mutex
 // so a registry can outlive many sequential clusters (and stay safe if a
 // sweep samples from worker goroutines).
 type Registry struct {
@@ -51,25 +50,11 @@ type Registry struct {
 // New returns an empty registry.
 func New() *Registry { return &Registry{} }
 
-// Enabled returns the Registry installed on the simulator, or nil.
-func Enabled(s *sim.Simulator) *Registry {
-	for _, p := range s.Probes() {
-		if r, ok := p.(*Registry); ok {
-			return r
-		}
-	}
-	return nil
-}
-
-// EventScheduled implements sim.Probe.
-func (r *Registry) EventScheduled(now, at sim.Time) { r.scheduled.Add(1) }
-
-// EventDispatched implements sim.Probe.
-func (r *Registry) EventDispatched(at sim.Time) { r.dispatched.Add(1) }
-
-// Events reports (scheduled, dispatched) engine event totals.
-func (r *Registry) Events() (scheduled, dispatched uint64) {
-	return r.scheduled.Load(), r.dispatched.Load()
+// AddEvents adds one simulator's engine event totals: how many events
+// it scheduled and how many it dispatched.
+func (r *Registry) AddEvents(scheduled, dispatched uint64) {
+	r.scheduled.Add(scheduled)
+	r.dispatched.Add(dispatched)
 }
 
 // NewScope returns a fresh instrument scope. Each scope's series are
@@ -128,8 +113,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	r.mu.Unlock()
 
 	bw := bufio.NewWriter(w)
-	sched, disp := r.Events()
-	fmt.Fprintf(bw, "{\"events_scheduled\":%d,\"events_dispatched\":%d,\"series\":[", sched, disp)
+	fmt.Fprintf(bw, "{\"events_scheduled\":%d,\"events_dispatched\":%d,\"series\":[",
+		r.scheduled.Load(), r.dispatched.Load())
 	for i, name := range order {
 		if i > 0 {
 			bw.WriteByte(',')

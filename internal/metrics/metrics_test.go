@@ -198,15 +198,7 @@ func TestRatioFuncSkipsIdleWindows(t *testing.T) {
 }
 
 func TestRegistryExports(t *testing.T) {
-	s := sim.New()
 	reg := New()
-	if Enabled(s) != nil {
-		t.Fatal("Enabled on a bare simulator must be nil")
-	}
-	s2 := sim.New(sim.WithProbe(reg))
-	if Enabled(s2) != reg {
-		t.Fatal("Enabled did not discover the registry")
-	}
 	sc := reg.NewScope()
 	sc.GaugeFunc("g", func() float64 { return 1.5 })
 	sc.Sample(sim.Time(1000), time.Microsecond)

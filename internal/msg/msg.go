@@ -38,7 +38,7 @@ func Wrap(c *tcp.Conn) *Conn {
 		return mc
 	}
 	mc := &Conn{T: c, hdr: c.Stack().Mem.Space.Alloc(HeaderBytes, 0),
-		chk: check.Enabled(c.Stack().S)}
+		chk: c.Stack().Checker()}
 	c.SetUserData(mc)
 	return mc
 }

@@ -108,6 +108,16 @@ type NIC struct {
 	obs *trace.Obs
 }
 
+// SetChecker puts the NIC and all its ports in checked mode: interrupt
+// coalescing, receive-buffer placement and the rx-byte ledger are
+// asserted per chunk.
+func (n *NIC) SetChecker(c *check.Checker) {
+	n.chk = c
+	for _, p := range n.Ports {
+		p.SetChecker(c)
+	}
+}
+
 // SetObs attaches the node's observability sinks to the NIC and all its
 // ports: chunk arrivals become instants on the nic track and softirq
 // work is attributed per receive core.
@@ -121,8 +131,7 @@ func (n *NIC) SetObs(o *trace.Obs) {
 // New returns a NIC with nports ports attached to the node.
 func New(s *sim.Simulator, p *cost.Params, c *cpu.CPU, m *mem.Model,
 	e *dma.Engine, feat ioat.Features, node string, nports int) *NIC {
-	n := &NIC{S: s, P: p, CPU: c, Mem: m, DMA: e, Feat: feat, Node: node,
-		chk: check.Enabled(s)}
+	n := &NIC{S: s, P: p, CPU: c, Mem: m, DMA: e, Feat: feat, Node: node}
 	n.rxPool = mem.NewPool(m.Space, rxBufSize(p))
 	n.hdrRing = m.Space.Alloc(p.HeaderRingBytes, 0)
 	n.hdrSlotBytes = p.HeaderLines * p.CacheLine

@@ -166,6 +166,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	s.snap.WriteJSON(w)
+	writeJSON(w, http.StatusOK, s.readMetrics())
 }

@@ -93,7 +93,6 @@ type Server struct {
 	opts  Options
 	cache *sweep.PointCache
 	queue *queue
-	snap  *metrics.Snapshot
 
 	baseCtx   context.Context
 	cancelAll context.CancelFunc
@@ -112,7 +111,9 @@ type Server struct {
 	rejected atomic.Uint64
 	finished [3]atomic.Uint64 // done, failed, canceled
 
-	latency *metrics.LockedHistogram
+	// latency holds finished jobs' wall-clock durations in seconds,
+	// under mu.
+	latency *metrics.Histogram
 
 	// run executes one job; tests replace it to exercise the queue and
 	// lifecycle without simulating.
@@ -126,12 +127,12 @@ func New(opts Options) *Server {
 		opts:  opts,
 		cache: sweep.NewPointCache(opts.CacheDir).Bound(opts.CacheEntries, opts.CacheBytes),
 		queue: newQueue(opts.QueueDepth),
-		snap:  metrics.NewSnapshot(),
 		jobs:  make(map[string]*Job),
+		latency: metrics.NewHistogram(
+			0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300),
 	}
 	s.baseCtx, s.cancelAll = context.WithCancel(context.Background())
 	s.run = s.runJob
-	s.registerMetrics()
 	return s
 }
 
@@ -139,59 +140,74 @@ func New(opts Options) *Server {
 // log read its stats).
 func (s *Server) Cache() *sweep.PointCache { return s.cache }
 
-// registerMetrics wires the /metrics snapshot: serving state, job
-// outcome counters, latency, cache effectiveness and engine throughput.
-func (s *Server) registerMetrics() {
-	s.snap.Func("uptime_s", func() float64 {
-		s.mu.Lock()
-		t0 := s.started
-		s.mu.Unlock()
-		if t0.IsZero() {
-			return 0
+// metricsDoc is the /metrics document: serving state, job outcome
+// counters, latency, cache effectiveness and engine throughput.
+type metricsDoc struct {
+	UptimeS        float64    `json:"uptime_s"`
+	QueueDepth     int        `json:"queue_depth"`
+	InflightJobs   int64      `json:"inflight_jobs"`
+	JobsAccepted   uint64     `json:"jobs_accepted"`
+	JobsRejected   uint64     `json:"jobs_rejected"`
+	JobsDone       uint64     `json:"jobs_done"`
+	JobsFailed     uint64     `json:"jobs_failed"`
+	JobsCanceled   uint64     `json:"jobs_canceled"`
+	JobLatencyS    latencyDoc `json:"job_latency_s"`
+	CacheHits      uint64     `json:"cache_hits"`
+	CacheMisses    uint64     `json:"cache_misses"`
+	CacheHitRatio  float64    `json:"cache_hit_ratio"`
+	CacheSavedS    float64    `json:"cache_saved_s"`
+	CacheEvictions uint64     `json:"cache_evictions"`
+	CacheEntries   int        `json:"cache_entries"`
+	CacheBytes     int64      `json:"cache_bytes"`
+	SimEventsTotal uint64     `json:"sim_events_total"`
+	SimEventsPerS  float64    `json:"sim_events_per_s"`
+}
+
+// latencyDoc summarizes the job latency histogram.
+type latencyDoc struct {
+	Count int64   `json:"count"`
+	Mean  float64 `json:"mean"`
+	Min   float64 `json:"min"`
+	Max   float64 `json:"max"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
+}
+
+// readMetrics reads the server's counters into a /metrics document.
+func (s *Server) readMetrics() metricsDoc {
+	hits, misses := s.cache.Stats()
+	d := metricsDoc{
+		QueueDepth:     s.queue.Depth(),
+		InflightJobs:   s.inflight.Load(),
+		JobsAccepted:   s.accepted.Load(),
+		JobsRejected:   s.rejected.Load(),
+		JobsDone:       s.finished[0].Load(),
+		JobsFailed:     s.finished[1].Load(),
+		JobsCanceled:   s.finished[2].Load(),
+		CacheHits:      hits,
+		CacheMisses:    misses,
+		CacheSavedS:    s.cache.Saved().Seconds(),
+		CacheEvictions: s.cache.Evictions(),
+		CacheEntries:   s.cache.Len(),
+		CacheBytes:     s.cache.Bytes(),
+	}
+	if hits+misses > 0 {
+		d.CacheHitRatio = float64(hits) / float64(hits+misses)
+	}
+	s.mu.Lock()
+	t0, ev0, h := s.started, s.startEv, s.latency
+	d.JobLatencyS = latencyDoc{h.N(), h.Mean(), h.Min(), h.Max(),
+		h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99)}
+	s.mu.Unlock()
+	d.SimEventsTotal = sim.GlobalExecuted() - ev0
+	if !t0.IsZero() {
+		d.UptimeS = time.Since(t0).Seconds()
+		if d.UptimeS > 0 {
+			d.SimEventsPerS = float64(d.SimEventsTotal) / d.UptimeS
 		}
-		return time.Since(t0).Seconds()
-	})
-	s.snap.Func("queue_depth", func() float64 { return float64(s.queue.Depth()) })
-	s.snap.Func("inflight_jobs", func() float64 { return float64(s.inflight.Load()) })
-	s.snap.Func("jobs_accepted", func() float64 { return float64(s.accepted.Load()) })
-	s.snap.Func("jobs_rejected", func() float64 { return float64(s.rejected.Load()) })
-	s.snap.Func("jobs_done", func() float64 { return float64(s.finished[0].Load()) })
-	s.snap.Func("jobs_failed", func() float64 { return float64(s.finished[1].Load()) })
-	s.snap.Func("jobs_canceled", func() float64 { return float64(s.finished[2].Load()) })
-	s.latency = s.snap.Histogram("job_latency_s",
-		0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300)
-	s.snap.Func("cache_hits", func() float64 { h, _ := s.cache.Stats(); return float64(h) })
-	s.snap.Func("cache_misses", func() float64 { _, m := s.cache.Stats(); return float64(m) })
-	s.snap.Func("cache_hit_ratio", func() float64 {
-		h, m := s.cache.Stats()
-		if h+m == 0 {
-			return 0
-		}
-		return float64(h) / float64(h+m)
-	})
-	s.snap.Func("cache_saved_s", func() float64 { return s.cache.Saved().Seconds() })
-	s.snap.Func("cache_evictions", func() float64 { return float64(s.cache.Evictions()) })
-	s.snap.Func("cache_entries", func() float64 { return float64(s.cache.Len()) })
-	s.snap.Func("cache_bytes", func() float64 { return float64(s.cache.Bytes()) })
-	s.snap.Func("sim_events_total", func() float64 {
-		s.mu.Lock()
-		ev0 := s.startEv
-		s.mu.Unlock()
-		return float64(sim.GlobalExecuted() - ev0)
-	})
-	s.snap.Func("sim_events_per_s", func() float64 {
-		s.mu.Lock()
-		t0, ev0 := s.started, s.startEv
-		s.mu.Unlock()
-		if t0.IsZero() {
-			return 0
-		}
-		up := time.Since(t0).Seconds()
-		if up <= 0 {
-			return 0
-		}
-		return float64(sim.GlobalExecuted()-ev0) / up
-	})
+	}
+	return d
 }
 
 // Start launches the worker pool.
@@ -226,7 +242,9 @@ func (s *Server) dispatch(j *Job) {
 	defer s.inflight.Add(-1)
 	t0 := time.Now()
 	s.run(j)
+	s.mu.Lock()
 	s.latency.Observe(time.Since(t0).Seconds())
+	s.mu.Unlock()
 	switch j.State() {
 	case StateDone:
 		s.finished[0].Add(1)
@@ -357,11 +375,9 @@ func (s *Server) Jobs() []*Job {
 // RetryAfter estimates the wait an overflowed client should observe
 // before retrying.
 func (s *Server) RetryAfter() time.Duration {
-	var mean float64
-	if s.latency != nil && s.latency.N() > 0 {
-		_, m, _, _, _, _, _ := s.latency.Snapshot()
-		mean = m
-	}
+	s.mu.Lock()
+	mean := s.latency.Mean()
+	s.mu.Unlock()
 	return retryAfter(mean, s.queue.Depth(), s.opts.Workers)
 }
 

@@ -73,10 +73,9 @@ type event struct {
 	arg   any
 }
 
-// Probe observes engine activity for debug-mode checking and tracing
-// (see internal/check, internal/trace, internal/metrics). Install one or
-// more with WithProbe; without any the engine pays a single predictable
-// nil-branch per event.
+// Probe observes engine activity for debug-mode checking (the
+// invariant checker in internal/check). Install one with WithProbe;
+// without it the engine pays a single predictable nil-branch per event.
 type Probe interface {
 	// EventScheduled fires inside At after validation: now is the
 	// current clock, at the requested dispatch time.
@@ -86,73 +85,29 @@ type Probe interface {
 	EventDispatched(at Time)
 }
 
-// ProcProbe is an optional extension a Probe can implement to observe
-// scheduler hand-offs to simulation tasks. Only the first installed
-// probe implementing it receives the callbacks.
+// ProcProbe observes scheduler hand-offs to simulation tasks (the
+// tracer in internal/trace). Install one with WithProcProbe.
 type ProcProbe interface {
 	// ProcRun fires each time the event loop runs a task's
 	// continuation (start, wake, charge expiry, completion).
 	ProcRun(name string, at Time)
 }
 
-// multiProbe fans engine hooks out to several probes in install order.
-// The common cases (zero or one probe) never allocate it: the engine's
-// hot path still tests one pointer and makes at most one direct call.
-type multiProbe struct{ probes []Probe }
-
-func (m *multiProbe) EventScheduled(now, at Time) {
-	for _, p := range m.probes {
-		p.EventScheduled(now, at)
-	}
-}
-
-func (m *multiProbe) EventDispatched(at Time) {
-	for _, p := range m.probes {
-		p.EventDispatched(at)
-	}
-}
-
 // Option configures a Simulator at construction.
 type Option func(*Simulator)
 
-// WithProbe installs a probe that observes every schedule and dispatch.
-// The option may be given multiple times; all probes see every hook, in
-// install order.
+// WithProbe installs the probe that observes every schedule and
+// dispatch. A simulator holds at most one; a later WithProbe replaces
+// an earlier one.
 func WithProbe(p Probe) Option {
-	return func(s *Simulator) { s.addProbe(p) }
+	return func(s *Simulator) { s.probe = p }
 }
 
-// addProbe appends p to the installed probe set, wrapping in a fan-out
-// only once a second probe arrives.
-func (s *Simulator) addProbe(p Probe) {
-	if p == nil {
-		return
-	}
-	switch cur := s.probe.(type) {
-	case nil:
-		s.probe = p
-	case *multiProbe:
-		cur.probes = append(cur.probes, p)
-	default:
-		s.probe = &multiProbe{probes: []Probe{cur, p}}
-	}
-	if pp, ok := p.(ProcProbe); ok && s.procProbe == nil {
-		s.procProbe = pp
-	}
-}
-
-// Probes returns the individually installed probes in install order
-// (never the internal fan-out wrapper), so subsystems can discover their
-// own probe by type even when several are installed.
-func (s *Simulator) Probes() []Probe {
-	switch cur := s.probe.(type) {
-	case nil:
-		return nil
-	case *multiProbe:
-		return cur.probes
-	default:
-		return []Probe{cur}
-	}
+// WithProcProbe installs the probe that observes every task run. A
+// simulator holds at most one; a later WithProcProbe replaces an
+// earlier one.
+func WithProcProbe(p ProcProbe) Option {
+	return func(s *Simulator) { s.procProbe = p }
 }
 
 // Simulator owns the virtual clock and the pending event set.
@@ -161,9 +116,10 @@ type Simulator struct {
 	now     Time
 	seq     uint64
 	stopped bool
-	probe   Probe
-	// procProbe caches the first installed probe that also implements
-	// ProcProbe, so a wake pays one nil-test instead of a type switch.
+
+	// probe and procProbe are the observers WithProbe and WithProcProbe
+	// install, nil when there are none.
+	probe     Probe
 	procProbe ProcProbe
 
 	// heap holds the pending events (heap.go); peak is the most ever

@@ -54,8 +54,9 @@ func Key(parts ...any) string {
 // prefixed with a kind tag and structs with their full type name, so
 // values of different types never collide ("1" as int vs. uint vs. "1"
 // the string), and reordering or renaming struct fields changes the key.
-// The bytes must never change: they name every persisted <key>.gob, and
-// the tests pin them against a fmt-based reference encoder.
+// The bytes must never change: they name every persisted
+// <key>.<shape>.gob, and the tests pin them against a fmt-based
+// reference encoder.
 func appendCanon(b []byte, v reflect.Value) []byte {
 	if !v.IsValid() {
 		return append(b, "nil"...)
@@ -148,9 +149,10 @@ func plain(t reflect.Type) bool {
 // PointCache memoizes sweep-point results by content-addressed key. An
 // in-process map serves hits across the figures of one invocation; with
 // a directory it also persists each result's gob encoding as
-// <dir>/<key>.gob, so later invocations at the same configuration and
-// code version skip the simulation. Safe for concurrent use by parallel
-// sweep workers.
+// <dir>/<key>.<shape>.gob, where shape names the row type (see
+// CachedRunCtx), so later invocations at the same configuration, code
+// version and row type skip the simulation. Safe for concurrent use by
+// parallel sweep workers.
 //
 // The in-process memo is optionally bounded (see Bound), so a
 // long-running server can share one cache across an unbounded job
@@ -445,8 +447,17 @@ func CachedRunCtx[T any](ctx context.Context, c *PointCache, parallel, n int, ke
 		err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&out)
 		return out, err == nil
 	}
+	// gob matches struct fields by name, so a file written for a row
+	// type of another shape would decode, partly zero, without error.
+	// On disk a key therefore also names T's shape: the canonical
+	// encoding of its zero value names the type and every field.
+	var shape string
+	if c.dir != "" {
+		var zero T
+		shape = "." + Key(zero)[:16]
+	}
 	return RunCtx(ctx, parallel, n, func(i int) T {
-		k := key(i)
+		k := key(i) + shape
 		if row, saved, ok := c.fetch(k, decode); ok {
 			if out, ok := row.(T); ok {
 				c.count(true, saved)

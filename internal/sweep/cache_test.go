@@ -54,8 +54,8 @@ func TestKeyDeterministic(t *testing.T) {
 }
 
 // refKey is Key over the reference encoder below: the fmt-based walk
-// the point cache first shipped with. Every persisted <key>.gob is named
-// by its bytes, so Key must reproduce them exactly.
+// the point cache first shipped with. Every persisted <key>.<shape>.gob
+// is named by its bytes, so Key must reproduce them exactly.
 func refKey(parts ...any) string {
 	h := sha256.New()
 	for _, p := range parts {
@@ -332,8 +332,11 @@ func TestCachedRunCorruptedFile(t *testing.T) {
 	dir := t.TempDir()
 	key := func(i int) string { return Key("corrupt", i) }
 	CachedRun(NewPointCache(dir), 1, 1, key, func(i int) row { return row{N: 42} })
-	path := filepath.Join(dir, key(0)+".gob")
-	if err := os.WriteFile(path, []byte("not gob at all"), 0o644); err != nil {
+	files, _ := filepath.Glob(filepath.Join(dir, "*.gob"))
+	if len(files) != 1 {
+		t.Fatalf("cache files %v, want one", files)
+	}
+	if err := os.WriteFile(files[0], []byte("not gob at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var calls atomic.Int64
@@ -359,6 +362,36 @@ func TestCachedRunCorruptedFile(t *testing.T) {
 	})
 	if calls2.Load() != 0 {
 		t.Fatal("entry was not rewritten after the corrupted read")
+	}
+}
+
+// ShapeMetrics is the embedded half of a row in
+// TestDiskRowOfAnotherShapeMisses.
+type ShapeMetrics struct{ TPS, ProxyCPU float64 }
+
+// TestDiskRowOfAnotherShapeMisses checks that a file written for a row
+// type of another shape is a miss. gob matches fields by name, so the
+// file of a row with an embedded struct would decode into a flat row
+// with the embedded fields zero, and no error.
+func TestDiskRowOfAnotherShapeMisses(t *testing.T) {
+	type nested struct {
+		ShapeMetrics
+		Size int
+	}
+	type flat struct {
+		TPS, ProxyCPU float64
+		Size          int
+	}
+	dir := t.TempDir()
+	key := func(int) string { return Key("reshaped") }
+	CachedRun(NewPointCache(dir), 1, 1, key, func(int) nested {
+		return nested{ShapeMetrics{TPS: 9754, ProxyCPU: 0.5}, 4096}
+	})
+	c := NewPointCache(dir)
+	want := flat{TPS: 9754, ProxyCPU: 0.5, Size: 4096}
+	out := CachedRun(c, 1, 1, key, func(int) flat { return want })
+	if hits, misses := c.Stats(); out[0] != want || hits != 0 || misses != 1 {
+		t.Fatalf("row %+v, %d hits, %d misses; want %+v from a miss", out[0], hits, misses, want)
 	}
 }
 

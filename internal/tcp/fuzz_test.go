@@ -49,11 +49,12 @@ func FuzzTCPSegmentation(f *testing.F) {
 		s := sim.New(sim.WithProbe(chk))
 		mkNode := func(name string) *Stack {
 			m := mem.NewModel(p)
-			m.SetChecker(chk)
 			c := cpu.New(s, p)
 			e := dma.New(s, p, m)
 			nc := nic.New(s, p, c, m, e, feat, name, 1)
-			return NewStack(s, p, c, m, e, nc, feat, name)
+			st := NewStack(s, p, c, m, e, nc, feat, name)
+			setChecker(st, chk)
+			return st
 		}
 		sa, sb := mkNode("a"), mkNode("b")
 		ca, cb := Pair(sa, sb, 0, 0)

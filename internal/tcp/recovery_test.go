@@ -32,7 +32,6 @@ func newFaultNet(feat ioat.Features, p *cost.Params, plan fault.Plan) *faultNet 
 	in := fault.NewInjector(plan)
 	mk := func(name string) *Stack {
 		m := mem.NewModel(p)
-		m.SetChecker(chk)
 		c := cpu.New(s, p)
 		e := dma.New(s, p, m)
 		nc := nic.New(s, p, c, m, e, feat, name, 6)
@@ -42,6 +41,7 @@ func newFaultNet(feat ioat.Features, p *cost.Params, plan fault.Plan) *faultNet 
 			pt.Fault = in.Link(name, i)
 		}
 		st := NewStack(s, p, c, m, e, nc, feat, name)
+		setChecker(st, chk)
 		st.EnableRecovery(in.Plan())
 		return st
 	}

@@ -99,6 +99,14 @@ type Stack struct {
 	rxBacklog int64
 }
 
+// SetChecker puts the stack in checked mode: window, backlog and
+// stream-ledger invariants are asserted as segments move. Framed
+// connections over the stack (msg.Wrap) take the same checker.
+func (st *Stack) SetChecker(c *check.Checker) { st.chk = c }
+
+// Checker returns the stack's checker, nil when it runs unchecked.
+func (st *Stack) Checker() *check.Checker { return st.chk }
+
 // SetObs attaches the node's observability sinks: segment hand-offs and
 // deliveries become instants on the tcp track, and the transport's CPU
 // work is attributed per cost-model site.
@@ -128,7 +136,6 @@ func NewStack(s *sim.Simulator, p *cost.Params, c *cpu.CPU, m *mem.Model,
 		listeners: make(map[string]*Listener),
 		txPool:    mem.NewPool(m.Space, p.ChunkMax),
 		chunkPool: link.NewChunkPool(),
-		chk:       check.Enabled(s),
 	}
 	n.OnReceive = st.onReceive
 	return st

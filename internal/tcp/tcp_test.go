@@ -29,6 +29,15 @@ func newNode(s *sim.Simulator, p *cost.Params, feat ioat.Features, name string, 
 
 func (n *node) buf(size int) mem.Buffer { return n.st.Mem.Space.Alloc(size, 0) }
 
+// setChecker hands chk to every device under st, as host does.
+func setChecker(st *Stack, chk *check.Checker) {
+	st.Mem.SetChecker(chk)
+	st.CPU.SetChecker(chk)
+	st.DMA.SetChecker(chk)
+	st.NIC.SetChecker(chk)
+	st.SetChecker(chk)
+}
+
 // sendSeq starts a task that sends the messages in sizes from src on c,
 // each one's done callback starting the next, runs done after the last,
 // and returns the Sender.
@@ -405,6 +414,8 @@ func TestCopyCostEveryConsumeOffset(t *testing.T) {
 		s := sim.New(sim.WithProbe(chk))
 		a := newNode(s, p, ioat.None(), "a", 1)
 		b := newNode(s, p, ioat.None(), "b", 1)
+		setChecker(a.st, chk)
+		setChecker(b.st, chk)
 		ca, cb := Pair(a.st, b.st, 0, 0)
 		src := a.buf(8 * cost.KB)
 		dst := b.buf(8 * cost.KB)

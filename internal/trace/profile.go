@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"ioatsim/internal/sim"
 )
 
 // Profiler attributes simulated busy time to cost-model sites. Unlike a
@@ -19,32 +17,12 @@ import (
 //
 // Adds are atomic, so one Profiler can aggregate a whole sweep even when
 // the points run on parallel workers; the totals are order-independent.
-// It implements sim.Probe with no-op hooks purely so it can be installed
-// and discovered through the same probe mechanism as the tracer and the
-// invariant checker.
 type Profiler struct {
 	self [numSites]atomic.Int64
 }
 
 // NewProfiler returns an empty profiler.
 func NewProfiler() *Profiler { return &Profiler{} }
-
-// ProfilerEnabled returns the Profiler installed on the simulator, or
-// nil.
-func ProfilerEnabled(s *sim.Simulator) *Profiler {
-	for _, p := range s.Probes() {
-		if pf, ok := p.(*Profiler); ok {
-			return pf
-		}
-	}
-	return nil
-}
-
-// EventScheduled implements sim.Probe.
-func (p *Profiler) EventScheduled(now, at sim.Time) {}
-
-// EventDispatched implements sim.Probe.
-func (p *Profiler) EventDispatched(at sim.Time) {}
 
 // Add attributes d of simulated time to site.
 func (p *Profiler) Add(site Site, d time.Duration) {

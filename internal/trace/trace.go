@@ -1,6 +1,6 @@
 // Package trace is the simulator's observability layer: a typed event
 // tracer and a simulated-CPU profiler that the device models drive
-// through the same probe-style hooks as the invariant checker
+// through per-node hooks, as they drive the invariant checker
 // (internal/check).
 //
 // The Tracer records spans (core run slices, link occupancy, DMA
@@ -17,11 +17,12 @@
 // posts, context switches), giving every CPU-utilization figure a
 // flat self-time breakdown.
 //
-// Both are installed per simulator via sim.WithProbe (host wires whole
-// clusters); devices discover them with Enabled/ProfilerEnabled and keep
-// the resulting *Obs pointer. When disabled, every instrumented site
-// costs exactly one nil comparison, so the benchmark configurations stay
-// on the allocation-free fast path and golden output is byte-identical.
+// A host.Cluster bundles both per node with NewObs, hands the bundle to
+// every device of the node, and installs the tracer as the simulator's
+// sim.ProcProbe. Devices keep the *Obs pointer. When disabled, every
+// instrumented site costs exactly one nil comparison, so the benchmark
+// configurations stay on the allocation-free fast path and golden
+// output is byte-identical.
 package trace
 
 import (
@@ -166,11 +167,10 @@ const DefaultCapacity = 1 << 19
 // When the ring wraps, the oldest records are overwritten and counted as
 // dropped — a trace always holds the most recent window.
 //
-// A Tracer implements sim.Probe (event counters) and sim.ProcProbe
-// (process run slices), so it installs with sim.WithProbe and is
-// discovered by devices via Enabled. It is not safe for concurrent use
-// from multiple simulators; trace one run at a time (the benchmark
-// driver forces sequential mode when tracing).
+// A Tracer implements sim.ProcProbe (task run instants), so it installs
+// with sim.WithProcProbe. It is not safe for concurrent use from
+// multiple simulators; trace one run at a time (the benchmark driver
+// forces sequential mode when tracing).
 type Tracer struct {
 	recs    []record
 	next    int
@@ -178,9 +178,6 @@ type Tracer struct {
 	dropped uint64
 
 	nodes []string // pid-1 -> node name
-
-	scheduled  uint64
-	dispatched uint64
 }
 
 // New returns a tracer with the given ring capacity in records
@@ -192,28 +189,12 @@ func New(n int) *Tracer {
 	return &Tracer{recs: make([]record, n)}
 }
 
-// Enabled returns the Tracer installed on the simulator, or nil.
-func Enabled(s *sim.Simulator) *Tracer {
-	for _, p := range s.Probes() {
-		if t, ok := p.(*Tracer); ok {
-			return t
-		}
-	}
-	return nil
-}
-
 // RegisterNode assigns the next trace pid to a node. Pids start at 1;
 // pid 0 is the simulator's own process track.
 func (t *Tracer) RegisterNode(name string) int32 {
 	t.nodes = append(t.nodes, name)
 	return int32(len(t.nodes))
 }
-
-// EventScheduled implements sim.Probe.
-func (t *Tracer) EventScheduled(now, at sim.Time) { t.scheduled++ }
-
-// EventDispatched implements sim.Probe.
-func (t *Tracer) EventDispatched(at sim.Time) { t.dispatched++ }
 
 // ProcRun implements sim.ProcProbe: one instant per scheduler hand-off
 // to a simulation process, on the shared pid-0 track.
@@ -255,12 +236,6 @@ func (t *Tracer) Len() int {
 // Dropped reports how many records were overwritten after the ring
 // filled.
 func (t *Tracer) Dropped() uint64 { return t.dropped }
-
-// Events reports (scheduled, dispatched) engine event counts observed
-// through the probe hooks.
-func (t *Tracer) Events() (scheduled, dispatched uint64) {
-	return t.scheduled, t.dispatched
-}
 
 // ordered visits the ring's records oldest first.
 func (t *Tracer) ordered(fn func(*record)) {
@@ -355,13 +330,10 @@ type Obs struct {
 	Pid int32
 }
 
-// NewObs discovers the tracer and profiler installed on the simulator
-// and registers the node with the tracer. It returns nil when neither is
-// installed, which is the signal devices use to skip instrumentation
-// entirely.
-func NewObs(s *sim.Simulator, node string) *Obs {
-	t := Enabled(s)
-	p := ProfilerEnabled(s)
+// NewObs bundles a node's sinks, either of which may be nil, and
+// registers the node with the tracer. It returns nil when both are nil,
+// which is the signal devices use to skip instrumentation entirely.
+func NewObs(s *sim.Simulator, t *Tracer, p *Profiler, node string) *Obs {
 	if t == nil && p == nil {
 		return nil
 	}

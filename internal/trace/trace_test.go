@@ -38,30 +38,15 @@ func TestRingWrapDropsOldest(t *testing.T) {
 	}
 }
 
-func TestEnabledDiscovery(t *testing.T) {
-	tr := New(8)
-	pf := NewProfiler()
-	s := sim.New(sim.WithProbe(tr), sim.WithProbe(pf))
-	if Enabled(s) != tr {
-		t.Fatal("Enabled did not find the tracer among multiple probes")
-	}
-	if ProfilerEnabled(s) != pf {
-		t.Fatal("ProfilerEnabled did not find the profiler among multiple probes")
-	}
-	if Enabled(sim.New()) != nil || ProfilerEnabled(sim.New()) != nil {
-		t.Fatal("discovery on a bare simulator must return nil")
-	}
-}
-
 func TestObsNilWithoutSinks(t *testing.T) {
-	if o := NewObs(sim.New(), "n"); o != nil {
-		t.Fatalf("NewObs on a bare simulator = %+v, want nil", o)
+	if o := NewObs(sim.New(), nil, nil, "n"); o != nil {
+		t.Fatalf("NewObs without sinks = %+v, want nil", o)
 	}
 }
 
 func TestProcRunRecorded(t *testing.T) {
 	tr := New(16)
-	s := sim.New(sim.WithProbe(tr))
+	s := sim.New(sim.WithProcProbe(tr))
 	w := s.NewTask("worker")
 	w.Start(func() {
 		w.OnWake(func() {})

@@ -53,9 +53,11 @@ func obsConfig() (bench.Config, host.Observability) {
 
 // TestObservabilityComposesWithCheck runs representative experiments
 // from each family (micro, data-center, PVFS) with the invariant checker
-// AND all three observability probes installed: the tables must still be
-// byte-identical to the golden corpus, and every sink must actually have
-// recorded something.
+// AND all three observability sinks installed. Of the four, only the
+// checker is a sim.Probe; host hands the tracer and the profiler to
+// every device and registers the metrics registry's gauges over them.
+// The tables must still be byte-identical to the golden corpus, and
+// every sink must actually have recorded something.
 func TestObservabilityComposesWithCheck(t *testing.T) {
 	for _, id := range []string{"fig6", "fig3a", "fig8a", "fig10a"} {
 		id := id
@@ -224,6 +226,30 @@ func TestTraceExportSchema(t *testing.T) {
 	}
 	if len(mdoc.Series) == 0 {
 		t.Fatal("metrics JSON has no series")
+	}
+}
+
+// TestMetricsEventTotals pins the registry's JSON header, the engine
+// event totals each cluster adds when it closes: fig3a at the golden
+// configuration schedules 8033 events and dispatches 7853 of them.
+func TestMetricsEventTotals(t *testing.T) {
+	r, _ := bench.Find("fig3a")
+	reg := metrics.New()
+	r.Run(bench.Config{Seed: 1, Scale: 0.05, Parallel: 1, Obs: host.Observability{Metrics: reg}})
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var head struct {
+		Scheduled  uint64 `json:"events_scheduled"`
+		Dispatched uint64 `json:"events_dispatched"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &head); err != nil {
+		t.Fatalf("metrics JSON does not parse: %v", err)
+	}
+	if head.Scheduled != 8033 || head.Dispatched != 7853 {
+		t.Fatalf("events_scheduled %d, events_dispatched %d; want 8033 and 7853",
+			head.Scheduled, head.Dispatched)
 	}
 }
 

@@ -75,7 +75,8 @@ fi
 
 echo "identical job again (must hit the shared point cache)..." >&2
 submit_and_wait
-curl -fsS "$BASE/metrics" | jq -e '.cache_hits > 0 and .jobs_done >= 2' >/dev/null
+curl -fsS "$BASE/metrics" |
+    jq -e '.cache_hits > 0 and .jobs_done >= 2 and .job_latency_s.count >= 2 and .sim_events_total > 0' >/dev/null
 
 echo "NDJSON stream replay of the finished job..." >&2
 curl -fsS "$BASE/v1/jobs/$job_id/stream" | tail -1 | jq -e '.done and .state == "done"' >/dev/null
