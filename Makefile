@@ -12,9 +12,10 @@ vet:
 
 # Static contract checks: determinism (no wall clock, no map-order or
 # goroutine nondeterminism in simulation packages), hot-path allocation
-# discipline, nil-guarded probe access, and cache-key completeness.
-# See DESIGN.md §4i; suppress single findings with
-# `//ioatlint:allow <analyzer> — <reason>`.
+# discipline, nil-guarded probe access, cache-key completeness, and no
+# library surface that only tests use (deadapi, which also loads
+# benchmark/ for its uses). See DESIGN.md §4i; suppress single findings
+# with `//ioatlint:allow <analyzer> — <reason>`.
 lint:
 	$(GO) run ./cmd/ioatlint ./...
 

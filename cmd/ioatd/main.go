@@ -20,6 +20,12 @@
 // SIGINT/SIGTERM starts a graceful drain: admission stops, queued jobs
 // are cancelled, in-flight jobs get -drain to finish, then their
 // contexts are cancelled and the daemon exits.
+//
+// Every connection is bounded: a client has readHeaderTimeout to send
+// its request headers, and a keep-alive connection is closed after
+// idleTimeout without a request. There is no read or write timeout,
+// because an attached submission (?stream=1) and GET
+// /v1/jobs/{id}/stream keep one response open for a whole job.
 package main
 
 import (
@@ -35,6 +41,19 @@ import (
 
 	"ioatsim/internal/serve"
 )
+
+// Connection bounds. They are constants, not flags: a client sends its
+// headers at once, and one idle for two minutes can reconnect.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds ioatd's HTTP server with the given connection
+// bounds; main passes the constants above, tests shorter ones.
+func newHTTPServer(addr string, h http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
+}
 
 func main() {
 	var (
@@ -61,7 +80,7 @@ func main() {
 	})
 	srv.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler(), readHeaderTimeout, idleTimeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(),
 		os.Interrupt, syscall.SIGTERM)

@@ -1,14 +1,17 @@
 // Command ioatlint is the project's static-analysis multichecker. It
 // enforces the simulator's determinism, hot-path allocation, probe
-// nil-guard and cache-key contracts at compile time; see
-// internal/analysis for what each analyzer rejects and why.
+// nil-guard and cache-key contracts at compile time, and reports
+// library surface that no non-test code uses; see internal/analysis for
+// what each analyzer rejects and why.
 //
 // Usage:
 //
 //	ioatlint [-run name,name] [packages...]
 //
 // With no packages it checks ./... — every package of the module —
-// and exits non-zero if any finding survives suppression. Deliberate
+// and exits non-zero if any finding survives suppression. Whatever it
+// checks, it loads the whole module and the benchmark module, so that
+// deadapi sees every use. Deliberate
 // exceptions are annotated in the source:
 //
 //	//ioatlint:allow <analyzer>[,<analyzer>] — <reason>
@@ -67,13 +70,11 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	loader := analysis.NewLoader()
-	pkgs, err := loader.Patterns(patterns...)
+	pkgs, idx, err := analysis.NewLoader().Tree(patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ioatlint: %v\n", err)
 		os.Exit(2)
 	}
-	idx := analysis.NewIndex(pkgs)
 	findings, err := analysis.Lint(pkgs, idx, analyzers, len(analyzers) == len(all))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ioatlint: %v\n", err)

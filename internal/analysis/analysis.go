@@ -1,6 +1,6 @@
 // Package analysis implements ioatlint, the project's static-analysis
 // suite. It enforces, at compile time, the contracts the simulator
-// otherwise enforces only at run time:
+// otherwise enforces only at run time, and one leanness contract:
 //
 //   - simdeterminism: simulation packages must be reproducible — no wall
 //     clock, no global math/rand, no map-iteration order, no raw
@@ -14,13 +14,17 @@
 //     compare" guarantee);
 //   - cachekey: every exported bench.Config field must be consumed by
 //     Config.key or listed in the exclusion set (the reflection gate
-//     test TestPointKeyConfigSensitivity is the runtime counterpart).
+//     test TestPointKeyConfigSensitivity is the runtime counterpart);
+//   - deadapi: every exported identifier of an internal/ package, and
+//     every unexported package-level function or method, must have a
+//     use in non-test code of the root module or the benchmark module
+//     (a test-only accessor lives in a _test.go file).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is self-contained on the standard
 // library: packages are loaded with `go list` and type-checked with the
 // stdlib source importer, so the linter builds with no dependencies
-// beyond the Go toolchain.
+// beyond the Go toolchain, and without the testing package.
 //
 // # Suppression
 //
@@ -147,6 +151,8 @@ type Index struct {
 	pkgs map[string]*Package
 	// hotCheckers caches one hotpathalloc summarizer per package.
 	hotCheckers map[string]*hotpathChecker
+	// uses is deadapi's use index over pkgs, built on first need.
+	uses *apiUses
 }
 
 // Pkg returns the loaded package with the given import path, or nil.
@@ -225,7 +231,7 @@ func (f Finding) String() string {
 
 // All returns the full analyzer suite in report order.
 func All() []*Analyzer {
-	return []*Analyzer{SimDeterminism, HotpathAlloc, ProbeGuard, CacheKey}
+	return []*Analyzer{SimDeterminism, HotpathAlloc, ProbeGuard, CacheKey, DeadAPI}
 }
 
 // Lint runs the analyzers over the packages, applies the allow-comment

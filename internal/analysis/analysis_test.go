@@ -30,15 +30,27 @@ func TestCacheKeyNoKeyMethodFixture(t *testing.T) {
 	RunFixture(t, CacheKey, "testdata/src/cachekey_nokey", ModulePath+"/internal/bench")
 }
 
+// TestDeadAPIFixture loads a library, a second root package that uses
+// it, and a stand-in for the benchmark module, which is indexed for
+// uses but not linted.
+func TestDeadAPIFixture(t *testing.T) {
+	runFixtures(t, DeadAPI,
+		[]dirPkg{
+			{"testdata/src/deadapi/lib", ModulePath + "/internal/deadlib"},
+			{"testdata/src/deadapi/cmd", ModulePath + "/cmd/deaduser"},
+		},
+		[]dirPkg{{"testdata/src/deadapi/bench", ModulePath + "/benchmark"}},
+		true)
+}
+
 // TestAllowAudit checks the suppression grammar's own diagnostics:
 // malformed comments are always findings; an allow that suppresses
 // nothing is reported only when the full suite runs (checkUnused).
 func TestAllowAudit(t *testing.T) {
-	pkg, err := fixtureLoader.Dir("testdata/src/allowaudit", ModulePath+"/internal/allowaudit")
+	pkgs, err := fixtureLoader.dirs(dirPkg{"testdata/src/allowaudit", ModulePath + "/internal/allowaudit"})
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	pkgs := []*Package{pkg}
 	findings, err := Lint(pkgs, NewIndex(pkgs), All(), true)
 	if err != nil {
 		t.Fatalf("lint: %v", err)
@@ -106,17 +118,19 @@ func TestParseAllow(t *testing.T) {
 }
 
 // TestRealTreeClean runs the full suite over the actual module — the
-// same invocation `make lint` gates CI on — and requires zero findings.
+// same invocation `make lint` gates CI on, with the benchmark module
+// loaded for deadapi's use index — and requires zero findings.
 func TestRealTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	loader := NewLoader()
-	pkgs, err := loader.Patterns("ioatsim/...")
+	pkgs, idx, err := NewLoader().Tree(ModulePath + "/...")
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	idx := NewIndex(pkgs)
+	if idx.Pkg(ModulePath+"/benchmark") == nil {
+		t.Fatal("the index does not hold the benchmark module: deadapi would report what only it uses")
+	}
 	findings, err := Lint(pkgs, idx, All(), true)
 	if err != nil {
 		t.Fatalf("lint: %v", err)

@@ -141,18 +141,6 @@ func (c Config) duration(d time.Duration) time.Duration {
 	return scaled
 }
 
-// count scales a nominal request count.
-func (c Config) count(n int) int {
-	if c.Scale <= 0 || c.Scale == 1 {
-		return n
-	}
-	scaled := int(float64(n) * c.Scale)
-	if scaled < 10 {
-		scaled = 10
-	}
-	return scaled
-}
-
 // Result is one reproduced figure.
 type Result struct {
 	ID     string

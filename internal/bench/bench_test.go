@@ -40,20 +40,6 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestConfigScaling(t *testing.T) {
-	c := Config{Scale: 0.1}
-	if c.count(1000) != 100 {
-		t.Fatalf("count = %d", c.count(1000))
-	}
-	if c.count(20) != 10 {
-		t.Fatalf("count floor = %d", c.count(20))
-	}
-	full := Config{Scale: 1}
-	if full.count(1000) != 1000 {
-		t.Fatal("scale 1 must not change counts")
-	}
-}
-
 func TestFig3aShape(t *testing.T) {
 	r := Fig3a(fastCfg)
 	s := r.Series

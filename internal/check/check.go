@@ -74,9 +74,6 @@ func (c *Checker) EventDispatched(at sim.Time) {
 	c.lastDispatch = at
 }
 
-// Events reports how many dispatches the checker has observed.
-func (c *Checker) Events() uint64 { return c.events }
-
 // Failf records one violation.
 func (c *Checker) Failf(component, format string, args ...any) {
 	msg := component + ": " + fmt.Sprintf(format, args...)
@@ -127,11 +124,6 @@ func (c *Checker) Finish() {
 			c.Failf("ledger", "%s: delivered %d units but only %d entered", name, l.out, l.in)
 		}
 	}
-}
-
-// Violations returns the recorded diagnostics in detection order.
-func (c *Checker) Violations() []string {
-	return append([]string(nil), c.violations...)
 }
 
 // Err summarizes the run: nil when clean, otherwise one error listing
@@ -198,4 +190,6 @@ func (l *Ledger) Out(n int64) {
 }
 
 // InFlight returns units currently inside the account.
+//
+//ioatlint:allow deadapi — read by the root integration test and internal/tcp's transfer and fuzz tests
 func (l *Ledger) InFlight() int64 { return l.in - l.out }

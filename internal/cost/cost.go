@@ -310,6 +310,8 @@ func (p *Params) WireBytes(n int) int {
 }
 
 // WireTime returns the serialization time of n payload bytes on one port.
+//
+//ioatlint:allow deadapi — read by internal/nic's tests
 func (p *Params) WireTime(n int) time.Duration {
 	bits := int64(p.WireBytes(n)) * 8
 	return time.Duration(bits * int64(time.Second) / p.PortRateBps)

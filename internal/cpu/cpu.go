@@ -283,17 +283,6 @@ func (c *CPU) CoreUtilization(i int) float64 {
 // this so wake costs reflect oversubscription.
 func (c *CPU) RegisterThread() { c.threads++ }
 
-// UnregisterThread removes a thread registered with RegisterThread.
-func (c *CPU) UnregisterThread() {
-	c.threads--
-	if c.threads < 0 {
-		panic("cpu: thread count underflow")
-	}
-}
-
-// Threads returns the registered thread count.
-func (c *CPU) Threads() int { return c.threads }
-
 // WakeCost returns the cost of waking a blocked thread: the base context
 // switch plus an indirect penalty that grows with the log of
 // oversubscription (cold caches, scheduler queueing) — steep enough to

@@ -229,7 +229,7 @@ func TestAppWorkMatchesPerLineTouches(t *testing.T) {
 			t.Fatalf("request %d: next draw %#x, per-line reference %#x", req, got, want)
 		}
 		ws, line := batched.appState, batched.Node.P.CacheLine
-		for a := ws.Addr; a < ws.End(); a += mem.Addr(line) {
+		for a := ws.Addr; a < ws.Addr+mem.Addr(ws.Size); a += mem.Addr(line) {
 			if got, want := batched.Node.Mem.Cache.Contains(a), perLine.Node.Mem.Cache.Contains(a); got != want {
 				t.Fatalf("request %d: line %#x resident %v, per-line reference %v", req, a, got, want)
 			}

@@ -30,10 +30,11 @@ func RunTwoTier(o Options) Metrics {
 	startProxyTier(proxy, webNode, "http", cache, o.FileSize)
 
 	var completed int64
+	traces := newTraces(cl.Rand, names, o.Alpha)
 	for ci, cn := range clients {
 		for t := 0; t < o.ThreadsPerClient; t++ {
 			launchClient(cn, proxyNode, 0, ci%6, fmt.Sprintf("c%d-%d", ci, t),
-				nil, newTrace(cl, names, o), o.FileSize, &completed)
+				nil, traces(), o.FileSize, &completed)
 		}
 	}
 
@@ -58,9 +59,10 @@ func RunEmulated(o Options, threads int) Metrics {
 	startWebTier(web)
 
 	var completed int64
+	traces := newTraces(cl.Rand, names, o.Alpha)
 	for t := 0; t < threads; t++ {
 		launchClient(clientNode, webNode, t%6, t%6, fmt.Sprintf("emu%d", t),
-			clientTier, newTrace(cl, names, o), o.FileSize, &completed)
+			clientTier, traces(), o.FileSize, &completed)
 	}
 	return measure(cl, o, &completed, nil, web, clientTier)
 }

@@ -40,23 +40,15 @@ type singleFile struct {
 func (s *singleFile) next() string { return s.path }
 
 // zipfTrace is the §5.2.2 workload: document i is requested with
-// probability proportional to 1/i^alpha over a fixed catalog.
+// probability proportional to 1/i^alpha over a fixed catalog. The table
+// is the run's; the stream is the thread's own.
 type zipfTrace struct {
 	names []string
 	z     *rng.Zipf
+	r     *rng.Rand
 }
 
-// newZipfTrace builds a Zipf trace over the catalog with the given
-// exponent. Catalog order defines popularity rank: names[0] is the most
-// popular.
-func newZipfTrace(r *rng.Rand, names []string, alpha float64) *zipfTrace {
-	if len(names) == 0 {
-		panic("datacenter: empty catalog")
-	}
-	return &zipfTrace{names: names, z: rng.NewZipf(r, len(names), alpha)}
-}
-
-func (z *zipfTrace) next() string { return z.names[z.z.Next()] }
+func (z *zipfTrace) next() string { return z.names[z.z.Draw(z.r)] }
 
 // buildCatalog generates the web tier's content and returns the
 // document names: fixed-size documents, or a uniform size spread when
@@ -68,12 +60,18 @@ func buildCatalog(cl *host.Cluster, web *Tier, o Options) []string {
 	return generateDocs(web.FS, nil, o.FileCount, o.FileSize, o.FileSize)
 }
 
-// newTrace builds a per-thread request trace.
-func newTrace(cl *host.Cluster, names []string, o Options) trace {
-	if o.Alpha > 0 {
-		return newZipfTrace(cl.Rand.Fork(), names, o.Alpha)
+// newTraces returns a maker of per-thread request traces. With alpha >
+// 0 it builds one Zipf table over the catalog for the whole run (catalog
+// order defines popularity rank: names[0] is the most popular), and each
+// call forks r for one thread's draws. Otherwise every thread requests
+// names[0].
+func newTraces(r *rng.Rand, names []string, alpha float64) func() trace {
+	if alpha <= 0 {
+		single := &singleFile{path: names[0]}
+		return func() trace { return single }
 	}
-	return &singleFile{path: names[0]}
+	z := rng.NewZipf(len(names), alpha)
+	return func() trace { return &zipfTrace{names: names, z: z, r: r.Fork()} }
 }
 
 // generateDocs creates count files in fs, named docNNNN.html, and

@@ -25,10 +25,15 @@ func TestSingleFile(t *testing.T) {
 func TestGenerateUniform(t *testing.T) {
 	fs := newFS()
 	names := generateDocs(fs, nil, 50, 4096, 4096)
-	if len(names) != 50 || fs.Len() != 50 {
-		t.Fatalf("generated %d names, fs has %d", len(names), fs.Len())
+	if len(names) != 50 {
+		t.Fatalf("generated %d names, want 50", len(names))
 	}
+	seen := map[string]bool{}
 	for _, n := range names {
+		if seen[n] {
+			t.Fatalf("name %q generated twice", n)
+		}
+		seen[n] = true
 		if s := fs.MustOpen(n).Size(); s != 4096 {
 			t.Fatalf("size[%s] = %d", n, s)
 		}
@@ -57,7 +62,7 @@ func TestGenerateSpread(t *testing.T) {
 func TestZipfTraceFavorsPopular(t *testing.T) {
 	fs := newFS()
 	names := generateDocs(fs, nil, 100, 1024, 1024)
-	tr := newZipfTrace(rng.New(1), names, 0.95)
+	tr := newTraces(rng.New(1), names, 0.95)()
 	counts := map[string]int{}
 	for i := 0; i < 20000; i++ {
 		counts[tr.next()]++
@@ -66,10 +71,30 @@ func TestZipfTraceFavorsPopular(t *testing.T) {
 		t.Fatalf("rank 0 (%d) not above rank 50 (%d)",
 			counts[names[0]], counts[names[50]])
 	}
-	// Every draw must name a real file.
+	// Every draw must name a real file (MustOpen panics on a miss).
 	for name := range counts {
-		if _, ok := fs.Open(name); !ok {
-			t.Fatalf("trace produced unknown file %q", name)
+		fs.MustOpen(name)
+	}
+}
+
+// TestSharedZipfTableDrawsAsPerThreadTables: the run's one Zipf table
+// gives every thread the draws that a table of its own gave it, with the
+// threads' streams forked in the same order.
+func TestSharedZipfTableDrawsAsPerThreadTables(t *testing.T) {
+	names := generateDocs(newFS(), nil, 1000, 1024, 1024)
+	const threads, draws = 16, 500
+	traces := newTraces(rng.New(3), names, 0.9)
+	shared := make([]trace, threads)
+	for i := range shared {
+		shared[i] = traces()
+	}
+	r := rng.New(3)
+	for i, tr := range shared {
+		own := &zipfTrace{names: names, z: rng.NewZipf(len(names), 0.9), r: r.Fork()}
+		for d := 0; d < draws; d++ {
+			if got, want := tr.next(), own.next(); got != want {
+				t.Fatalf("thread %d, draw %d: the shared table gave %s, a table of its own %s", i, d, got, want)
+			}
 		}
 	}
 }
@@ -80,5 +105,5 @@ func TestZipfEmptyCatalogPanics(t *testing.T) {
 			t.Fatal("empty catalog did not panic")
 		}
 	}()
-	newZipfTrace(rng.New(1), nil, 0.9)
+	newTraces(rng.New(1), nil, 0.9)
 }

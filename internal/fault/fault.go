@@ -301,6 +301,8 @@ type Totals struct {
 }
 
 // Totals sums the per-entity counters.
+//
+//ioatlint:allow deadapi — read by internal/tcp's loss-recovery tests and fuzzer
 func (in *Injector) Totals() Totals {
 	var t Totals
 	for _, lf := range in.links {
@@ -426,9 +428,6 @@ func (nf *NICFault) Drain(frames int) {
 type NodeFault struct {
 	factor float64
 }
-
-// Degraded reports whether this node was selected for slowdown.
-func (nf *NodeFault) Degraded() bool { return nf.factor != 1 }
 
 // Scale stretches one work item's duration by the node's slowdown.
 func (nf *NodeFault) Scale(d time.Duration) time.Duration {

@@ -360,15 +360,6 @@ func registerNodeMetrics(sc *metrics.Scope, n *Node) {
 	}
 }
 
-// Node returns a registered node by name.
-func (c *Cluster) Node(name string) *Node {
-	n, ok := c.byName[name]
-	if !ok {
-		panic(fmt.Sprintf("host: unknown node %q", name))
-	}
-	return n
-}
-
 // ResetMeters resets every node's measurement windows.
 func (c *Cluster) ResetMeters() {
 	for _, n := range c.Nodes {

@@ -40,14 +40,6 @@ func TestDuplicateNodePanics(t *testing.T) {
 	c.Add("x", ioat.None(), 1)
 }
 
-func TestNodeLookup(t *testing.T) {
-	c := NewCluster(cost.Default(), 1)
-	n := c.Add("svr", ioat.None(), 2)
-	if c.Node("svr") != n {
-		t.Fatal("lookup returned wrong node")
-	}
-}
-
 func TestAddClients(t *testing.T) {
 	c := NewCluster(cost.Default(), 1)
 	clients := c.AddClients(5, ioat.None())

@@ -76,8 +76,7 @@ type Copier struct {
 
 	// pinned is the registration cache: buffers pinned once stay pinned
 	// (like RDMA memory registration), so steady-state copies pay only
-	// the descriptor setup. FlushPins models an application without
-	// buffer reuse.
+	// the descriptor setup.
 	pinned map[mem.Addr]int
 }
 
@@ -95,10 +94,6 @@ func (c *Copier) pinCost(addr mem.Addr, n int) time.Duration {
 	c.pinned[addr] = n
 	return c.Engine.PinCost(n)
 }
-
-// FlushPins drops the registration cache, forcing the next copies to
-// re-pin (the paper §7's caveat scenario).
-func (c *Copier) FlushPins() { c.pinned = make(map[mem.Addr]int) }
 
 // Start begins an asynchronous copy of n bytes from src to dst on behalf
 // of task t. The task is charged only the CPU setup portion (page

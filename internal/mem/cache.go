@@ -203,12 +203,6 @@ func NewCache(size, lineSize, ways int) *Cache {
 	return c
 }
 
-// LineSize returns the cache line size in bytes.
-func (c *Cache) LineSize() int { return c.lineSize }
-
-// Size returns the total capacity in bytes.
-func (c *Cache) Size() int { return c.nsets * c.ways * c.lineSize }
-
 // set returns the tag words and the metadata words of the set line
 // indexes.
 func (c *Cache) set(line uint64) (*[8]uint64, *[2]uint64) {
@@ -524,13 +518,6 @@ func (c *Cache) Invalidate(addr Addr, n int) {
 	if dropped {
 		c.forget()
 	}
-}
-
-// Flush empties the cache.
-func (c *Cache) Flush() {
-	clear(c.tags)
-	clear(c.meta)
-	c.forget()
 }
 
 // OccupiedLines returns how many valid lines the cache currently holds.

@@ -5,8 +5,6 @@
 // split-header locality effect — emergent rather than scripted.
 package mem
 
-import "fmt"
-
 // Addr is a synthetic physical address.
 type Addr uint64
 
@@ -14,17 +12,6 @@ type Addr uint64
 type Buffer struct {
 	Addr Addr
 	Size int
-}
-
-// End returns the first address past the buffer.
-func (b Buffer) End() Addr { return b.Addr + Addr(b.Size) }
-
-// Slice returns the sub-buffer [off, off+n).
-func (b Buffer) Slice(off, n int) Buffer {
-	if off < 0 || n < 0 || off+n > b.Size {
-		panic(fmt.Sprintf("mem: slice [%d,%d) out of buffer of size %d", off, off+n, b.Size))
-	}
-	return Buffer{Addr: b.Addr + Addr(off), Size: n}
 }
 
 // Space is a bump allocator handing out non-overlapping buffers. Address

@@ -163,9 +163,6 @@ func (g *TimeWeighted) Set(now sim.Time, v float64) {
 	g.value = v
 }
 
-// Value returns the current (most recently Set) value.
-func (g *TimeWeighted) Value() float64 { return g.value }
-
 // SampleWindow returns the time-weighted mean since the previous sample
 // (or the first Set) and starts a new window at now. A gauge that was
 // never Set reports 0; a window of zero width reports the current value.

@@ -99,6 +99,3 @@ func (a *Async) recvFinish() {
 	a.recvDone = nil
 	done(env)
 }
-
-// Task returns the driving task.
-func (a *Async) Task() *sim.Task { return a.tx.Task() }

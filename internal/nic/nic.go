@@ -356,6 +356,8 @@ func (n *NIC) TxCost(bytes int) time.Duration {
 
 // PoolLiveBytes reports the kernel receive buffers currently in use —
 // the receive-path working set whose size drives cache behaviour.
+//
+//ioatlint:allow deadapi — read by the root integration test and internal/tcp's transfer and fuzz tests
 func (n *NIC) PoolLiveBytes() int {
 	return n.rxPool.Live * n.rxPool.BufSize()
 }

@@ -229,14 +229,6 @@ func (c *Client) Create(name string, size int, done func(FileMeta)) {
 	})
 }
 
-// Open fetches the metadata for an existing file and calls done with it
-// and whether the file exists.
-func (c *Client) Open(name string, done func(FileMeta, bool)) {
-	c.metaCall(metaReq{Op: "open", Meta: FileMeta{Name: name}}, func(r metaResp) {
-		done(r.Meta, r.OK)
-	})
-}
-
 // metaCall charges the system call, sends req to the manager and calls
 // done with the manager's answer.
 func (c *Client) metaCall(req metaReq, done func(metaResp)) {

@@ -6,7 +6,6 @@ package ramfs
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"ioatsim/internal/mem"
@@ -43,12 +42,6 @@ func (fs *FS) Create(name string, size int) File {
 	return f
 }
 
-// Open returns the named file.
-func (fs *FS) Open(name string) (File, bool) {
-	f, ok := fs.files[name]
-	return f, ok
-}
-
 // MustOpen returns the named file or panics — for workloads that generate
 // their own traces and must never miss.
 func (fs *FS) MustOpen(name string) File {
@@ -57,38 +50,6 @@ func (fs *FS) MustOpen(name string) File {
 		panic(fmt.Sprintf("ramfs: no such file %q", name))
 	}
 	return f
-}
-
-// Remove deletes the named file (the space is not reclaimed: addresses
-// are never reused, which keeps cache bookkeeping honest).
-func (fs *FS) Remove(name string) bool {
-	_, ok := fs.files[name]
-	delete(fs.files, name)
-	return ok
-}
-
-// Len returns the number of stored files.
-func (fs *FS) Len() int { return len(fs.files) }
-
-// Names returns all file names, sorted (deterministic iteration).
-func (fs *FS) Names() []string {
-	out := make([]string, 0, len(fs.files))
-	//ioatlint:allow simdeterminism — keys are collected then sorted below; the range order never escapes
-	for n := range fs.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TotalBytes returns the bytes stored across all files.
-func (fs *FS) TotalBytes() int64 {
-	var total int64
-	//ioatlint:allow simdeterminism — an integer sum is commutative; the range order cannot affect it
-	for _, f := range fs.files {
-		total += int64(f.Buf.Size)
-	}
-	return total
 }
 
 // ReadCost prices copying [off, off+n) of the file into dst — the page

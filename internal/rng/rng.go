@@ -72,13 +72,14 @@ func (r *Rand) Intn(n int) int {
 // the distribution the paper uses for data-center document popularity
 // (Breslau et al., INFOCOM'99). It precomputes the CDF and samples by
 // binary search, which is exact and fast for the catalog sizes we use.
+// It holds no stream, so one table serves every stream that draws from
+// it.
 type Zipf struct {
-	r   *Rand
 	cdf []float64
 }
 
-// NewZipf returns a Zipf sampler over n items with exponent alpha > 0.
-func NewZipf(r *Rand, n int, alpha float64) *Zipf {
+// NewZipf returns a Zipf table over n items with exponent alpha > 0.
+func NewZipf(n int, alpha float64) *Zipf {
 	if n <= 0 {
 		panic("rng: Zipf with non-positive n")
 	}
@@ -96,23 +97,12 @@ func NewZipf(r *Rand, n int, alpha float64) *Zipf {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{r: r, cdf: cdf}
+	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of items.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// P returns the probability of rank i.
-func (z *Zipf) P(i int) float64 {
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
-}
-
-// Next draws a rank in [0, n); rank 0 is the most popular item.
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
+// Draw draws a rank in [0, n) from r; rank 0 is the most popular item.
+func (z *Zipf) Draw(r *Rand) int {
+	u := r.Float64()
 	lo, hi := 0, len(z.cdf)-1
 	for lo < hi {
 		mid := (lo + hi) / 2

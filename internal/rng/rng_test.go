@@ -78,8 +78,7 @@ func TestIntnCoverage(t *testing.T) {
 }
 
 func TestZipfProbabilities(t *testing.T) {
-	r := New(21)
-	z := NewZipf(r, 100, 0.95)
+	z := NewZipf(100, 0.95)
 	sum := 0.0
 	for i := 0; i < z.N(); i++ {
 		p := z.P(i)
@@ -99,11 +98,11 @@ func TestZipfProbabilities(t *testing.T) {
 func TestZipfEmpirical(t *testing.T) {
 	r := New(77)
 	const n, alpha = 50, 1.0
-	z := NewZipf(r, n, alpha)
+	z := NewZipf(n, alpha)
 	counts := make([]int, n)
 	const draws = 500000
 	for i := 0; i < draws; i++ {
-		counts[z.Next()]++
+		counts[z.Draw(r)]++
 	}
 	// Rank 0 should be drawn about P(0)*draws times.
 	want := z.P(0) * draws
@@ -118,8 +117,8 @@ func TestZipfEmpirical(t *testing.T) {
 
 func TestZipfAlphaEffect(t *testing.T) {
 	// Higher alpha concentrates mass on low ranks.
-	high := NewZipf(New(1), 1000, 0.95)
-	low := NewZipf(New(1), 1000, 0.5)
+	high := NewZipf(1000, 0.95)
+	low := NewZipf(1000, 0.5)
 	if high.P(0) <= low.P(0) {
 		t.Fatalf("P0(alpha=.95)=%v should exceed P0(alpha=.5)=%v", high.P(0), low.P(0))
 	}
@@ -128,9 +127,9 @@ func TestZipfAlphaEffect(t *testing.T) {
 func TestZipfRangeProperty(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
 		nn := int(n%200) + 1
-		z := NewZipf(New(seed), nn, 0.8)
+		z, r := NewZipf(nn, 0.8), New(seed)
 		for i := 0; i < 200; i++ {
-			v := z.Next()
+			v := z.Draw(r)
 			if v < 0 || v >= nn {
 				return false
 			}

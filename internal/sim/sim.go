@@ -113,9 +113,8 @@ func WithProcProbe(p ProcProbe) Option {
 // Simulator owns the virtual clock and the pending event set.
 // The zero value is not usable; call New.
 type Simulator struct {
-	now     Time
-	seq     uint64
-	stopped bool
+	now Time
+	seq uint64
 
 	// probe and procProbe are the observers WithProbe and WithProcProbe
 	// install, nil when there are none.
@@ -244,12 +243,8 @@ func (s *Simulator) push(t Time, fn func(), argFn func(any), arg any) {
 	s.enqueue(t, fn, argFn, arg)
 }
 
-// Stop makes Run return after the current event completes. Pending events
-// stay queued; a subsequent Run resumes them.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Run dispatches events in (time, sequence) order until none is pending
-// or Stop is called. It returns the time of the last dispatched event.
+// Run dispatches events in (time, sequence) order until none is pending.
+// It returns the time of the last dispatched event.
 func (s *Simulator) Run() Time {
 	return s.RunUntil(maxTime)
 }
@@ -263,9 +258,8 @@ func (s *Simulator) RunUntil(deadline Time) Time {
 	if deadline < s.now {
 		panic(fmt.Sprintf("sim: run until %v before now %v", deadline, s.now))
 	}
-	s.stopped = false
 	defer s.flushExecuted()
-	for len(s.heap) > 0 && !s.stopped {
+	for len(s.heap) > 0 {
 		if s.heap[0].at > deadline {
 			s.now = deadline
 			return s.now

@@ -110,27 +110,6 @@ func TestRunUntilPastDeadlinePanics(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	var count int
-	for i := 1; i <= 10; i++ {
-		s.Schedule(Duration(i), func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("events after stop = %d, want 3", count)
-	}
-	s.Run()
-	if count != 10 {
-		t.Fatalf("events after resume = %d, want 10", count)
-	}
-}
-
 // Property: for any set of delays, events fire in nondecreasing time order
 // and the clock matches each event's scheduled time.
 func TestEventOrderProperty(t *testing.T) {
@@ -216,7 +195,7 @@ func TestCompletion(t *testing.T) {
 	if gotAt != 250 {
 		t.Fatalf("gotAt = %v, want 250", gotAt)
 	}
-	if !c.Done() {
+	if !c.done {
 		t.Fatal("completion not done")
 	}
 }

@@ -29,9 +29,6 @@ func (s *Simulator) NewTask(name string) *Task {
 	return &Task{sim: s, name: name}
 }
 
-// Name returns the label the task was created with.
-func (t *Task) Name() string { return t.name }
-
 // Now returns the current virtual time.
 func (t *Task) Now() Time { return t.sim.now }
 
@@ -92,9 +89,6 @@ type Completion struct {
 func (s *Simulator) NewCompletion() *Completion {
 	return &Completion{}
 }
-
-// Done reports whether Complete has been called.
-func (c *Completion) Done() bool { return c.done }
 
 // Complete fires the completion, waking the waiting task if there is
 // one: one event push at the current time. Completing twice panics: that

@@ -39,18 +39,9 @@ func (s *Series) Add(x float64, label string, values ...float64) {
 	s.Points = append(s.Points, Point{X: x, Label: label, Values: m})
 }
 
-// Get returns the value of column col at the row whose label is label.
-func (s *Series) Get(label, col string) (float64, bool) {
-	for _, p := range s.Points {
-		if p.Label == label {
-			v, ok := p.Values[col]
-			return v, ok
-		}
-	}
-	return 0, false
-}
-
 // Column returns all values of one column in row order.
+//
+//ioatlint:allow deadapi — read by internal/bench's figure shape tests
 func (s *Series) Column(col string) []float64 {
 	out := make([]float64, 0, len(s.Points))
 	for _, p := range s.Points {

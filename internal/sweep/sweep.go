@@ -11,9 +11,8 @@
 // space [0, n) whose result slice is keyed by index, aborted between
 // points when its context is cancelled (a point that has already started
 // runs to completion — simulations have no internal preemption — so a
-// cancelled sweep never leaks a worker goroutine). Run is RunCtx without
-// cancellation; Workers(p) resolves the user-facing parallelism knob
-// (0 = one worker per GOMAXPROCS core).
+// cancelled sweep never leaks a worker goroutine). Workers(p) resolves
+// the user-facing parallelism knob (0 = one worker per GOMAXPROCS core).
 package sweep
 
 import (
@@ -32,25 +31,22 @@ func Workers(parallel int) int {
 	return parallel
 }
 
-// Run executes fn(i) for every i in [0, n) using up to Workers(parallel)
-// concurrent workers and returns the results ordered by index. With
-// parallel == 1 (or n == 1) it degenerates to a plain loop on the calling
-// goroutine, so sequential runs have zero scheduling overhead.
+// RunCtx executes fn(i) for every i in [0, n) using up to
+// Workers(parallel) concurrent workers and returns the results ordered
+// by index. With parallel == 1 (or n == 1) it degenerates to a plain
+// loop on the calling goroutine, so sequential runs have zero scheduling
+// overhead.
 //
 // fn must be safe to call concurrently for distinct indexes: each point
 // builds its own simulator and parameter set and shares no mutable state.
 // A panic in any point is re-raised on the calling goroutine once all
 // workers have drained.
-func Run[T any](parallel, n int, fn func(i int) T) []T {
-	out, _ := RunCtx(context.Background(), parallel, n, fn)
-	return out
-}
-
-// RunCtx is Run under a context: once ctx is cancelled no further point
-// starts, the points already in flight run to completion (so no worker
-// goroutine or half-built simulation leaks), and the call returns
-// ctx.Err() with the partial result slice (unstarted points hold zero
-// values). A nil error means every point ran.
+//
+// Once ctx is cancelled no further point starts, the points already in
+// flight run to completion (so no worker goroutine or half-built
+// simulation leaks), and the call returns ctx.Err() with the partial
+// result slice (unstarted points hold zero values). A nil error means
+// every point ran.
 func RunCtx[T any](ctx context.Context, parallel, n int, fn func(i int) T) ([]T, error) {
 	if n <= 0 {
 		return nil, ctx.Err()

@@ -524,6 +524,3 @@ func applyCredit(a any) {
 	ev.conn = nil
 	st.creditFree = append(st.creditFree, ev)
 }
-
-// Available reports how many received bytes are queued and unconsumed.
-func (c *Conn) Available() int { return c.rxAvail }

@@ -150,7 +150,7 @@ func TestWindowBlocksSender(t *testing.T) {
 	if sendDone < recvStart {
 		t.Fatalf("sender finished at %v before receiver started at %v — window did not block", sendDone, recvStart)
 	}
-	if got := cb.Available(); got != 0 {
+	if got := cb.rxAvail; got != 0 {
 		t.Fatalf("unconsumed bytes: %d", got)
 	}
 }
@@ -503,7 +503,7 @@ func TestConcurrentTransferPanics(t *testing.T) {
 	}
 	expect("Sender midway", sendPanic, sendMsg)
 	expect("Receiver midway", recvPanic, recvMsg)
-	if !finished || cb.Available() != 0 || a.st.BytesSent != cost.MB {
-		t.Errorf("first transfer disturbed: finished %v, sent %d, %d bytes left unconsumed", finished, a.st.BytesSent, cb.Available())
+	if !finished || cb.rxAvail != 0 || a.st.BytesSent != cost.MB {
+		t.Errorf("first transfer disturbed: finished %v, sent %d, %d bytes left unconsumed", finished, a.st.BytesSent, cb.rxAvail)
 	}
 }
