@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint allocbudget test race golden fuzz-smoke bench-smoke trace-smoke fault-smoke serve-smoke sim-bench profile loc clean
+.PHONY: all build vet lint allocbudget test race golden fuzz-smoke bench-smoke trace-smoke fault-smoke serve-smoke pointcache-smoke sim-bench profile loc clean
 
 all: build vet lint test
 
@@ -69,6 +69,12 @@ fault-smoke: build
 # on a resubmit, and drain cleanly on SIGTERM.
 serve-smoke:
 	./scripts/serve_smoke.sh
+
+# Point-cache smoke: two `go run ./cmd/ioatbench -pointcache <dir>` runs
+# of fig6 and ablpin; the second must read every point back from the
+# one per-executable subdirectory the first wrote.
+pointcache-smoke:
+	./scripts/pointcache_smoke.sh
 
 # A fast end-to-end pass over every experiment: shapes only, tiny scale.
 bench-smoke: build

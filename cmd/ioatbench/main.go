@@ -12,8 +12,7 @@
 //	ioatbench -strict            # fail-fast checking (implies -check)
 //	ioatbench -fault loss=0.001  # run under a fault plan (see internal/fault)
 //	ioatbench -json              # machine-readable results on stdout
-//	ioatbench -pointcache on     # memoize sweep points in testdata/pointcache/
-//	ioatbench -pointcache mem    # memoize in-process only (also: a directory path)
+//	ioatbench -pointcache dir    # memoize sweep points in dir, per executable
 //	ioatbench -trace t.json      # record a Chrome/Perfetto trace of the runs
 //	ioatbench -metrics m.csv     # sample time-series metrics (.csv or .json)
 //	ioatbench -profile-report    # print the simulated-CPU self-time profile
@@ -32,7 +31,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -108,7 +106,7 @@ func main() {
 		metricsOut  = flag.String("metrics", "", "write sampled time-series metrics to this file (.json for JSON, CSV otherwise; forces -parallel 1)")
 		metricsTick = flag.Duration("metrics-interval", metrics.DefaultInterval, "simulated-time sampling interval for -metrics")
 		profReport  = flag.Bool("profile-report", false, "print the simulated-CPU self-time profile after the runs")
-		pointcache  = flag.String("pointcache", "", "point-result cache: off, mem (in-process only), on (testdata/pointcache), or a directory; IOATSIM_POINTCACHE supplies the default")
+		pointcache  = flag.String("pointcache", "", "directory for the point-result cache, kept per executable (empty: no cache)")
 	)
 	flag.Parse()
 
@@ -177,22 +175,11 @@ func main() {
 	}
 
 	// Point-result cache. Each sweep point is memoized under its
-	// content-addressed key; with a directory, cached rows survive across
-	// invocations at the same configuration and code version. The flag
-	// wins over the environment so scripts can force a mode.
+	// content-addressed key, and its row survives in the directory for
+	// later runs of this executable at the same configuration.
 	var cache *sweep.PointCache
-	mode := *pointcache
-	if mode == "" {
-		mode = os.Getenv("IOATSIM_POINTCACHE")
-	}
-	switch mode {
-	case "", "off":
-	case "mem":
-		cache = sweep.NewPointCache("")
-	case "on":
-		cache = sweep.NewPointCache(filepath.Join("testdata", "pointcache"))
-	default:
-		cache = sweep.NewPointCache(mode)
+	if *pointcache != "" {
+		cache = sweep.NewPointCache(*pointcache)
 	}
 
 	// The CLI and ioatd share one validation and defaulting path.

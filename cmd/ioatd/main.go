@@ -62,7 +62,7 @@ func main() {
 		queueN  = flag.Int("queue", 64, "admission queue depth (full queue answers 429)")
 		maxSc   = flag.Float64("max-scale", 1.0, "largest accepted job scale")
 		retain  = flag.Int("retention", 256, "terminal jobs kept queryable")
-		cacheD  = flag.String("pointcache", "", "directory for the persistent point cache (empty: in-process only)")
+		cacheD  = flag.String("pointcache", "", "directory for the persistent point cache, kept per executable (empty: in-process only)")
 		cacheN  = flag.Int("cache-entries", 4096, "point cache entry bound (0: unbounded)")
 		cacheB  = flag.Int64("cache-bytes", 256<<20, "point cache byte bound (0: unbounded)")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight jobs")

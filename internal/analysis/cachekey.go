@@ -13,8 +13,8 @@ import (
 // justification. A new field that silently stays out of the key makes
 // distinct configurations collide in the point cache — the worst kind
 // of wrong-answer bug. The rest of a point's key is its runner id and
-// index; everything else a point reads is code, which cacheVersion
-// covers.
+// index; everything else a point reads is code, which a point-cache
+// directory covers by keeping each executable's rows apart.
 var CacheKey = &Analyzer{
 	Name: "cachekey",
 	Doc: "require every exported bench.Config field to be consumed by " +

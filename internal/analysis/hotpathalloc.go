@@ -65,7 +65,6 @@ type allocSummary struct {
 	allocates bool
 	what      string
 	pos       token.Pos
-	inFlight  bool // cycle guard: treated as clean while being computed
 }
 
 // checkerFor returns the (cached) summarizer for pkg.
@@ -301,7 +300,7 @@ func (c *hotpathChecker) summarize(id string) *allocSummary {
 	if sum, ok := c.memo[id]; ok {
 		return sum
 	}
-	sum := &allocSummary{inFlight: true}
+	sum := &allocSummary{} // memoized first: a cycle back to id reads it clean
 	c.memo[id] = sum
 	if fd, ok := c.decls[id]; ok {
 		c.walk(fd, fd.Body, func(pos token.Pos, what string) {
@@ -312,7 +311,6 @@ func (c *hotpathChecker) summarize(id string) *allocSummary {
 			}
 		})
 	}
-	sum.inFlight = false
 	return sum
 }
 

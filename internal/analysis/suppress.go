@@ -22,7 +22,6 @@ const allowPrefix = "//ioatlint:allow"
 type allowEntry struct {
 	pos       token.Position
 	analyzers []string
-	reason    string
 	malformed string // non-empty: why the comment failed to parse
 	used      bool
 }
@@ -75,11 +74,10 @@ func collectAllows(pkg *Package) *allowSet {
 				if !strings.HasPrefix(c.Text, allowPrefix) {
 					continue
 				}
-				analyzers, reason, malformed := parseAllow(c.Text)
+				analyzers, _, malformed := parseAllow(c.Text)
 				e := &allowEntry{
 					pos:       pkg.Fset.Position(c.Pos()),
 					analyzers: analyzers,
-					reason:    reason,
 					malformed: malformed,
 				}
 				s.all = append(s.all, e)

@@ -370,33 +370,19 @@ func runMicroWith(p *cost.Params, feat ioat.Features, cfg Config,
 	return r
 }
 
-// cacheVersion tags every point-cache key with the simulation code
-// revision. Cached rows are only valid against the code that produced
-// them — the key hashes configurations, not model code or a runner's
-// own constants — so bump this whenever a change alters any
-// experiment's output (a golden-corpus diff is the signal).
-const cacheVersion = "ioatsim-v6"
-
-// goldenDigest is the SHA-256 over the sorted names and contents of
-// testdata/golden/*.txt that cacheVersion was last set for.
-// TestCacheVersionTracksGoldens fails once a golden moves, until
-// cacheVersion is bumped and this is set to the new digest, so a
-// restarted ioatd -pointcache never serves rows of older code as hits.
-const goldenDigest = "1b8fde99c94d351e6ddb3f3c845e66e34b61c215ca9958b099fb04e568e7598d"
-
 // key builds the content-addressed identity of point i of runner id
-// from the code version and the config fields that reach the tables:
-// Seed, Scale, the fault plan (a nil plan and the benign zero plan hash
-// apart, but both produce the golden tables — the differential test
-// pins that) and the cost overrides. Everything else a point reads is
-// a constant of its runner's code (the swept values, per-point
-// cost.Params adjustments), so the index names it and cacheVersion
-// covers it, as it covers the model code. Parallel, Check, Strict, Obs,
+// from the config fields that reach the tables: Seed, Scale, the fault
+// plan (a nil plan and the benign zero plan hash apart, but both
+// produce the golden tables — the differential test pins that) and the
+// cost overrides. Everything else a point reads is a constant of its
+// runner's code (the swept values, per-point cost.Params adjustments),
+// so the index names it, and code is left to the point cache, which
+// keeps each executable's files apart. Parallel, Check, Strict, Obs,
 // Cache and Ctx are deliberately excluded — they change how a run
 // executes or what it records, never what the tables say (the parallel
 // and golden tests pin that property).
 func (c Config) key(id string, i int) string {
-	return sweep.Key(cacheVersion, id, c.Seed, c.Scale, c.Fault, c.Costs, i)
+	return sweep.Key(id, c.Seed, c.Scale, c.Fault, c.Costs, i)
 }
 
 // points runs fn for every point index of runner id, concurrently up

@@ -34,7 +34,6 @@ type Checker struct {
 	Strict bool
 
 	// Event-causality state (fed by the sim.Probe hooks).
-	events       uint64
 	lastDispatch sim.Time
 	haveDispatch bool
 
@@ -66,7 +65,6 @@ func (c *Checker) EventScheduled(now, at sim.Time) {
 // EventDispatched implements sim.Probe: dispatch order is the heap's
 // core contract — timestamps handed to callbacks must be monotone.
 func (c *Checker) EventDispatched(at sim.Time) {
-	c.events++
 	if c.haveDispatch && at < c.lastDispatch {
 		c.Failf("sim", "dispatch time moved backwards: %v after %v", at, c.lastDispatch)
 	}

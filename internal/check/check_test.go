@@ -11,12 +11,13 @@ import (
 func TestEventProbes(t *testing.T) {
 	c := New()
 	s := sim.New(sim.WithProbe(c))
-	var order []sim.Time
-	s.At(sim.Time(20), func() { order = append(order, sim.Time(20)) })
-	s.At(sim.Time(10), func() { order = append(order, sim.Time(10)) })
+	// Each callback reads the dispatch the checker observed last.
+	var seen []sim.Time
+	s.At(sim.Time(20), func() { seen = append(seen, c.lastDispatch) })
+	s.At(sim.Time(10), func() { seen = append(seen, c.lastDispatch) })
 	s.Run()
-	if c.Events() != 2 {
-		t.Errorf("observed %d dispatches, want 2", c.Events())
+	if len(seen) != 2 || seen[0] != 10 || seen[1] != 20 {
+		t.Errorf("callbacks saw dispatches %v, want [10 20]", seen)
 	}
 	c.Finish()
 	if err := c.Err(); err != nil {

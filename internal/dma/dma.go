@@ -25,12 +25,8 @@ type Engine struct {
 
 	nextFree sim.Time
 
-	// Transfers and BytesMoved count completed work for reporting.
-	Transfers  int64
+	// BytesMoved counts the bytes of completed transfers.
 	BytesMoved int64
-	busy       time.Duration
-	markAt     sim.Time
-	markBusy   time.Duration
 
 	// Free lists for in-flight transfer records and retired completions,
 	// so a steady-state copy stream allocates nothing per Submit.
@@ -119,7 +115,6 @@ func (e *Engine) Submit(src, dst mem.Addr, n int) *sim.Completion {
 		e.chk.Ledger("dma:bytes").In(int64(n))
 	}
 	e.nextFree = end
-	e.busy += ser
 	if e.obs != nil && n > 0 {
 		e.obs.Span(trace.TidDMA, trace.SiteDMAXfer, start, ser, int64(n))
 	}
@@ -142,7 +137,6 @@ func (e *Engine) Submit(src, dst mem.Addr, n int) *sim.Completion {
 func xferDone(a any) {
 	x := a.(*xfer)
 	e := x.e
-	e.Transfers++
 	e.BytesMoved += int64(x.n)
 	if e.chk != nil {
 		e.chk.Ledger("dma:bytes").Out(int64(x.n))
@@ -202,18 +196,4 @@ func (e *Engine) QueueDelay() time.Duration {
 		return 0
 	}
 	return e.nextFree.Sub(now)
-}
-
-// ResetWindow starts a new utilization measurement window.
-func (e *Engine) ResetWindow() {
-	e.markAt = e.S.Now()
-	e.markBusy = e.busyUpTo(e.markAt)
-}
-
-func (e *Engine) busyUpTo(t sim.Time) time.Duration {
-	b := e.busy
-	if e.nextFree > t {
-		b -= e.nextFree.Sub(t)
-	}
-	return b
 }

@@ -334,7 +334,6 @@ type LinkFault struct {
 	bad       bool   // Gilbert-Elliott state
 
 	// Counters (exported for metrics and tests).
-	OfferedChunks int64
 	DroppedChunks int64
 	DroppedBytes  int64
 	FlapDrops     int64
@@ -345,7 +344,6 @@ type LinkFault struct {
 // first (a down link drops everything), then the exact mask schedule if
 // configured, then the probabilistic frame-loss models.
 func (lf *LinkFault) Drop(now sim.Time, frames, payloadBytes int) bool {
-	lf.OfferedChunks++
 	p := lf.plan
 	if p.FlapPeriod > 0 && p.FlapDown > 0 {
 		if (time.Duration(now)+lf.flapPhase)%p.FlapPeriod < p.FlapDown {
@@ -397,14 +395,12 @@ type NICFault struct {
 	plan    *Plan
 	pending int // frames admitted but not yet drained
 
-	OfferedChunks int64
 	DroppedChunks int64
 	DroppedBytes  int64
 }
 
 // Admit reserves ring slots for a chunk's frames, or reports overflow.
 func (nf *NICFault) Admit(frames, payloadBytes int) bool {
-	nf.OfferedChunks++
 	if limit := nf.plan.RxRingFrames; limit > 0 && nf.pending+frames > limit {
 		nf.DroppedChunks++
 		nf.DroppedBytes += int64(payloadBytes)

@@ -45,11 +45,10 @@ type Node struct {
 // Buf allocates a user buffer in the node's address space.
 func (n *Node) Buf(size int) mem.Buffer { return n.Mem.Space.Alloc(size, 0) }
 
-// ResetMeters starts fresh CPU and DMA utilization windows, discarding
+// ResetMeters starts a fresh CPU utilization window, discarding
 // warm-up activity.
 func (n *Node) ResetMeters() {
 	n.CPU.ResetWindow()
-	n.DMA.ResetWindow()
 }
 
 // Cluster is a set of nodes sharing one simulator and parameter set.
@@ -235,7 +234,7 @@ func (c *Cluster) newNode(feat ioat.Features, name string, nports int) *Node {
 	m.SetChecker(c.Check)
 	cp := cpu.New(s, p)
 	e := dma.New(s, p, m)
-	n := nic.New(s, p, cp, m, e, feat, name, nports)
+	n := nic.New(s, p, cp, m, feat, name, nports)
 	st := tcp.NewStack(s, p, cp, m, e, n, feat, name)
 	cp.SetChecker(c.Check)
 	e.SetChecker(c.Check)

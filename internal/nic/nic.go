@@ -16,7 +16,6 @@ import (
 	"ioatsim/internal/check"
 	"ioatsim/internal/cost"
 	"ioatsim/internal/cpu"
-	"ioatsim/internal/dma"
 	"ioatsim/internal/fault"
 	"ioatsim/internal/ioat"
 	"ioatsim/internal/link"
@@ -76,9 +75,7 @@ type NIC struct {
 	P    *cost.Params
 	CPU  *cpu.CPU
 	Mem  *mem.Model
-	DMA  *dma.Engine
 	Feat ioat.Features
-	Node string
 
 	Ports []*link.Port
 
@@ -99,8 +96,6 @@ type NIC struct {
 	Fault *fault.NICFault
 
 	// Stats.
-	RxChunks   int64
-	RxFrames   int64
 	Interrupts int64
 	Evictions  time.Duration // total pollution penalty charged
 
@@ -130,8 +125,8 @@ func (n *NIC) SetObs(o *trace.Obs) {
 
 // New returns a NIC with nports ports attached to the node.
 func New(s *sim.Simulator, p *cost.Params, c *cpu.CPU, m *mem.Model,
-	e *dma.Engine, feat ioat.Features, node string, nports int) *NIC {
-	n := &NIC{S: s, P: p, CPU: c, Mem: m, DMA: e, Feat: feat, Node: node}
+	feat ioat.Features, node string, nports int) *NIC {
+	n := &NIC{S: s, P: p, CPU: c, Mem: m, Feat: feat}
 	n.rxPool = mem.NewPool(m.Space, rxBufSize(p))
 	n.hdrRing = m.Space.Alloc(p.HeaderRingBytes, 0)
 	n.hdrSlotBytes = p.HeaderLines * p.CacheLine
@@ -215,9 +210,6 @@ func (n *NIC) deliver(port int, c *link.Chunk) {
 		c.Release()
 		return
 	}
-	n.RxChunks++
-	n.RxFrames += int64(frames)
-
 	// Interrupts: the driver coalesces up to CoalesceFrames back-to-back
 	// frames per interrupt.
 	intrs := (frames + p.CoalesceFrames - 1) / p.CoalesceFrames

@@ -6,7 +6,6 @@ import (
 
 	"ioatsim/internal/cost"
 	"ioatsim/internal/cpu"
-	"ioatsim/internal/dma"
 	"ioatsim/internal/ioat"
 	"ioatsim/internal/link"
 	"ioatsim/internal/mem"
@@ -35,8 +34,7 @@ func newRig(feat ioat.Features) *rig {
 	mkNode := func(name string, f ioat.Features) *NIC {
 		m := mem.NewModel(p)
 		c := cpu.New(s, p)
-		e := dma.New(s, p, m)
-		return New(s, p, c, m, e, f, name, 2)
+		return New(s, p, c, m, f, name, 2)
 	}
 	src := mkNode("src", ioat.None())
 	dst := mkNode("dst", feat)

@@ -126,7 +126,6 @@ func (w *iodWorker) reply() {
 // created at client setup and started (one event) for each Read/Write.
 type spanWorker struct {
 	c    *Client
-	srv  int
 	task *sim.Task
 	mc   *msg.Async
 
@@ -142,7 +141,7 @@ type spanWorker struct {
 }
 
 func newSpanWorker(c *Client, srv int) *spanWorker {
-	w := &spanWorker{c: c, srv: srv, task: c.node.S.NewTask("")}
+	w := &spanWorker{c: c, task: c.node.S.NewTask("")}
 	w.mc = msg.NewAsync(c.conns[srv], w.task)
 	w.stepLoop = w.loop
 	w.stepSent = w.sent

@@ -44,8 +44,7 @@ type StreamRecord struct {
 // created at admission and cancelled by DELETE, client disconnect (for
 // attached submissions) or server shutdown.
 type Job struct {
-	ID  string
-	Req bench.Request
+	ID string
 
 	cfg     bench.Config
 	runners []bench.Runner
@@ -64,11 +63,10 @@ type Job struct {
 	done     chan struct{}
 }
 
-func newJob(id string, req bench.Request, cfg bench.Config, runners []bench.Runner,
+func newJob(id string, cfg bench.Config, runners []bench.Runner,
 	ctx context.Context, cancel context.CancelFunc, now time.Time) *Job {
 	return &Job{
 		ID:      id,
-		Req:     req,
 		cfg:     cfg,
 		runners: runners,
 		ctx:     ctx,

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ioatsim/internal/bench"
 )
 
 // --- helpers ---------------------------------------------------------
@@ -134,6 +137,107 @@ func TestQueueOverflow429(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	s.Shutdown(ctx)
+}
+
+// TestRejectedSubmissionsLeaveNoIDs floods a full queue from several
+// goroutines at once: a rejected submission must leave the registry as
+// it found it, so the creation order names exactly the registered jobs
+// and the retention bound counts only real ones.
+func TestRejectedSubmissionsLeaveNoIDs(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 1})
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s.run = func(j *Job) {
+		started <- struct{}{}
+		<-release
+		j.finish(StateDone, "")
+	}
+	s.Start()
+	req := bench.Request{Runners: []string{"fig6"}}
+	if _, err := s.Submit(req, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the one worker is busy
+
+	// A second job fills the depth-1 queue.
+	if _, err := s.Submit(req, nil); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 2000 {
+				if _, err := s.Submit(req, nil); !errors.Is(err, ErrQueueFull) {
+					t.Errorf("submit to a full queue: %v, want ErrQueueFull", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s.mu.Lock()
+	order, jobs := len(s.order), len(s.jobs)
+	s.mu.Unlock()
+	if order != jobs || jobs != 2 {
+		t.Errorf("registry holds %d ids for %d jobs after the rejections, want 2 and 2", order, jobs)
+	}
+	close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	s.Shutdown(ctx)
+}
+
+// TestEveryAcceptedJobIsCounted pins /metrics' job accounting: once the
+// server is idle, every accepted job is counted as done, failed or
+// canceled, among them a job cancelled while it was queued.
+func TestEveryAcceptedJobIsCounted(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 4})
+	started := make(chan *Job, 8)
+	release := make(chan struct{})
+	s.run = func(j *Job) {
+		started <- j
+		<-release
+		j.finish(StateDone, "")
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	postJob(t, ts, `{"runners":["fig6"]}`)
+	<-started // A running
+	_, stB := postJob(t, ts, `{"runners":["fig6"]}`)
+	_, stC := postJob(t, ts, `{"runners":["fig6"]}`)
+	del, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+stB.ID, nil)
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	close(release)
+	// The worker takes B, and skips it, before C.
+	waitTerminal(t, s, stC.ID, StateDone)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m metricsDoc
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.JobsAccepted != 3 || m.JobsDone != 2 || m.JobsCanceled != 1 ||
+		m.JobsAccepted != m.JobsDone+m.JobsFailed+m.JobsCanceled {
+		t.Errorf("jobs accepted %d, done %d, failed %d, canceled %d; want 3 = 2 + 0 + 1",
+			m.JobsAccepted, m.JobsDone, m.JobsFailed, m.JobsCanceled)
+	}
 }
 
 // TestCancelRunningJob pins DELETE semantics for an in-flight job: the

@@ -57,7 +57,9 @@ type Options struct {
 	// Retention bounds how many terminal jobs stay queryable; <= 0
 	// means 256. The oldest are forgotten first.
 	Retention int
-	// CacheDir persists point results there ("" = in-process only).
+	// CacheDir persists point results in its subdirectory for this
+	// executable, so a rebuilt daemon starts cold ("" = in-process
+	// only; see sweep.NewPointCache).
 	CacheDir string
 	// CacheEntries / CacheBytes bound the in-process point memo
 	// (0 = that dimension unbounded; both 0 = entries 4096, bytes
@@ -229,22 +231,22 @@ func (s *Server) Start() {
 
 // dispatch runs one job unless it was cancelled while queued or the
 // server is draining (queued jobs are not started during shutdown —
-// drain means finishing the jobs already in flight).
+// drain means finishing the jobs already in flight), then counts the
+// job's outcome. Every admitted job is counted once: here, or by
+// Shutdown if no worker received it.
 func (s *Server) dispatch(j *Job) {
-	if s.draining.Load() {
+	switch {
+	case s.draining.Load():
 		j.finish(StateCanceled, "server shutting down before the job started")
-		return
+	case j.start(time.Now()): // false if cancelled while queued
+		s.inflight.Add(1)
+		defer s.inflight.Add(-1)
+		t0 := time.Now()
+		s.run(j)
+		s.mu.Lock()
+		s.latency.Observe(time.Since(t0).Seconds())
+		s.mu.Unlock()
 	}
-	if !j.start(time.Now()) {
-		return // cancelled while queued
-	}
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	t0 := time.Now()
-	s.run(j)
-	s.mu.Lock()
-	s.latency.Observe(time.Since(t0).Seconds())
-	s.mu.Unlock()
 	switch j.State() {
 	case StateDone:
 		s.finished[0].Add(1)
@@ -293,12 +295,20 @@ func (s *Server) Submit(req bench.Request, parent context.Context) (*Job, error)
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
+	// The registry takes a job only once the queue has admitted it, so
+	// a rejected job leaves nothing behind. (TryEnqueue never blocks.)
 	s.mu.Lock()
 	s.nextID++
-	id := fmt.Sprintf("job-%d", s.nextID)
-	j := newJob(id, req, cfg, runners, ctx, cancel, time.Now())
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	j := newJob(fmt.Sprintf("job-%d", s.nextID), cfg, runners, ctx, cancel, time.Now())
+	if err := s.queue.TryEnqueue(j); err != nil {
+		s.mu.Unlock()
+		s.rejected.Add(1)
+		cancel()
+		return nil, err
+	}
+	s.accepted.Add(1)
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
 	s.evictTerminalLocked()
 	s.mu.Unlock()
 
@@ -313,19 +323,6 @@ func (s *Server) Submit(req bench.Request, parent context.Context) (*Job, error)
 			}
 		}()
 	}
-
-	if err := s.queue.TryEnqueue(j); err != nil {
-		s.rejected.Add(1)
-		cancel()
-		s.mu.Lock()
-		delete(s.jobs, id)
-		if n := len(s.order); n > 0 && s.order[n-1] == id {
-			s.order = s.order[:n-1]
-		}
-		s.mu.Unlock()
-		return nil, err
-	}
-	s.accepted.Add(1)
 	return j, nil
 }
 

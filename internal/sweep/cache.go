@@ -3,16 +3,15 @@
 // Every sweep point is a pure function of its configuration: the same
 // seed, scale, parameter set and code produce byte-identical rows (the
 // property the golden corpus pins). That makes each point's result
-// content-addressable — Key hashes a canonical encoding of everything
-// the point depends on, and PointCache memoizes the row under that key,
+// content-addressable — Key hashes a canonical encoding of the point's
+// configuration, and PointCache memoizes the row under that key,
 // in process and optionally on disk as its gob encoding. Repeated
 // invocations (re-rendering figures, iterating on one experiment while
-// the rest are untouched, CI re-runs at a pinned code version) then
-// skip the simulation entirely.
+// the rest are untouched, CI re-runs of one build) then skip the
+// simulation entirely.
 //
-// The cache can only be trusted as far as the key reaches: callers must
-// fold in a code-version tag and bump it whenever simulation semantics
-// change, because the hash sees configurations, not the model code.
+// A key sees configurations, not the model code, so a directory keeps
+// each executable's files apart (see NewPointCache).
 package sweep
 
 import (
@@ -23,6 +22,7 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -54,9 +54,7 @@ func Key(parts ...any) string {
 // prefixed with a kind tag and structs with their full type name, so
 // values of different types never collide ("1" as int vs. uint vs. "1"
 // the string), and reordering or renaming struct fields changes the key.
-// The bytes must never change: they name every persisted
-// <key>.<shape>.gob, and the tests pin them against a fmt-based
-// reference encoder.
+// The tests pin the bytes against a fmt-based reference encoder.
 func appendCanon(b []byte, v reflect.Value) []byte {
 	if !v.IsValid() {
 		return append(b, "nil"...)
@@ -149,9 +147,9 @@ func plain(t reflect.Type) bool {
 // PointCache memoizes sweep-point results by content-addressed key. An
 // in-process map serves hits across the figures of one invocation; with
 // a directory it also persists each result's gob encoding as
-// <dir>/<key>.<shape>.gob, where shape names the row type (see
-// CachedRunCtx), so later invocations at the same configuration, code
-// version and row type skip the simulation. Safe for concurrent use by
+// <dir>/<id>/<key>.gob, where id names the running executable (see
+// NewPointCache), so later runs of the same binary at the same
+// configuration skip the simulation. Safe for concurrent use by
 // parallel sweep workers.
 //
 // The in-process memo is optionally bounded (see Bound), so a
@@ -228,12 +226,44 @@ func (q *evictQueue) Pop() any {
 	return e
 }
 
-// NewPointCache returns an unbounded cache memoizing in process; if dir
-// is non-empty, results are also persisted there (the directory is
-// created on first store).
+// NewPointCache returns an unbounded cache memoizing in process. If dir
+// is non-empty, results are also persisted in its subdirectory named by
+// executableID (created on first store), so a row is read back only by
+// the binary that wrote it: a change to the model or to a row type
+// makes a new binary, and a new binary starts cold. If the executable
+// cannot be read, the cache stays memo-only.
 func NewPointCache(dir string) *PointCache {
+	if dir != "" {
+		if id := executableID(); id != "" {
+			dir = filepath.Join(dir, id)
+		} else {
+			dir = ""
+		}
+	}
 	return &PointCache{dir: dir, memo: make(map[string]*memoEntry)}
 }
+
+// executableID returns the first 16 hex digits of the SHA-256 of the
+// running executable, or "" if it cannot be read. The file is hashed
+// once per process, at the first NewPointCache with a directory, so a
+// daemon whose binary is replaced on disk keeps filing rows under its
+// own id. Tests replace it.
+var executableID = sync.OnceValue(func() string {
+	path, err := os.Executable()
+	if err != nil {
+		return ""
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return ""
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+})
 
 // Bound caps the in-process memo at maxEntries results and maxBytes
 // payload bytes (either 0 = unbounded in that dimension) and returns c.
@@ -250,7 +280,8 @@ func (c *PointCache) Bound(maxEntries int, maxBytes int64) *PointCache {
 	return c
 }
 
-// Dir reports the persistence directory ("" for memo-only).
+// Dir reports the directory the cache persists to, this executable's
+// subdirectory of the one NewPointCache was given ("" for memo-only).
 func (c *PointCache) Dir() string { return c.dir }
 
 // Stats reports how many point lookups hit and missed so far.
@@ -447,17 +478,8 @@ func CachedRunCtx[T any](ctx context.Context, c *PointCache, parallel, n int, ke
 		err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&out)
 		return out, err == nil
 	}
-	// gob matches struct fields by name, so a file written for a row
-	// type of another shape would decode, partly zero, without error.
-	// On disk a key therefore also names T's shape: the canonical
-	// encoding of its zero value names the type and every field.
-	var shape string
-	if c.dir != "" {
-		var zero T
-		shape = "." + Key(zero)[:16]
-	}
 	return RunCtx(ctx, parallel, n, func(i int) T {
-		k := key(i) + shape
+		k := key(i)
 		if row, saved, ok := c.fetch(k, decode); ok {
 			if out, ok := row.(T); ok {
 				c.count(true, saved)

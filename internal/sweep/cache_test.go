@@ -54,8 +54,8 @@ func TestKeyDeterministic(t *testing.T) {
 }
 
 // refKey is Key over the reference encoder below: the fmt-based walk
-// the point cache first shipped with. Every persisted <key>.<shape>.gob
-// is named by its bytes, so Key must reproduce them exactly.
+// the point cache first shipped with. Every persisted <key>.gob is
+// named by its bytes, so Key must reproduce them exactly.
 func refKey(parts ...any) string {
 	h := sha256.New()
 	for _, p := range parts {
@@ -257,7 +257,7 @@ func TestNegativeZeroSurvivesDisk(t *testing.T) {
 			t.Fatalf("%d misses, want 1: the point must be simulated, not read back", misses)
 		}
 	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "*.gob")); len(files) != 0 {
+	if files, _ := filepath.Glob(filepath.Join(dir, "*", "*.gob")); len(files) != 0 {
 		t.Fatalf("wrote %v for a row gob cannot round-trip", files)
 	}
 }
@@ -326,13 +326,62 @@ func TestCachedRunPersists(t *testing.T) {
 	}
 }
 
+// TestDiskFilesBoundToExecutable checks that a cache directory keeps
+// each executable's rows apart: a fresh cache of the binary that wrote
+// the rows reads them back, a cache of another binary misses every
+// point and files its rows under its own subdirectory, and a binary
+// that cannot read itself caches in its memo only.
+func TestDiskFilesBoundToExecutable(t *testing.T) {
+	defer func(id func() string) { executableID = id }(executableID)
+	dir := t.TempDir()
+	key := func(i int) string { return Key("bound", i) }
+	fn := func(i int) row { return row{N: i, D: int64(i) * 7} }
+	const a, b = "00000000000000aa", "00000000000000bb"
+	for _, tc := range []struct {
+		id                    string
+		hits, misses, subdirs int
+	}{
+		{a, 0, 3, 1},  // a cold directory
+		{a, 3, 0, 1},  // the same binary reads its own rows back
+		{b, 0, 3, 2},  // another binary reads none of them
+		{"", 0, 3, 2}, // an unreadable binary writes nothing
+	} {
+		executableID = func() string { return tc.id }
+		c := NewPointCache(dir)
+		want := filepath.Join(dir, tc.id)
+		if tc.id == "" {
+			want = ""
+		}
+		if c.Dir() != want {
+			t.Fatalf("id %q: Dir() = %q, want %q", tc.id, c.Dir(), want)
+		}
+		out := CachedRun(c, 1, 3, key, fn)
+		for i, r := range out {
+			if r != fn(i) {
+				t.Fatalf("id %q: row %d = %+v, want %+v", tc.id, i, r, fn(i))
+			}
+		}
+		if hits, misses := c.Stats(); int(hits) != tc.hits || int(misses) != tc.misses {
+			t.Errorf("id %q: %d hits, %d misses; want %d, %d", tc.id, hits, misses, tc.hits, tc.misses)
+		}
+		if subdirs, _ := os.ReadDir(dir); len(subdirs) != tc.subdirs {
+			t.Errorf("id %q: %d entries in the cache directory, want %d", tc.id, len(subdirs), tc.subdirs)
+		}
+	}
+	for _, id := range []string{a, b} {
+		if files, _ := filepath.Glob(filepath.Join(dir, id, "*.gob")); len(files) != 3 {
+			t.Errorf("%s holds %v, want the 3 rows it wrote", id, files)
+		}
+	}
+}
+
 // TestCachedRunCorruptedFile checks that an undecodable cache entry is
 // treated as a miss: the point is recomputed and the entry rewritten.
 func TestCachedRunCorruptedFile(t *testing.T) {
 	dir := t.TempDir()
 	key := func(i int) string { return Key("corrupt", i) }
 	CachedRun(NewPointCache(dir), 1, 1, key, func(i int) row { return row{N: 42} })
-	files, _ := filepath.Glob(filepath.Join(dir, "*.gob"))
+	files, _ := filepath.Glob(filepath.Join(dir, "*", "*.gob"))
 	if len(files) != 1 {
 		t.Fatalf("cache files %v, want one", files)
 	}
@@ -362,36 +411,6 @@ func TestCachedRunCorruptedFile(t *testing.T) {
 	})
 	if calls2.Load() != 0 {
 		t.Fatal("entry was not rewritten after the corrupted read")
-	}
-}
-
-// ShapeMetrics is the embedded half of a row in
-// TestDiskRowOfAnotherShapeMisses.
-type ShapeMetrics struct{ TPS, ProxyCPU float64 }
-
-// TestDiskRowOfAnotherShapeMisses checks that a file written for a row
-// type of another shape is a miss. gob matches fields by name, so the
-// file of a row with an embedded struct would decode into a flat row
-// with the embedded fields zero, and no error.
-func TestDiskRowOfAnotherShapeMisses(t *testing.T) {
-	type nested struct {
-		ShapeMetrics
-		Size int
-	}
-	type flat struct {
-		TPS, ProxyCPU float64
-		Size          int
-	}
-	dir := t.TempDir()
-	key := func(int) string { return Key("reshaped") }
-	CachedRun(NewPointCache(dir), 1, 1, key, func(int) nested {
-		return nested{ShapeMetrics{TPS: 9754, ProxyCPU: 0.5}, 4096}
-	})
-	c := NewPointCache(dir)
-	want := flat{TPS: 9754, ProxyCPU: 0.5, Size: 4096}
-	out := CachedRun(c, 1, 1, key, func(int) flat { return want })
-	if hits, misses := c.Stats(); out[0] != want || hits != 0 || misses != 1 {
-		t.Fatalf("row %+v, %d hits, %d misses; want %+v from a miss", out[0], hits, misses, want)
 	}
 }
 

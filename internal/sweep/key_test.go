@@ -9,19 +9,16 @@ import (
 	"ioatsim/internal/sweep"
 )
 
-// pointKey is bench.Config.key at the code version "ioatsim-v6": the
-// parts every sweep point hashes, in order, typed as Config.key passes
-// them.
+// pointKey is bench.Config.key: the parts every sweep point hashes, in
+// order, typed as Config.key passes them.
 func pointKey(id string, seed uint64, scale float64, plan *fault.Plan, costs []bench.CostOverride, i int) string {
-	return sweep.Key("ioatsim-v6", id, seed, scale, plan, costs, i)
+	return sweep.Key(id, seed, scale, plan, costs, i)
 }
 
 // TestKeyGolden pins the keys of four real sweep points, each the name
 // of the <key>.gob file its runner writes into a point-cache directory.
-// These keys name the files of every persisted point cache, so a change
-// here orphans them all. A change to a key part's type (a new
-// fault.Plan or CostOverride field) moves these keys on purpose; a
-// change to the encoder must not.
+// A change to a key part's type (a new fault.Plan or CostOverride field)
+// moves these keys on purpose; a change to the encoder must not.
 func TestKeyGolden(t *testing.T) {
 	costs := []bench.CostOverride{{Field: "PinPerPage", Value: 300}, {Field: "MTU", Value: 9000}}
 	for _, tc := range []struct {
@@ -29,16 +26,16 @@ func TestKeyGolden(t *testing.T) {
 	}{
 		{"fig3a point 0 at the golden configuration",
 			pointKey("fig3a", 1, 0.05, nil, nil, 0),
-			"6d48ec41522998277423838db37d959e2b1c5786302c9d4dbcdba401c5503749"},
+			"914bcfcb6c058f56512a029257cf84fe0fb5a40b53741382f92e8e48af876d27"},
 		{"ablpin index 3 (4x the pin cost)",
 			pointKey("ablpin", 1, 0.05, nil, nil, 3),
-			"2d4044dab4c1e12c6c29f03d7e91560334e09e6317265057214dc81f444bc05f"},
+			"02e288cfe959a04f5b3d6514803c411fe64abfd2257611c2c13bf89b0d18fb42"},
 		{"fig3a point 0 under loss=0.01,seed=7",
 			pointKey("fig3a", 1, 0.05, &fault.Plan{Seed: 7, LossRate: 0.01}, nil, 0),
-			"21ba0c8eac94017fd9e48ccd9f939dd2e5c05de69f952e17f6b10f4a1a56e93b"},
+			"fba0037ab8724a8a1652bb57ab4589bde7c5f0a286a46b42cc96d0c1bf59675a"},
 		{"fig3a point 0 with cost overrides",
 			pointKey("fig3a", 1, 0.05, nil, costs, 0),
-			"9fc2dec27c509b0bf3b32c1462c24941cf19fbb44b43ca28f35d926d62dc1cba"},
+			"a136557571b193e4f962bd7893d9e407b8c30e76f0f0f29f3cbad40b6d898e1c"},
 	} {
 		if tc.key != tc.want {
 			t.Errorf("%s: key %s, want %s", tc.name, tc.key, tc.want)

@@ -51,7 +51,7 @@ func FuzzTCPSegmentation(f *testing.F) {
 			m := mem.NewModel(p)
 			c := cpu.New(s, p)
 			e := dma.New(s, p, m)
-			nc := nic.New(s, p, c, m, e, feat, name, 1)
+			nc := nic.New(s, p, c, m, feat, name, 1)
 			st := NewStack(s, p, c, m, e, nc, feat, name)
 			setChecker(st, chk)
 			return st

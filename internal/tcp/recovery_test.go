@@ -34,7 +34,7 @@ func newFaultNet(feat ioat.Features, p *cost.Params, plan fault.Plan) *faultNet 
 		m := mem.NewModel(p)
 		c := cpu.New(s, p)
 		e := dma.New(s, p, m)
-		nc := nic.New(s, p, c, m, e, feat, name, 6)
+		nc := nic.New(s, p, c, m, feat, name, 6)
 		c.SetFault(in.Node(name))
 		nc.Fault = in.NIC(name)
 		for i, pt := range nc.Ports {

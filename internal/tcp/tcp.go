@@ -143,8 +143,7 @@ func NewStack(s *sim.Simulator, p *cost.Params, c *cpu.CPU, m *mem.Model,
 
 // Listener accepts inbound connections for one named service.
 type Listener struct {
-	stack   *Stack
-	service string
+	stack *Stack
 	// backlog holds the server endpoints whose handshake has completed
 	// and that the accept loop has not taken yet; waiter is the accept
 	// loop's task while it waits on an empty backlog.
@@ -157,7 +156,7 @@ func (st *Stack) Listen(service string) *Listener {
 	if _, dup := st.listeners[service]; dup {
 		panic(fmt.Sprintf("tcp: duplicate listener %q on %s", service, st.Name))
 	}
-	l := &Listener{stack: st, service: service}
+	l := &Listener{stack: st}
 	st.listeners[service] = l
 	return l
 }

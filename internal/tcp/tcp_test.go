@@ -23,7 +23,7 @@ func newNode(s *sim.Simulator, p *cost.Params, feat ioat.Features, name string, 
 	m := mem.NewModel(p)
 	c := cpu.New(s, p)
 	e := dma.New(s, p, m)
-	n := nic.New(s, p, c, m, e, feat, name, ports)
+	n := nic.New(s, p, c, m, feat, name, ports)
 	return &node{st: NewStack(s, p, c, m, e, n, feat, name)}
 }
 
