@@ -1,8 +1,8 @@
 // Command ioatlint is the project's static-analysis multichecker. It
-// enforces the simulator's determinism, hot-path allocation, probe
-// nil-guard and cache-key contracts at compile time, and reports
-// library surface that no non-test code uses; see internal/analysis for
-// what each analyzer rejects and why.
+// enforces the simulator's determinism, hot-path allocation and probe
+// nil-guard contracts at compile time, and reports library surface that
+// no non-test code uses; see internal/analysis for what each analyzer
+// rejects and why.
 //
 // Usage:
 //

@@ -12,9 +12,6 @@
 //   - probeguard: selectors on nullable observability/fault pointers
 //     must be dominated by a nil check (the "disabled = one nil
 //     compare" guarantee);
-//   - cachekey: every exported bench.Config field must be consumed by
-//     Config.key or listed in the exclusion set (the reflection gate
-//     test TestPointKeyConfigSensitivity is the runtime counterpart);
 //   - deadapi: every exported identifier of an internal/ package, and
 //     every unexported package-level function or method, must have a
 //     use in non-test code of the root module or the benchmark module
@@ -231,7 +228,7 @@ func (f Finding) String() string {
 
 // All returns the full analyzer suite in report order.
 func All() []*Analyzer {
-	return []*Analyzer{SimDeterminism, HotpathAlloc, ProbeGuard, CacheKey, DeadAPI}
+	return []*Analyzer{SimDeterminism, HotpathAlloc, ProbeGuard, DeadAPI}
 }
 
 // Lint runs the analyzers over the packages, applies the allow-comment

@@ -22,14 +22,6 @@ func TestProbeGuardFixture(t *testing.T) {
 	RunFixture(t, ProbeGuard, "testdata/src/probeguard", ModulePath+"/internal/host")
 }
 
-func TestCacheKeyConfigFixture(t *testing.T) {
-	RunFixture(t, CacheKey, "testdata/src/cachekey_bench", ModulePath+"/internal/bench")
-}
-
-func TestCacheKeyNoKeyMethodFixture(t *testing.T) {
-	RunFixture(t, CacheKey, "testdata/src/cachekey_nokey", ModulePath+"/internal/bench")
-}
-
 // TestDeadAPIFixture loads a library, a second root package that uses
 // it, and a stand-in for the benchmark module, which is indexed for
 // uses but not linted.
@@ -94,7 +86,7 @@ func TestParseAllow(t *testing.T) {
 	}{
 		{"//ioatlint:allow probeguard — hook installed at construction", "probeguard", "hook installed at construction", false},
 		{"//ioatlint:allow a,b -- two analyzers, ascii dash", "a,b", "two analyzers, ascii dash", false},
-		{"//ioatlint:allow cachekey - single dash", "cachekey", "single dash", false},
+		{"//ioatlint:allow deadapi - single dash", "deadapi", "single dash", false},
 		{"//ioatlint:allow", "", "", true},
 		{"//ioatlint:allow probeguard", "", "", true},
 		{"//ioatlint:allowprobeguard — glued", "", "", true},

@@ -61,10 +61,10 @@ type Config struct {
 	Obs host.Observability
 
 	// Cache, when non-nil, memoizes each sweep point's result under its
-	// content-addressed key (Config.key: the code version, runner,
-	// point index, Seed, Scale, Fault and Costs), so repeated runs at an
-	// identical configuration skip the simulation. Tables are
-	// byte-identical with or without it — the golden tests pin that.
+	// content-addressed key (Config.key: runner, point index, Seed,
+	// Scale, Fault and Costs), so repeated runs at an identical
+	// configuration skip the simulation. Tables are byte-identical with
+	// or without it — the golden tests pin that.
 	Cache *sweep.PointCache
 
 	// Ctx, when non-nil, bounds the experiment's lifetime: once it is
@@ -380,7 +380,8 @@ func runMicroWith(p *cost.Params, feat ioat.Features, cfg Config,
 // keeps each executable's files apart. Parallel, Check, Strict, Obs,
 // Cache and Ctx are deliberately excluded — they change how a run
 // executes or what it records, never what the tables say (the parallel
-// and golden tests pin that property).
+// and golden tests pin that property). TestPointKeyConfigSensitivity
+// holds this decision, one row per field.
 func (c Config) key(id string, i int) string {
 	return sweep.Key(id, c.Seed, c.Scale, c.Fault, c.Costs, i)
 }

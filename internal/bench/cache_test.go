@@ -11,83 +11,57 @@ import (
 	"ioatsim/internal/trace"
 )
 
-// TestPointKeyConfigSensitivity checks which Config fields reach the
-// point-cache key: Seed and Scale must (they change the tables), while
-// Parallel, Check, Obs and Cache must not (they change execution, not
-// outcomes — caching across them is the whole point). The completeness
-// sweep at the end forces this decision for any future Config field.
+// TestPointKeyConfigSensitivity is the point-key contract: one row per
+// Config field, with a setter that moves the field off the base config
+// and whether the point key must move with it. Seed, Scale, Fault and
+// Costs change the tables, so they must join the key; the rest change
+// how a run executes or what it records, so caching across them is the
+// whole point. A field with no row fails, so every new field is
+// decided here.
 func TestPointKeyConfigSensitivity(t *testing.T) {
+	rows := map[string]struct {
+		set   func(*Config)
+		keyed bool
+	}{
+		"Seed":     {func(c *Config) { c.Seed = 2 }, true},
+		"Scale":    {func(c *Config) { c.Scale = 0.25 }, true},
+		"Fault":    {func(c *Config) { c.Fault = &fault.Plan{Seed: 1, LossRate: 0.01} }, true},
+		"Costs":    {func(c *Config) { c.Costs = []CostOverride{{Field: "MTU", Value: 2048}} }, true},
+		"Parallel": {func(c *Config) { c.Parallel = 9 }, false},
+		"Check":    {func(c *Config) { c.Check = true }, false},
+		"Strict":   {func(c *Config) { c.Strict = true }, false},
+		"Obs":      {func(c *Config) { c.Obs = host.Observability{Profile: trace.NewProfiler()} }, false},
+		"Cache":    {func(c *Config) { c.Cache = sweep.NewPointCache("") }, false},
+		"Ctx":      {func(c *Config) { c.Ctx = context.Background() }, false},
+	}
 	base := Config{Seed: 1, Scale: 0.5, Parallel: 2}
 	k0 := base.key("probe", 7)
-
-	seedCfg := base
-	seedCfg.Seed = 2
-	if seedCfg.key("probe", 7) == k0 {
-		t.Error("changing Seed does not change the point key")
-	}
-	scaleCfg := base
-	scaleCfg.Scale = 0.25
-	if scaleCfg.key("probe", 7) == k0 {
-		t.Error("changing Scale does not change the point key")
-	}
-
-	parCfg := base
-	parCfg.Parallel = 9
-	if parCfg.key("probe", 7) != k0 {
-		t.Error("Parallel must not reach the point key (tables are identical at any setting)")
-	}
-	checkCfg := base
-	checkCfg.Check = true
-	if checkCfg.key("probe", 7) != k0 {
-		t.Error("Check must not reach the point key (the checker never alters outcomes)")
-	}
-	obsCfg := base
-	obsCfg.Obs = host.Observability{Profile: trace.NewProfiler()}
-	if obsCfg.key("probe", 7) != k0 {
-		t.Error("Obs must not reach the point key (observability never alters outcomes)")
-	}
-	cacheCfg := base
-	cacheCfg.Cache = sweep.NewPointCache("")
-	if cacheCfg.key("probe", 7) != k0 {
-		t.Error("Cache must not reach the point key")
-	}
-	strictCfg := base
-	strictCfg.Strict = true
-	if strictCfg.key("probe", 7) != k0 {
-		t.Error("Strict must not reach the point key (fail-fast checking never alters outcomes)")
-	}
-	faultCfg := base
-	faultCfg.Fault = &fault.Plan{Seed: 1, LossRate: 0.01}
-	if faultCfg.key("probe", 7) == k0 {
-		t.Error("Fault must reach the point key: a lossy run is a different result")
-	}
-	benignCfg := base
-	benignCfg.Fault = &fault.Plan{}
-	if benignCfg.key("probe", 7) == k0 {
-		t.Error("a non-nil benign plan still keys separately from a nil plan")
-	}
-	costCfg := base
-	costCfg.Costs = []CostOverride{{Field: "MTU", Value: 2048}}
-	if costCfg.key("probe", 7) == k0 {
-		t.Error("Costs must reach the point key: overridden costs change the tables")
-	}
-	ctxCfg := base
-	ctxCfg.Ctx = context.Background()
-	if ctxCfg.key("probe", 7) != k0 {
-		t.Error("Ctx must not reach the point key (cancellation never alters a finished table)")
-	}
-
-	decided := map[string]bool{
-		"Seed": true, "Scale": true, "Fault": true, "Costs": true,
-		"Parallel": false, "Check": false, "Strict": false, "Obs": false, "Cache": false,
-		"Ctx": false,
-	}
-	rt := reflect.TypeOf(Config{})
-	for i := 0; i < rt.NumField(); i++ {
-		if _, ok := decided[rt.Field(i).Name]; !ok {
-			t.Errorf("new Config field %q: decide whether it joins the point-cache key and add it to this test",
-				rt.Field(i).Name)
+	rt := reflect.TypeOf(base)
+	for i := range rt.NumField() {
+		name := rt.Field(i).Name
+		row, ok := rows[name]
+		if !ok {
+			t.Errorf("Config.%s has no row: decide whether it joins the point key", name)
+			continue
 		}
+		cfg := base
+		row.set(&cfg)
+		if reflect.DeepEqual(reflect.ValueOf(cfg).Field(i).Interface(), reflect.ValueOf(base).Field(i).Interface()) {
+			t.Errorf("the %s row's setter leaves Config.%s at its base value", name, name)
+			continue
+		}
+		switch moved := cfg.key("probe", 7) != k0; {
+		case row.keyed && !moved:
+			t.Errorf("changing Config.%s leaves the point key unchanged; it must join the key", name)
+		case !row.keyed && moved:
+			t.Errorf("changing Config.%s moves the point key; it must stay out of it", name)
+		}
+	}
+
+	benign := base
+	benign.Fault = &fault.Plan{}
+	if benign.key("probe", 7) == k0 {
+		t.Error("a non-nil benign plan must key apart from a nil plan")
 	}
 }
 

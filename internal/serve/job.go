@@ -57,10 +57,12 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	results  []bench.ResultJSON
-	records  []StreamRecord
-	subs     map[chan StreamRecord]struct{}
-	done     chan struct{}
+	// records is the job's stream so far: one record per completed
+	// experiment, then the terminal record. It only grows; each append
+	// closes changed and replaces it, which wakes every stream reader.
+	records []StreamRecord
+	changed chan struct{}
+	done    chan struct{}
 }
 
 func newJob(id string, cfg bench.Config, runners []bench.Runner,
@@ -73,7 +75,7 @@ func newJob(id string, cfg bench.Config, runners []bench.Runner,
 		cancel:  cancel,
 		state:   StateQueued,
 		created: now,
-		subs:    make(map[chan StreamRecord]struct{}),
+		changed: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 }
@@ -114,13 +116,10 @@ func (j *Job) start(now time.Time) bool {
 	return true
 }
 
-// appendResult records one completed experiment and broadcasts it to
-// the stream subscribers.
+// appendResult records one completed experiment.
 func (j *Job) appendResult(res bench.ResultJSON) {
 	j.mu.Lock()
-	j.results = append(j.results, res)
-	rec := StreamRecord{Job: j.ID, Seq: len(j.records), Result: &j.results[len(j.results)-1]}
-	j.broadcastLocked(rec)
+	j.appendLocked(StreamRecord{Result: &res})
 	j.mu.Unlock()
 }
 
@@ -139,41 +138,26 @@ func (j *Job) finishLocked(state State, errMsg string) {
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = time.Now()
-	j.broadcastLocked(StreamRecord{Job: j.ID, Seq: len(j.records), Done: true, State: state, Error: errMsg})
+	j.appendLocked(StreamRecord{Done: true, State: state, Error: errMsg})
 	close(j.done)
 }
 
-// broadcastLocked appends rec to the record log and fans it out.
-// Subscriber channels are sized for the whole stream (experiments +
-// terminal record), so sends never block.
-func (j *Job) broadcastLocked(rec StreamRecord) {
+// appendLocked numbers rec, appends it to the record log and wakes the
+// stream readers.
+func (j *Job) appendLocked(rec StreamRecord) {
+	rec.Job, rec.Seq = j.ID, len(j.records)
 	j.records = append(j.records, rec)
-	for ch := range j.subs {
-		ch <- rec
-	}
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
-// Subscribe returns the records emitted so far and a channel carrying
-// every subsequent one; cancel must be called to detach. The channel's
-// buffer holds a full stream, so the broadcaster never blocks on a slow
-// reader.
-func (j *Job) Subscribe() (replay []StreamRecord, live <-chan StreamRecord, cancel func()) {
-	ch := make(chan StreamRecord, len(j.runners)+2)
+// since returns the records from the n-th on, and a channel closed when
+// the next one is appended. Appends never touch the returned records,
+// so the caller reads them without the lock.
+func (j *Job) since(n int) ([]StreamRecord, <-chan struct{}) {
 	j.mu.Lock()
-	replay = append([]StreamRecord(nil), j.records...)
-	if !j.state.Terminal() {
-		j.subs[ch] = struct{}{}
-	} else {
-		close(ch)
-	}
-	j.mu.Unlock()
-	return replay, ch, func() {
-		j.mu.Lock()
-		if _, ok := j.subs[ch]; ok {
-			delete(j.subs, ch)
-		}
-		j.mu.Unlock()
-	}
+	defer j.mu.Unlock()
+	return j.records[n:], j.changed
 }
 
 // Status is a job's wire form: summary fields always, Results only when
@@ -222,7 +206,11 @@ func (j *Job) Status(withResults bool) Status {
 		}
 	}
 	if withResults {
-		st.Results = append([]bench.ResultJSON(nil), j.results...)
+		for _, rec := range j.records {
+			if rec.Result != nil {
+				st.Results = append(st.Results, *rec.Result)
+			}
+		}
 	}
 	return st
 }

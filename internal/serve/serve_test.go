@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"ioatsim/internal/bench"
+	"ioatsim/internal/sweep"
 )
 
 // --- helpers ---------------------------------------------------------
@@ -357,6 +359,172 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	waitTerminal(t, s, stA.ID, StateDone)
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestShutdownTwice: a second Shutdown finds admission already closed
+// and returns at once.
+func TestShutdownTwice(t *testing.T) {
+	s := New(Options{Workers: 1})
+	s.Start()
+	for i := range 2 {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := s.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("Shutdown %d: %v", i+1, err)
+		}
+	}
+}
+
+// TestSubmitAfterShutdown: once the server has drained, a submission is
+// refused with ErrDraining and registers no job.
+func TestSubmitAfterShutdown(t *testing.T) {
+	s := New(Options{Workers: 1})
+	s.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(bench.Request{Runners: []string{"fig6"}}, nil); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit after shutdown: %v, want ErrDraining", err)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("registry holds %d jobs after a refused submission, want 0", n)
+	}
+}
+
+// readStream reads a job's NDJSON stream to its end. It calls first,
+// if not nil, once: when the first record has arrived, or on return.
+// It reports failures with t.Errorf, so reader goroutines may call it.
+func readStream(t *testing.T, url string, first func()) []StreamRecord {
+	var once sync.Once
+	arrived := func() {
+		if first != nil {
+			once.Do(first)
+		}
+	}
+	defer arrived()
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(url)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	defer resp.Body.Close()
+	var recs []StreamRecord
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var rec StreamRecord
+		if err := dec.Decode(&rec); err == io.EOF {
+			return recs
+		} else if err != nil {
+			t.Errorf("record %d: %v", len(recs), err)
+			return recs
+		}
+		recs = append(recs, rec)
+		arrived()
+	}
+}
+
+// wantStream checks a whole stream of a job that ran the given runners
+// and ended done: one result per runner in order, then the terminal
+// record, numbered from zero.
+func wantStream(t *testing.T, recs []StreamRecord, runners ...string) {
+	if len(recs) != len(runners)+1 {
+		t.Errorf("got %d records, want %d results and the terminal record", len(recs), len(runners))
+		return
+	}
+	for i, id := range runners {
+		if rec := recs[i]; rec.Seq != i || rec.Result == nil || rec.Result.ID != id {
+			t.Errorf("record %d = %+v, want seq %d with result %s", i, rec, i, id)
+		}
+	}
+	if last := recs[len(runners)]; last.Seq != len(runners) || !last.Done || last.State != StateDone {
+		t.Errorf("terminal record = %+v, want seq %d, done", last, len(runners))
+	}
+}
+
+// TestStreamAfterTerminalRecord: an observer that attaches once a job
+// has ended reads its whole stream, every result and then the terminal
+// record.
+func TestStreamAfterTerminalRecord(t *testing.T) {
+	s := New(Options{Workers: 1})
+	s.run = func(j *Job) {
+		for _, r := range j.runners {
+			j.appendResult(bench.ResultJSON{ID: r.ID})
+		}
+		j.finish(StateDone, "")
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+
+	_, st := postJob(t, ts, `{"runners":["fig3a","fig6"]}`)
+	waitTerminal(t, s, st.ID, StateDone)
+	wantStream(t, readStream(t, ts.URL+"/v1/jobs/"+st.ID+"/stream", nil), "fig3a", "fig6")
+}
+
+// TestConcurrentStreamReaders: several readers hold a job's first
+// record and wait while the rest is appended; each reads the whole
+// stream.
+func TestConcurrentStreamReaders(t *testing.T) {
+	s := New(Options{Workers: 1})
+	step := make(chan struct{})
+	s.run = func(j *Job) {
+		for i, r := range j.runners {
+			if i > 0 {
+				<-step
+			}
+			j.appendResult(bench.ResultJSON{ID: r.ID})
+		}
+		<-step
+		j.finish(StateDone, "")
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+
+	runners := []string{"fig3a", "fig6", "fig7a"}
+	_, st := postJob(t, ts, `{"runners":["fig3a","fig6","fig7a"]}`)
+	url := ts.URL + "/v1/jobs/" + st.ID + "/stream"
+	var attached, done sync.WaitGroup
+	for range 4 {
+		attached.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			wantStream(t, readStream(t, url, attached.Done), runners...)
+		}()
+	}
+	attached.Wait()
+	for range runners { // the later results, then the terminal record
+		step <- struct{}{}
+	}
+	done.Wait()
+}
+
+// TestZeroCacheBoundsAreUnbounded: with both point-cache bounds at 0,
+// ioatd's "0: unbounded", the cache keeps every point it stores.
+func TestZeroCacheBoundsAreUnbounded(t *testing.T) {
+	s := New(Options{})
+	const n = 5000
+	sweep.CachedRun(s.Cache(), 1, n,
+		func(i int) string { return sweep.Key("unbounded", i) },
+		func(i int) int { return i })
+	if got, ev := s.Cache().Len(), s.Cache().Evictions(); got != n || ev != 0 {
+		t.Errorf("cache holds %d of %d points after %d evictions, want all of them and none", got, n, ev)
 	}
 }
 

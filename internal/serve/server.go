@@ -31,6 +31,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -42,8 +43,16 @@ import (
 	"ioatsim/internal/sweep"
 )
 
-// Options configures a Server. The zero value is usable: small bounded
-// queue, one worker per two cores, memo-only cache capped at 256 MB.
+// ErrQueueFull is returned when admission control rejects a job; the
+// HTTP layer maps it to 429 Too Many Requests with a Retry-After hint.
+var ErrQueueFull = errors.New("serve: job queue full")
+
+// ErrDraining is returned once shutdown has begun; the HTTP layer maps
+// it to 503 Service Unavailable.
+var ErrDraining = errors.New("serve: server is draining")
+
+// Options configures a Server. The zero value is usable: a queue of 64
+// jobs, two workers and an unbounded, memo-only point cache.
 type Options struct {
 	// QueueDepth bounds the admission queue (jobs waiting for a
 	// worker); <= 0 means 64. A full queue rejects with 429.
@@ -62,8 +71,7 @@ type Options struct {
 	// only; see sweep.NewPointCache).
 	CacheDir string
 	// CacheEntries / CacheBytes bound the in-process point memo
-	// (0 = that dimension unbounded; both 0 = entries 4096, bytes
-	// 256 MB).
+	// (0 = that dimension unbounded).
 	CacheEntries int
 	CacheBytes   int64
 }
@@ -81,10 +89,6 @@ func (o Options) withDefaults() Options {
 	if o.Retention <= 0 {
 		o.Retention = 256
 	}
-	if o.CacheEntries == 0 && o.CacheBytes == 0 {
-		o.CacheEntries = 4096
-		o.CacheBytes = 256 << 20
-	}
 	return o
 }
 
@@ -94,12 +98,17 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts  Options
 	cache *sweep.PointCache
-	queue *queue
+	// queue is the admission FIFO between Submit and the workers.
+	// Admission is strictly first-come-first-served, with no priority
+	// tier: fairness under overload is the 429 itself, which pushes
+	// retry scheduling to clients. Submit sends and Shutdown closes it
+	// under mu, with draining, so no send can follow the close.
+	queue chan *Job
 
 	baseCtx   context.Context
 	cancelAll context.CancelFunc
 	wg        sync.WaitGroup
-	draining  atomic.Bool
+	draining  atomic.Bool // set once, under mu, by Shutdown
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -128,7 +137,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:  opts,
 		cache: sweep.NewPointCache(opts.CacheDir).Bound(opts.CacheEntries, opts.CacheBytes),
-		queue: newQueue(opts.QueueDepth),
+		queue: make(chan *Job, opts.QueueDepth),
 		jobs:  make(map[string]*Job),
 		latency: metrics.NewHistogram(
 			0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300),
@@ -180,7 +189,7 @@ type latencyDoc struct {
 func (s *Server) readMetrics() metricsDoc {
 	hits, misses := s.cache.Stats()
 	d := metricsDoc{
-		QueueDepth:     s.queue.Depth(),
+		QueueDepth:     len(s.queue),
 		InflightJobs:   s.inflight.Load(),
 		JobsAccepted:   s.accepted.Load(),
 		JobsRejected:   s.rejected.Load(),
@@ -222,7 +231,7 @@ func (s *Server) Start() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			for j := range s.queue.Chan() {
+			for j := range s.queue {
 				s.dispatch(j)
 			}
 		}()
@@ -287,24 +296,28 @@ func (s *Server) runJob(j *Job) {
 // submissions pass their HTTP request context so a client disconnect
 // aborts the sweep; detached submissions pass nil.
 func (s *Server) Submit(req bench.Request, parent context.Context) (*Job, error) {
-	if s.draining.Load() {
-		return nil, ErrDraining
-	}
 	cfg, runners, err := req.Config(s.opts.MaxScale)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	// The registry takes a job only once the queue has admitted it, so
-	// a rejected job leaves nothing behind. (TryEnqueue never blocks.)
+	// a rejected job leaves nothing behind. The send never blocks.
 	s.mu.Lock()
+	if s.draining.Load() {
+		s.mu.Unlock()
+		cancel()
+		return nil, ErrDraining
+	}
 	s.nextID++
 	j := newJob(fmt.Sprintf("job-%d", s.nextID), cfg, runners, ctx, cancel, time.Now())
-	if err := s.queue.TryEnqueue(j); err != nil {
+	select {
+	case s.queue <- j:
+	default:
 		s.mu.Unlock()
 		s.rejected.Add(1)
 		cancel()
-		return nil, err
+		return nil, ErrQueueFull
 	}
 	s.accepted.Add(1)
 	s.jobs[j.ID] = j
@@ -375,7 +388,25 @@ func (s *Server) RetryAfter() time.Duration {
 	s.mu.Lock()
 	mean := s.latency.Mean()
 	s.mu.Unlock()
-	return retryAfter(mean, s.queue.Depth(), s.opts.Workers)
+	return retryAfter(mean, len(s.queue), s.opts.Workers)
+}
+
+// retryAfter estimates how long an overflowed client should wait before
+// retrying: the queue's expected service time (mean job latency times
+// queued-jobs-per-worker), clamped to [1s, 60s]. With no latency
+// history yet it returns the floor.
+func retryAfter(meanJobSeconds float64, queued, workers int) time.Duration {
+	if workers < 1 {
+		workers = 1
+	}
+	est := time.Duration(meanJobSeconds * float64(queued+1) / float64(workers) * float64(time.Second))
+	if est < time.Second {
+		est = time.Second
+	}
+	if est > time.Minute {
+		est = time.Minute
+	}
+	return est
 }
 
 // Draining reports whether shutdown has begun.
@@ -387,8 +418,14 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // sweep at the next point boundary; Shutdown then waits for the workers
 // to return and reports ctx's error.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	for _, j := range s.queue.Close() {
+	s.mu.Lock()
+	if !s.draining.Swap(true) {
+		close(s.queue)
+	}
+	s.mu.Unlock()
+	// The workers drain the closed queue too, and dispatch cancels what
+	// they receive; each job is received, and counted, once.
+	for j := range s.queue {
 		j.finish(StateCanceled, "server shutting down before the job started")
 		s.finished[2].Add(1)
 	}

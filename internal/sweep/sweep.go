@@ -39,8 +39,9 @@ func Workers(parallel int) int {
 //
 // fn must be safe to call concurrently for distinct indexes: each point
 // builds its own simulator and parameter set and shares no mutable state.
-// A panic in any point is re-raised on the calling goroutine once all
-// workers have drained.
+// A panic in any point stops the sweep as cancellation does: no further
+// point starts, and the panic is re-raised on the calling goroutine once
+// the points in flight have finished.
 //
 // Once ctx is cancelled no further point starts, the points already in
 // flight run to completion (so no worker goroutine or half-built
@@ -69,6 +70,7 @@ func RunCtx[T any](ctx context.Context, parallel, n int, fn func(i int) T) ([]T,
 		panicked any
 	)
 	idx := make(chan int)
+	stop := make(chan struct{}) // closed at the first panic
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -80,6 +82,7 @@ func RunCtx[T any](ctx context.Context, parallel, n int, fn func(i int) T) ([]T,
 							panicMu.Lock()
 							if panicked == nil {
 								panicked = r
+								close(stop)
 							}
 							panicMu.Unlock()
 						}
@@ -91,9 +94,19 @@ func RunCtx[T any](ctx context.Context, parallel, n int, fn func(i int) T) ([]T,
 	}
 feed:
 	for i := 0; i < n; i++ {
+		// A worker that has just recovered a panic is ready to receive,
+		// so stop is checked first: a select picks at random among
+		// ready cases.
+		select {
+		case <-stop:
+			break feed
+		default:
+		}
 		select {
 		case idx <- i:
 		case <-ctx.Done():
+			break feed
+		case <-stop:
 			break feed
 		}
 	}

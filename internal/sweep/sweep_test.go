@@ -81,6 +81,36 @@ func TestRunPropagatesPanics(t *testing.T) {
 	})
 }
 
+// TestPanicStopsTheSweep: once a point panics, no further point starts.
+// Point 0 panics while point 1 is in flight on the other worker; point 1
+// finishes, and the panic reaches the caller.
+func TestPanicStopsTheSweep(t *testing.T) {
+	var ran atomic.Int32
+	second := make(chan struct{})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panic not propagated")
+			}
+		}()
+		Run(2, 20, func(i int) int {
+			ran.Add(1)
+			switch i {
+			case 0:
+				<-second
+				panic("boom")
+			case 1:
+				close(second)
+			}
+			time.Sleep(time.Millisecond)
+			return i
+		})
+	}()
+	if n := ran.Load(); n > 4 {
+		t.Fatalf("%d of 20 points ran after a panic at point 0, want at most 4", n)
+	}
+}
+
 // TestRunPropagatesProcessPanics: a panic inside a point's simulation
 // task runs in an event on the worker's goroutine, unwinds the point's
 // RunUntil and reaches the caller like any other point panic, past each
